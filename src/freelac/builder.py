@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import BudgetExceeded
 from .primes import FactorTable, is_prime
@@ -339,30 +339,23 @@ class BuildProfile:
     """Size and pool rules parameterizing a family build."""
 
     name: str
-
-    def target_size(self, n: int, s: int) -> int:
-        if self.name == "paper":
-            return n * n
-        if self.name == "desk":
-            return n if s == 2 else 6
-        if self.name == "tiny":
-            return 3
-        raise ValueError(f"unknown profile {self.name!r}")
+    target_size: Callable[[int, int], int]  # (n, s) -> elements wanted in factor n
+    default_range: Callable[[int], tuple[int, int]]  # s -> (n_min, n_max)
 
     def pool_bound(self, n: int) -> int:
         return 2**n
 
-    def default_range(self, s: int) -> tuple[int, int]:
-        if self.name == "paper":
-            return (3, 8)
-        if self.name == "desk":
-            return (8, 16) if s == 2 else (8, 12)
-        if self.name == "tiny":
-            return (4, 8)
-        raise ValueError(f"unknown profile {self.name!r}")
 
-
-PROFILES = {name: BuildProfile(name) for name in ("paper", "desk", "tiny")}
+PROFILES = {
+    profile.name: profile
+    for profile in (
+        BuildProfile("paper", lambda n, s: n * n, lambda s: (3, 8)),
+        BuildProfile(
+            "desk", lambda n, s: n if s == 2 else 6, lambda s: (8, 16) if s == 2 else (8, 12)
+        ),
+        BuildProfile("tiny", lambda n, s: 3, lambda s: (4, 8)),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -388,9 +381,6 @@ class LacunaryFamily:
             if result.certificate.n == n:
                 return result
         raise KeyError(f"factor {n} not present in family")
-
-    def subsets(self) -> dict[int, FactorSubset]:
-        return {r.certificate.n: r.subset for r in self.results}
 
     def union_words(self) -> list[Word]:
         """All stored elements across factors, as words; partial sets included."""

@@ -22,7 +22,9 @@ from .builder import (
     PNCertificate,
     PROFILES,
 )
+from .counting import DEFAULT_SUBSET_BUDGET_BITS, DEFAULT_TUPLE_BUDGET
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
+from .spectral import DEFAULT_SPECTRAL_BUDGET, DEFAULT_TOLERANCE
 
 FORMAT_VERSION = 1
 KINDS = ("family", "pn", "zs", "leinert", "qi", "spectrum", "report")
@@ -153,10 +155,10 @@ class RunConfig:
     n_max: Optional[int] = None
     profile: str = "desk"
     seed: Optional[int] = None
-    tuple_budget: int = 2_000_000
-    subset_budget_bits: int = 22
-    spectral_budget: int = 1 << 20
-    tolerance: float = 1e-9
+    tuple_budget: int = DEFAULT_TUPLE_BUDGET
+    subset_budget_bits: int = DEFAULT_SUBSET_BUDGET_BITS
+    spectral_budget: int = DEFAULT_SPECTRAL_BUDGET
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         if self.s < 2 or self.s % 2 != 0:

@@ -34,6 +34,8 @@ from .certificates import (
     write_certificate,
 )
 from .counting import (
+    DEFAULT_SUBSET_BUDGET_BITS,
+    DEFAULT_TUPLE_BUDGET,
     STRATEGY_MITM,
     STRATEGY_NAIVE,
     extract_quasi_independent,
@@ -44,6 +46,7 @@ from .counting import (
 from .errors import BudgetExceeded
 from .primes import FactorTable, smallest_admissible_prime
 from .spectral import (
+    DEFAULT_TOLERANCE,
     density_lower_bound,
     fejer_coefficient,
     fejer_kernel,
@@ -69,17 +72,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _provenance(args, parameters: dict, seed: Optional[int] = None) -> dict:
+def _emit(args, kind: str, payload: dict, parameters: dict, seed=None, out=None) -> None:
+    """Write the certificate to ``out`` (or ``--out``, if given) and say where."""
     timestamp = None
-    if getattr(args, "stamp", False):
+    if args.stamp:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return make_provenance(__version__, parameters, seed=seed, timestamp=timestamp)
-
-
-def _write_if_requested(args, cert: CertificateFile) -> None:
-    if getattr(args, "out", None):
-        write_certificate(args.out, cert)
-        print(f"certificate written: {args.out}")
+    provenance = make_provenance(__version__, parameters, seed=seed, timestamp=timestamp)
+    out = out or args.out
+    if out:
+        write_certificate(out, CertificateFile(kind=kind, payload=payload, provenance=provenance))
+        print(f"{'family' if kind == 'family' else 'certificate'} written: {out}")
 
 
 def _load_family(path: str):
@@ -89,17 +91,38 @@ def _load_family(path: str):
     return family_from_payload(cert.payload)
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        s=args.s,
-        n_min=getattr(args, "n_min", None),
-        n_max=getattr(args, "n_max", None),
-        profile=getattr(args, "profile", "desk"),
-        seed=getattr(args, "seed", None),
-        tuple_budget=getattr(args, "budget_tuples", 2_000_000),
-        subset_budget_bits=getattr(args, "budget_subsets", 22),
-        tolerance=getattr(args, "tolerance", 1e-9),
-    )
+def _zs_claim(family, strategy: str, budget: int) -> dict:
+    """Z_s of the family union against ((s/2)!)^2; ``auto`` counts naively when cheap."""
+    elements = family.union_words()
+    s = family.s
+    bound_half, bound_factorial = zs_paper_target(s)
+    if strategy == "auto":
+        naive_cost = math.perm(len(elements), s)
+        strategy = STRATEGY_NAIVE if naive_cost <= min(budget, 250_000) else STRATEGY_MITM
+    cert = z_value(elements, s, budget=budget, strategy=strategy)
+    return {
+        "bound_factorial": bound_factorial,
+        "bound_half_square": bound_half,
+        "ground_size": cert.ground_size,
+        "holds": cert.value <= bound_half,
+        "s": s,
+        "strategy": cert.strategy,
+        "tuples_examined": cert.tuples_examined,
+        "value": cert.value,
+        "witness_key": canonical_key(cert.witness).hex() if cert.witness else None,
+    }
+
+
+def _qi_claims(family, budget_bits: int):
+    """Per nonempty factor: (result, witness, floor_bound, ok) of the greedy
+    quasi-independent extraction against the ceil(log_3 |E_n|) floor."""
+    for result in family.results:
+        parent_size = len(result.subset.exponents)
+        if not parent_size:
+            continue
+        witness = extract_quasi_independent(result.subset, budget_bits)
+        floor_bound = math.ceil(math.log(parent_size, 3)) if parent_size > 1 else 0
+        yield result, witness, floor_bound, witness.maximal and len(witness.subset) >= floor_bound
 
 
 # ---------------------------------------------------------------- primes
@@ -117,9 +140,10 @@ def cmd_primes(args) -> int:
 
 
 def cmd_build(args) -> int:
-    config = _config_from_args(args)
-    n_range = config.resolved_range()
-    family = build_family(config.s, n_range, config.profile, seed=config.seed)
+    config = RunConfig(
+        s=args.s, n_min=args.n_min, n_max=args.n_max, profile=args.profile, seed=args.seed
+    )
+    family = build_family(config.s, config.resolved_range(), config.profile, seed=config.seed)
     feasible = [r for r in family.results if r.feasible]
     for result in family.results:
         cert = result.certificate
@@ -132,14 +156,14 @@ def cmd_build(args) -> int:
         f"built {len(feasible)}/{len(family.results)} targets; "
         f"n_feasible={family.n_feasible}"
     )
-    cert = CertificateFile(
-        kind="family",
-        payload=family_to_payload(family),
-        provenance=_provenance(args, config.provenance_parameters(), seed=config.seed),
+    _emit(
+        args,
+        "family",
+        family_to_payload(family),
+        config.provenance_parameters(),
+        seed=config.seed,
+        out=args.out or "family.json",
     )
-    out = args.out or "family.json"
-    write_certificate(out, cert)
-    print(f"family written: {out}")
     if not family.results or len(feasible) < len(family.results):
         return EXIT_VIOLATION
     return EXIT_OK
@@ -148,7 +172,7 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_pn(family, args) -> tuple[int, dict]:
+def _verify_pn(family, args) -> dict:
     claims = []
     holds = True
     for result in family.results:
@@ -165,51 +189,21 @@ def _verify_pn(family, args) -> tuple[int, dict]:
         claims.append(record)
         state = "ok" if ok else f"VIOLATED by epsilon={list(witness.entries)}"
         print(f"pn n={result.certificate.n}: {state}")
-    return (EXIT_OK if holds else EXIT_VIOLATION), {
-        "claims": claims,
-        "holds": holds,
-        "s": family.s,
-    }
+    return {"claims": claims, "holds": holds, "s": family.s}
 
 
-def _verify_zs(family, args) -> tuple[int, dict]:
-    elements = family.union_words()
-    s = family.s
-    bound_half, bound_factorial = zs_paper_target(s)
-    strategy = args.strategy
-    if strategy == "auto":
-        naive_cost = math.perm(len(elements), s)
-        strategy = STRATEGY_NAIVE if naive_cost <= min(args.budget_tuples, 250_000) else STRATEGY_MITM
-    cert = z_value(elements, s, budget=args.budget_tuples, strategy=strategy)
-    holds = cert.value <= bound_half
+def _verify_zs(family, args) -> dict:
+    claim = _zs_claim(family, args.strategy, args.budget_tuples)
     print(
-        f"zs: Z_{s} = {cert.value} over {cert.ground_size} elements "
-        f"({cert.strategy}, {cert.tuples_examined} tuples examined); "
-        f"bounds ((s/2)!)^2 = {bound_half}, s! = {bound_factorial}: "
-        f"{'ok' if holds else 'VIOLATED'}"
+        f"zs: Z_{claim['s']} = {claim['value']} over {claim['ground_size']} elements "
+        f"({claim['strategy']}, {claim['tuples_examined']} tuples examined); "
+        f"bounds ((s/2)!)^2 = {claim['bound_half_square']}, s! = {claim['bound_factorial']}: "
+        f"{'ok' if claim['holds'] else 'VIOLATED'}"
     )
-    payload = {
-        "bound_factorial": bound_factorial,
-        "bound_half_square": bound_half,
-        "ground_size": cert.ground_size,
-        "holds": holds,
-        "s": s,
-        "strategy": cert.strategy,
-        "tuples_examined": cert.tuples_examined,
-        "value": cert.value,
-        "witness_key": canonical_key(cert.witness).hex() if cert.witness else None,
-    }
-    return (EXIT_OK if holds else EXIT_VIOLATION), payload
+    return claim
 
 
-def _witness_payload(witness) -> list[list[int]]:
-    out = []
-    for word in witness.elements:
-        out.append([[l.factor, l.exp] for l in word.letters])
-    return out
-
-
-def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> tuple[int, dict]:
+def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> dict:
     s = args.s if adhoc_subset is not None else family.s
     searched = []
     first_witness = None
@@ -236,26 +230,19 @@ def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> tuple
             "*".join(f"a_{l.factor}^{l.exp}" for l in w.letters) for w in first_witness.elements
         ]
         print(f"leinert: VIOLATION ({', '.join(exps)})")
-    payload = {
+    return {
         "holds": holds,
         "s": s,
         "searched": searched,
-        "witness": _witness_payload(first_witness) if first_witness else None,
+        "witness": None if holds else [
+            [[l.factor, l.exp] for l in w.letters] for w in first_witness.elements
+        ],
     }
-    return (EXIT_OK if holds else EXIT_VIOLATION), payload
 
 
-def _verify_qi(family, args) -> tuple[int, dict]:
+def _verify_qi(family, args) -> dict:
     rows = []
-    holds = True
-    for result in family.results:
-        if not result.subset.exponents:
-            continue
-        witness = extract_quasi_independent(result.subset, args.budget_subsets)
-        parent_size = len(result.subset.exponents)
-        floor_bound = math.ceil(math.log(parent_size, 3)) if parent_size > 1 else 0
-        ok = witness.maximal and len(witness.subset) >= floor_bound
-        holds = holds and ok
+    for result, witness, floor_bound, ok in _qi_claims(family, args.budget_subsets):
         rows.append(
             {
                 "extracted": list(witness.subset),
@@ -263,7 +250,7 @@ def _verify_qi(family, args) -> tuple[int, dict]:
                 "maximal": witness.maximal,
                 "n": result.certificate.n,
                 "ok": ok,
-                "parent_size": parent_size,
+                "parent_size": len(witness.parent),
                 "table_digest": witness.table_digest,
             }
         )
@@ -271,7 +258,7 @@ def _verify_qi(family, args) -> tuple[int, dict]:
             f"qi n={result.certificate.n}: |F|={len(witness.subset)} >= {floor_bound} "
             f"maximal={witness.maximal} {'ok' if ok else 'VIOLATED'}"
         )
-    return (EXIT_OK if holds else EXIT_VIOLATION), {"factors": rows, "holds": holds}
+    return {"factors": rows, "holds": all(row["ok"] for row in rows)}
 
 
 def cmd_verify(args) -> int:
@@ -289,30 +276,18 @@ def cmd_verify(args) -> int:
             raise _UsageError("a family file is required (or --exponents/--order for leinert)")
         family = _load_family(args.family)
 
-    if args.kind == "pn":
-        code, payload = _verify_pn(family, args)
-    elif args.kind == "zs":
-        code, payload = _verify_zs(family, args)
-    elif args.kind == "leinert":
-        code, payload = _verify_leinert(family, args, adhoc_subset)
-    elif args.kind == "qi":
-        code, payload = _verify_qi(family, args)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown verify kind {args.kind!r}")
-
+    if args.kind == "leinert":
+        payload = _verify_leinert(family, args, adhoc_subset)
+    else:
+        payload = {"pn": _verify_pn, "zs": _verify_zs, "qi": _verify_qi}[args.kind](family, args)
     parameters = {
         "budget_subsets": args.budget_subsets,
         "budget_tuples": args.budget_tuples,
         "kind": args.kind,
         "source": args.family or "adhoc",
     }
-    cert = CertificateFile(
-        kind=args.kind,
-        payload=payload,
-        provenance=_provenance(args, parameters),
-    )
-    _write_if_requested(args, cert)
-    return code
+    _emit(args, args.kind, payload, parameters)
+    return EXIT_OK if payload["holds"] else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------- norms
@@ -382,12 +357,7 @@ def cmd_norms(args) -> int:
             }
         )
     payload = {"kernels": kernels, "tolerance": fmt_float(args.tolerance)}
-    cert = CertificateFile(
-        kind="spectrum",
-        payload=payload,
-        provenance=_provenance(args, {"q": args.q or "3,4,6,10", "scales": scales}),
-    )
-    _write_if_requested(args, cert)
+    _emit(args, "spectrum", payload, {"q": args.q or "3,4,6,10", "scales": scales})
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
@@ -424,62 +394,34 @@ def cmd_report(args) -> int:
         "status": "unverified (empty family)" if empty else "recorded",
     }
 
-    # tuple-count bound, recomputed fresh
     if empty:
-        sections["zs"] = {"status": "unverified (empty family)"}
-        print("  zs: unverified (empty family)")
+        for name in ("zs", "qi", "density"):
+            sections[name] = {"status": "unverified (empty family)"}
+            print(f"  {name}: unverified (empty family)")
     else:
+        # tuple-count bound, recomputed fresh
         try:
-            elements = family.union_words()
-            bound_half, bound_factorial = zs_paper_target(family.s)
-            naive_cost = math.perm(len(elements), family.s)
-            strategy = (
-                STRATEGY_NAIVE
-                if naive_cost <= min(args.budget_tuples, 250_000)
-                else STRATEGY_MITM
-            )
-            zcert = z_value(elements, family.s, budget=args.budget_tuples, strategy=strategy)
-            ok = zcert.value <= bound_half
-            violated = violated or not ok
-            sections["zs"] = {
-                "bound_factorial": bound_factorial,
-                "bound_half_square": bound_half,
-                "holds": ok,
-                "status": "verified",
-                "strategy": zcert.strategy,
-                "value": zcert.value,
-            }
-            print(
-                f"  zs: Z_{family.s} = {zcert.value} <= {bound_half} "
-                f"[verified, {zcert.strategy}]"
-            )
+            claim = _zs_claim(family, "auto", args.budget_tuples)
         except BudgetExceeded as exc:
             sections["zs"] = {"status": f"unverified (budget: {exc})"}
             print(f"  zs: unverified (budget: {exc})")
+        else:
+            violated = violated or not claim["holds"]
+            keys = ("bound_factorial", "bound_half_square", "holds", "strategy", "value")
+            sections["zs"] = {"status": "verified", **{key: claim[key] for key in keys}}
+            print(
+                f"  zs: Z_{family.s} = {claim['value']} <= {claim['bound_half_square']} "
+                f"[verified, {claim['strategy']}]"
+            )
 
-    # quasi-independent extraction and operator-norm lower bounds
-    if empty:
-        sections["qi"] = {"status": "unverified (empty family)"}
-        sections["density"] = {"status": "unverified (empty family)"}
-        print("  qi: unverified (empty family)")
-        print("  density: unverified (empty family)")
-    else:
+        # quasi-independent extraction and operator-norm lower bounds
         qi_rows = []
         density_rows = []
-        for result in family.results:
-            if not result.subset.exponents:
-                continue
+        for result, witness, floor_bound, ok in _qi_claims(family, args.budget_subsets):
             n = result.certificate.n
-            witness = extract_quasi_independent(result.subset, args.budget_subsets)
-            qi_subset = FactorSubset(
-                factor=result.subset.factor,
-                order=result.subset.order,
-                exponents=witness.subset,
+            lower = leinert_lower_bound(
+                FactorSubset(result.subset.factor, result.subset.order, witness.subset)
             )
-            lower = leinert_lower_bound(qi_subset)
-            parent_size = len(result.subset.exponents)
-            floor_bound = math.ceil(math.log(parent_size, 3)) if parent_size > 1 else 0
-            ok = witness.maximal and len(witness.subset) >= floor_bound
             violated = violated or not ok
             qi_rows.append(
                 {
@@ -488,7 +430,7 @@ def cmd_report(args) -> int:
                     "leinert_lower_bound": fmt_float(lower),
                     "maximal": witness.maximal,
                     "n": n,
-                    "parent_size": parent_size,
+                    "parent_size": len(witness.parent),
                 }
             )
             q = float(2 * n)
@@ -539,12 +481,7 @@ def cmd_report(args) -> int:
     for statement in sections["conclusions"]["statements"]:
         print(f"  theory: {statement}")
 
-    cert = CertificateFile(
-        kind="report",
-        payload={"sections": sections},
-        provenance=_provenance(args, {"source": args.family}),
-    )
-    _write_if_requested(args, cert)
+    _emit(args, "report", {"sections": sections}, {"source": args.family})
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
@@ -568,12 +505,7 @@ def cmd_witness_weak_sidon(args) -> int:
             f"C={witness.c}: n={witness.n}, n^2 = {witness.lhs} > 40 C^2 n = {witness.rhs} "
             f"{'ok' if witness.holds else 'FAILED'}"
         )
-    cert = CertificateFile(
-        kind="report",
-        payload={"weak_sidon": rows},
-        provenance=_provenance(args, {"constants": list(args.constants)}),
-    )
-    _write_if_requested(args, cert)
+    _emit(args, "report", {"weak_sidon": rows}, {"constants": list(args.constants)})
     return EXIT_OK if all(r["holds"] for r in rows) else EXIT_VIOLATION
 
 
@@ -605,8 +537,8 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--exponents", default=None, help="ad-hoc set, e.g. 1,2,3,4 (leinert)")
     p_verify.add_argument("--order", type=int, default=None, help="cyclic order for --exponents")
     p_verify.add_argument("--strategy", choices=("auto", STRATEGY_NAIVE, STRATEGY_MITM), default="auto")
-    p_verify.add_argument("--budget-tuples", type=int, default=2_000_000)
-    p_verify.add_argument("--budget-subsets", type=int, default=22)
+    p_verify.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
+    p_verify.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET_BITS)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--stamp", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
@@ -615,15 +547,15 @@ def build_parser() -> _Parser:
     p_norms.add_argument("--scale", type=int, default=None)
     p_norms.add_argument("--n-max", type=int, default=8)
     p_norms.add_argument("--q", default=None, help="comma-separated q grid (default 3,4,6,10)")
-    p_norms.add_argument("--tolerance", type=float, default=1e-9)
+    p_norms.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_norms.add_argument("--out", default=None)
     p_norms.add_argument("--stamp", action="store_true")
     p_norms.set_defaults(func=cmd_norms)
 
     p_report = sub.add_parser("report", help="end-to-end narrative for a family file")
     p_report.add_argument("family")
-    p_report.add_argument("--budget-tuples", type=int, default=2_000_000)
-    p_report.add_argument("--budget-subsets", type=int, default=22)
+    p_report.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
+    p_report.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET_BITS)
     p_report.add_argument("--out", default=None)
     p_report.add_argument("--stamp", action="store_true")
     p_report.set_defaults(func=cmd_report)

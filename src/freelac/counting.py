@@ -79,6 +79,25 @@ def _signed_half(elements: Sequence[Word], indices: tuple[int, ...], offset: int
     return alternating_product(items, START_PLAIN)
 
 
+def _z_result(
+    elements: Sequence[Word],
+    s: int,
+    counts: dict[bytes, int],
+    words: dict[bytes, Word],
+    samples: dict[bytes, list[tuple[int, ...]]],
+    strategy: str,
+    examined: int,
+) -> ZsCertificate:
+    """The maximal count, its least-key witness and that witness's sample tuples."""
+    n = len(elements)
+    if not counts:
+        return ZsCertificate(s, n, 0, None, (), strategy, examined)
+    value = max(counts.values())
+    witness_key = min(k for k, c in counts.items() if c == value)
+    sample_tuples = tuple(tuple(elements[i] for i in t) for t in samples[witness_key])
+    return ZsCertificate(s, n, value, words[witness_key], sample_tuples, strategy, examined)
+
+
 def _z_naive(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
     n = len(elements)
     total = math.perm(n, s)
@@ -97,14 +116,7 @@ def _z_naive(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
             samples[k] = []
         if c <= SAMPLE_CAP:
             samples[k].append(t)
-    if not counts:
-        return ZsCertificate(s, n, 0, None, (), STRATEGY_NAIVE, 0)
-    value = max(counts.values())
-    witness_key = min(k for k, c in counts.items() if c == value)
-    sample_tuples = tuple(
-        tuple(elements[i] for i in t) for t in samples[witness_key]
-    )
-    return ZsCertificate(s, n, value, words[witness_key], sample_tuples, STRATEGY_NAIVE, total)
+    return _z_result(elements, s, counts, words, samples, STRATEGY_NAIVE, total)
 
 
 def _z_meet_in_middle(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
@@ -151,14 +163,7 @@ def _z_meet_in_middle(elements: Sequence[Word], s: int, budget: int) -> ZsCertif
             counts[k] = c
             if len(samples[k]) < SAMPLE_CAP:
                 samples[k].append(lrep + rrep)
-    if not counts:
-        return ZsCertificate(s, n, 0, None, (), STRATEGY_MITM, examined)
-    value = max(counts.values())
-    witness_key = min(k for k, c in counts.items() if c == value)
-    sample_tuples = tuple(
-        tuple(elements[i] for i in t) for t in samples[witness_key]
-    )
-    return ZsCertificate(s, n, value, words[witness_key], sample_tuples, STRATEGY_MITM, examined)
+    return _z_result(elements, s, counts, words, samples, STRATEGY_MITM, examined)
 
 
 def z_value(

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .builder import FactorSubset
-from .counting import is_quasi_independent
+from .counting import DEFAULT_SUBSET_BUDGET_BITS, is_quasi_independent
 from .errors import BudgetExceeded
 from .primes import is_prime
 
@@ -65,13 +65,6 @@ class CyclicFunction:
     def from_subset(cls, subset: FactorSubset) -> "CyclicFunction":
         return cls.indicator(subset.order, subset.exponents)
 
-    def value(self, j: int) -> complex:
-        j %= self.p
-        for residue, v in self.values:
-            if residue == j:
-                return v
-        return 0j
-
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
@@ -84,13 +77,6 @@ class SpectrumReport:
     norm_l2: float
     norm_lq: dict[float, float]
     values_l2: float
-
-    def lq(self, q: float) -> float:
-        """Normalized spectral q-norm ((1/p) sum |f_hat|^q)^(1/q)."""
-        if q in self.norm_lq:
-            return self.norm_lq[q]
-        mag = np.abs(self.spectrum)
-        return float(np.mean(mag**q) ** (1.0 / q))
 
 
 def transform(
@@ -232,7 +218,8 @@ def holder_check(
     rf = transform(f, q_list=(q_prime,))
     rg = transform(g, q_list=(q,))
     spectral = complex(np.mean(rf.spectrum * np.conj(rg.spectrum)))
-    direct = sum(v * g.value(j).conjugate() for j, v in f.values)
+    g_values = dict(g.values)
+    direct = sum(v * g_values.get(j, 0j).conjugate() for j, v in f.values)
     bound = rf.norm_lq[q_prime] * rg.norm_lq[q]
     return HolderCheck(
         q=q,
@@ -301,7 +288,7 @@ class SidonQICheck:
 def sidon_qi_check(
     subset: FactorSubset,
     tolerance: float = DEFAULT_TOLERANCE,
-    budget_bits: int = 22,
+    budget_bits: int = DEFAULT_SUBSET_BUDGET_BITS,
 ) -> SidonQICheck:
     """Check |F| <= 6 sqrt(6) ||1_F||_VN for a quasi-independent F.
 

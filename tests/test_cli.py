@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from freelac.cli import (
@@ -17,6 +18,17 @@ from freelac.cli import (
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+# sha256 of the desk s=2 certificates; changing their bytes needs a
+# format_version bump
+DESK2_CERT_SHA256 = {
+    "pn": "29dcc3df8480b46fbe25506fc87b9aace8895778bb687b29652f5aa6cb5139f3",
+    "zs": "48cce58eb273ff33d45cf6559caf89da8d6855ef1e2c5233a66539c3a5c9cb5a",
+    "leinert": "0f70bd8f4f2d753991ec996e5c37213d8d1e74396f9b62fbdf6a50295642d9f9",
+    "qi": "c568514ffbed58496fbadf79d39fa3e3bcb570cc6f5896766615e401061d7a9a",
+    "report": "d9fdeb1bab7a53e05eaafc9068ad0e201f68d349997ff668d39c83ec923d135b",
+}
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -70,8 +82,9 @@ def test_build_partial_exit_code(tmp_path):
 
 
 def test_build_s4_desk_records_partial_n8(tmp_path):
-    # the order-521 factor cannot host six admissible exponents below 2^8;
-    # the build keeps the 5-element partial and reports partial success
+    # the search of the order-521 factor stops on its node budget at 5 of 6
+    # exponents below 2^8 (a sixth is neither found nor ruled out); the build
+    # keeps the 5-element partial and reports partial success
     out = tmp_path / "fam4.json"
     code = main(["build", "--s", "4", "--profile", "desk", "--out", str(out)])
     assert code == EXIT_VIOLATION
@@ -196,6 +209,39 @@ def test_report_full_family(tmp_path, capsys):
     assert sections["conclusions"]["status"] == "asserted-by-theory"
     bounds = [float(r["leinert_lower_bound"]) for r in sections["qi"]["rows"]]
     assert bounds == sorted(bounds)  # nondecreasing along the family
+
+
+def test_desk2_certificate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # provenance records the family path as given, so use relative names
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--s", "2", "--out", "family.json"]) == EXIT_OK
+    for kind in ("pn", "zs", "leinert", "qi"):
+        assert main(["verify", kind, "family.json", "--out", f"{kind}.json"]) == EXIT_OK
+    assert main(["report", "family.json", "--out", "report.json"]) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+        for name in DESK2_CERT_SHA256
+    }
+    assert digests == DESK2_CERT_SHA256
+
+
+def test_report_agrees_with_verify(tmp_path, capsys):
+    family = build_desk_family(tmp_path)
+    zs_out, qi_out, report_out = (tmp_path / f"{name}.json" for name in ("zs", "qi", "report"))
+    assert main(["verify", "zs", str(family), "--out", str(zs_out)]) == EXIT_OK
+    assert main(["verify", "qi", str(family), "--out", str(qi_out)]) == EXIT_OK
+    assert main(["report", str(family), "--out", str(report_out)]) == EXIT_OK
+    sections = read_json(report_out)["payload"]["sections"]
+    zs = read_json(zs_out)["payload"]
+    shared = sections["zs"].keys() & zs.keys()
+    assert shared == {"bound_factorial", "bound_half_square", "holds", "strategy", "value"}
+    assert all(sections["zs"][key] == zs[key] for key in shared)
+    qi_rows = read_json(qi_out)["payload"]["factors"]
+    assert [r["n"] for r in sections["qi"]["rows"]] == [r["n"] for r in qi_rows]
+    for row, verified in zip(sections["qi"]["rows"], qi_rows):
+        for key in ("floor_bound", "maximal", "parent_size"):
+            assert row[key] == verified[key]
+        assert row["extracted_size"] == len(verified["extracted"])
 
 
 def test_report_empty_family(tmp_path, capsys):
