@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceeded
 from .primes import FactorTable, is_prime
@@ -118,6 +118,13 @@ def strata_extend(f: ForbiddenStrata, g: int) -> ForbiddenStrata:
     return ForbiddenStrata(p, f.s, tuple(new))
 
 
+def _admissible(forbidden: set[int], p: int, start: int, stop: int) -> Iterator[int]:
+    """Exponents g in [start, stop), ascending, with g and 2g mod p outside ``forbidden``."""
+    for g in range(start, stop):
+        if g not in forbidden and (2 * g) % p not in forbidden:
+            yield g
+
+
 def choose_next(
     f: ForbiddenStrata,
     pool_bound: int,
@@ -129,17 +136,13 @@ def choose_next(
     With ``rng`` set, picks uniformly among all admissible candidates instead.
     Returns None when the pool is exhausted.
     """
-    forbidden = f.union()
-    admissible = []
-    for g in range(1, min(pool_bound, f.p - 1) + 1):
-        if g in used or g in forbidden or (2 * g) % f.p in forbidden:
-            continue
-        if rng is None:
-            return g
-        admissible.append(g)
-    if admissible:
-        return rng.choice(admissible)
-    return None
+    candidates = (
+        g for g in _admissible(f.union(), f.p, 1, min(pool_bound, f.p - 1) + 1) if g not in used
+    )
+    if rng is None:
+        return next(candidates, None)
+    admissible = list(candidates)
+    return rng.choice(admissible) if admissible else None
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,9 @@ def build_factor_set(
     a valid set if one is reachable within ``search_budget`` admission steps
     (plain greedy can strand itself: at p=521 with pool [1, 256] it stalls at
     7 of 8 elements although an 8-element set exists).  With ``rng`` set the
-    search is a single random greedy walk, reproducible from the seed.
+    same search keeps one uniform draw among each node's admissible pool
+    exponents and never backtracks: a random greedy walk, reproducible from
+    the seed.  A chosen exponent lies in stratum 1, so it is never drawn twice.
 
     Every step avoids all residues reachable as weight <= 2s combinations of
     the prefix, for the candidate and for its double, so every prefix of the
@@ -207,52 +212,33 @@ def build_factor_set(
     p = table.order(n)
     if pool_bound > p - 1:
         raise ValueError(f"pool bound {pool_bound} exceeds p - 1 = {p - 1}")
-    empty = ForbiddenStrata.empty(p, s)
+    best_chosen, best_trace = (), ()
+    nodes = 0
+    exhausted = True
 
-    if rng is not None:
-        strata = empty
-        chosen: list[int] = []
-        trace: list[int] = []
-        while len(chosen) < target_size:
-            g = choose_next(strata, pool_bound, frozenset(chosen), rng)
-            if g is None:
-                break
-            trace.append(strata.count)
-            chosen.append(g)
-            strata = strata_extend(strata, g)
-        best_chosen, best_trace = tuple(chosen), tuple(trace)
-        nodes, exhausted = len(chosen), True
-    else:
-        best_chosen, best_trace = (), ()
-        nodes = 0
-        exhausted = True
-
-        def dfs(strata: ForbiddenStrata, chosen: tuple[int, ...], trace: tuple[int, ...], start: int) -> bool:
-            nonlocal best_chosen, best_trace, nodes, exhausted
-            if len(chosen) > len(best_chosen):
-                best_chosen, best_trace = chosen, trace
-            if len(chosen) == target_size:
+    def dfs(strata: ForbiddenStrata, chosen: tuple[int, ...], trace: tuple[int, ...], start: int) -> bool:
+        nonlocal best_chosen, best_trace, nodes, exhausted
+        if len(chosen) > len(best_chosen):
+            best_chosen, best_trace = chosen, trace
+        if len(chosen) == target_size:
+            return True
+        candidates: Iterable[int] = _admissible(strata.union(), p, start, pool_bound + 1)
+        if rng is not None:
+            pool = list(candidates)
+            candidates = [rng.choice(pool)] if pool else []
+        for g in candidates:
+            if nodes >= search_budget:
+                exhausted = False
+                return False
+            nodes += 1
+            next_start = g + 1 if rng is None else 1
+            if dfs(strata_extend(strata, g), chosen + (g,), trace + (strata.count,), next_start):
                 return True
-            forbidden = strata.union()
-            for g in range(start, pool_bound + 1):
-                if g in forbidden or (2 * g) % p in forbidden:
-                    continue
-                if nodes >= search_budget:
-                    exhausted = False
-                    return False
-                nodes += 1
-                if dfs(
-                    strata_extend(strata, g),
-                    chosen + (g,),
-                    trace + (strata.count,),
-                    g + 1,
-                ):
-                    return True
-                if not exhausted:
-                    return False
-            return False
+            if not exhausted:
+                return False
+        return False
 
-        dfs(empty, (), (), 1)
+    dfs(ForbiddenStrata.empty(p, s), (), (), 1)
 
     certificate = PNCertificate(
         n=n,

@@ -9,28 +9,32 @@ Three independent engines over the group core:
   whose start-plain alternating product is the identity;
 * quasi-independence testing and greedy maximal extraction via exact subset
   sums inside one cyclic factor.
+
+The Z_s and Leinert engines take and return ``Word`` values but loop over
+plain (factor, exp) pair tuples reduced by ``words.reduce_pairs``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
 from .builder import FactorSubset
 from .errors import BudgetExceeded
+# perfbench/tracing.py counts calls of multiply, alternating_product and canonical_key here
 from .words import (
-    START_INVERSE,
     START_PLAIN,
     Word,
     alternating_product,
     canonical_key,
-    identity,
-    invert,
     is_identity,
     multiply,
+    reduce_pairs,
+    reduce_raw,
 )
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
@@ -39,6 +43,8 @@ SAMPLE_CAP = 5
 
 STRATEGY_NAIVE = "naive"
 STRATEGY_MITM = "meet-in-middle"
+
+Pairs = tuple[tuple[int, int], ...]  # a word as plain (factor, exp) pairs
 
 
 def zs_paper_target(s: int) -> tuple[int, int]:
@@ -70,21 +76,28 @@ def _check_ground_set(elements: Sequence[Word]) -> None:
         raise ValueError("ground set elements must share one factor table")
 
 
-def _signed_half(elements: Sequence[Word], indices: tuple[int, ...], offset: int) -> Word:
-    """Product of the selected elements with start-inverse signs from ``offset``."""
-    items = [elements[i] for i in indices]
-    # position offset is even (0-based) -> sign -, matching x_1^-1 x_2 x_3^-1 ...
-    if offset % 2 == 0:
-        return alternating_product(items, START_INVERSE)
-    return alternating_product(items, START_PLAIN)
+def _signed_pairs(elements: Sequence[Word]) -> list[tuple[Pairs, Pairs]]:
+    """Per element, its (factor, exp) pairs and those of its inverse (unreduced)."""
+    plain = [tuple((l.factor, l.exp) for l in w.letters) for w in elements]
+    return [(pairs, tuple((f, -e) for f, e in reversed(pairs))) for pairs in plain]
+
+
+def _product(
+    orders: Sequence[int], signed: Sequence[tuple[Pairs, Pairs]], indices: tuple[int, ...], offset: int
+) -> Pairs:
+    """Reduced product of the selected elements with start-inverse signs from ``offset``."""
+    raw: list[tuple[int, int]] = []
+    for position, i in enumerate(indices, offset):
+        # position even (0-based) -> inverse, matching x_1^-1 x_2 x_3^-1 ...
+        raw.extend(signed[i][1 - position % 2])
+    return reduce_pairs(orders, raw)
 
 
 def _z_result(
     elements: Sequence[Word],
     s: int,
-    counts: dict[bytes, int],
-    words: dict[bytes, Word],
-    samples: dict[bytes, list[tuple[int, ...]]],
+    counts: dict[Pairs, int],
+    samples: dict[Pairs, list[tuple[int, ...]]],
     strategy: str,
     examined: int,
 ) -> ZsCertificate:
@@ -94,8 +107,9 @@ def _z_result(
         return ZsCertificate(s, n, 0, None, (), strategy, examined)
     value = max(counts.values())
     witness_key = min(k for k, c in counts.items() if c == value)
+    witness = reduce_raw(elements[0].table, witness_key)
     sample_tuples = tuple(tuple(elements[i] for i in t) for t in samples[witness_key])
-    return ZsCertificate(s, n, value, words[witness_key], sample_tuples, strategy, examined)
+    return ZsCertificate(s, n, value, witness, sample_tuples, strategy, examined)
 
 
 def _z_naive(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
@@ -103,25 +117,19 @@ def _z_naive(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
     total = math.perm(n, s)
     if total > budget:
         raise BudgetExceeded(f"naive enumeration needs {total} tuples, budget is {budget}")
-    counts: dict[bytes, int] = {}
-    words: dict[bytes, Word] = {}
-    samples: dict[bytes, list[tuple[int, ...]]] = {}
+    orders = elements[0].table.orders
+    signed = _signed_pairs(elements)
+    counts: dict[Pairs, int] = defaultdict(int)
+    samples: dict[Pairs, list[tuple[int, ...]]] = defaultdict(list)
     for t in permutations(range(n), s):
-        x = _signed_half(elements, t, 0)
-        k = canonical_key(x)
-        c = counts.get(k, 0) + 1
-        counts[k] = c
-        if c == 1:
-            words[k] = x
-            samples[k] = []
-        if c <= SAMPLE_CAP:
+        k = _product(orders, signed, t, 0)
+        counts[k] += 1
+        if counts[k] <= SAMPLE_CAP:
             samples[k].append(t)
-    return _z_result(elements, s, counts, words, samples, STRATEGY_NAIVE, total)
+    return _z_result(elements, s, counts, samples, STRATEGY_NAIVE, total)
 
 
 def _z_meet_in_middle(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
-    if s % 2 != 0:
-        raise ValueError("meet-in-the-middle split requires even s")
     n = len(elements)
     h = s // 2
     half_total = math.perm(n, h)
@@ -130,40 +138,31 @@ def _z_meet_in_middle(elements: Sequence[Word], s: int, budget: int) -> ZsCertif
             f"meet-in-the-middle join needs {half_total * half_total} pairs, "
             f"budget is {budget}"
         )
+    orders = elements[0].table.orders
+    signed = _signed_pairs(elements)
 
-    def group_halves(offset: int) -> dict[tuple[bytes, frozenset[int]], list]:
-        groups: dict[tuple[bytes, frozenset[int]], list] = {}
+    def group_halves(offset: int) -> dict[tuple[Pairs, frozenset[int]], list]:
+        groups: dict[tuple[Pairs, frozenset[int]], list] = {}
         for t in permutations(range(n), h):
-            w = _signed_half(elements, t, offset)
-            key = (canonical_key(w), frozenset(t))
-            entry = groups.get(key)
-            if entry is None:
-                groups[key] = [1, w, t]
-            else:
-                entry[0] += 1
+            key = (_product(orders, signed, t, offset), frozenset(t))
+            groups.setdefault(key, [0, t])[0] += 1  # [count, first tuple]
         return groups
 
     left = group_halves(0)
     right = group_halves(h)
-    counts: dict[bytes, int] = {}
-    words: dict[bytes, Word] = {}
-    samples: dict[bytes, list[tuple[int, ...]]] = {}
+    counts: dict[Pairs, int] = defaultdict(int)
+    samples: dict[Pairs, list[tuple[int, ...]]] = defaultdict(list)
     examined = 0
-    for (_, lset), (lcount, lword, lrep) in left.items():
-        for (_, rset), (rcount, rword, rrep) in right.items():
+    for (lpairs, lset), (lcount, lrep) in left.items():
+        for (rpairs, rset), (rcount, rrep) in right.items():
             examined += 1
             if not lset.isdisjoint(rset):
                 continue
-            x = multiply(lword, rword)
-            k = canonical_key(x)
-            c = counts.get(k, 0) + lcount * rcount
-            if k not in counts:
-                words[k] = x
-                samples[k] = []
-            counts[k] = c
+            k = reduce_pairs(orders, lpairs + rpairs)
+            counts[k] += lcount * rcount
             if len(samples[k]) < SAMPLE_CAP:
                 samples[k].append(lrep + rrep)
-    return _z_result(elements, s, counts, words, samples, STRATEGY_MITM, examined)
+    return _z_result(elements, s, counts, samples, STRATEGY_MITM, examined)
 
 
 def z_value(
@@ -176,18 +175,19 @@ def z_value(
 
     The tuple product uses the start-inverse convention.  Both strategies are
     exact and must agree; ``meet-in-middle`` splits tuples at s/2, groups the
-    half-products by canonical key, and joins disjoint halves.
+    half-products by reduced form, and joins disjoint halves.
     """
     if s < 2:
         raise ValueError(f"s must be >= 2, got {s}")
+    if strategy not in (STRATEGY_NAIVE, STRATEGY_MITM):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == STRATEGY_MITM and s % 2 != 0:
+        raise ValueError("meet-in-the-middle split requires even s")
     _check_ground_set(elements)
     if len(elements) < s:
         return ZsCertificate(s, len(elements), 0, None, (), strategy, 0)
-    if strategy == STRATEGY_NAIVE:
-        return _z_naive(elements, s, budget)
-    if strategy == STRATEGY_MITM:
-        return _z_meet_in_middle(elements, s, budget)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    engine = _z_naive if strategy == STRATEGY_NAIVE else _z_meet_in_middle
+    return engine(elements, s, budget)
 
 
 @dataclass(frozen=True)
@@ -232,32 +232,25 @@ def leinert_violation(
     if space == 0:
         return None
     max_len = max(len(w) for w in elements)
-    inverses: list[Optional[Word]] = [None] * m
+    orders = elements[0].table.orders
+    signed = _signed_pairs(elements)
 
-    def signed(i: int, pos: int) -> Word:
-        if pos % 2 == 0:
-            return elements[i]
-        if inverses[i] is None:
-            inverses[i] = invert(elements[i])
-        return inverses[i]
-
-    def dfs(pos: int, prev: Optional[int], prod: Word, chosen: tuple[int, ...]):
+    def dfs(pos: int, prev: Optional[int], prod: Pairs, chosen: tuple[int, ...]):
         if pos == length:
-            if is_identity(prod):
-                return chosen
-            return None
+            return None if prod else chosen
         remaining = length - pos
         if len(prod) > remaining * max_len:
             return None
+        inverted = pos % 2  # start-plain: even positions plain, odd positions inverted
         for i in range(m):
             if i == prev:
                 continue
-            found = dfs(pos + 1, i, multiply(prod, signed(i, pos)), chosen + (i,))
+            found = dfs(pos + 1, i, reduce_pairs(orders, prod + signed[i][inverted]), chosen + (i,))
             if found is not None:
                 return found
         return None
 
-    found = dfs(0, None, identity(elements[0].table), ())
+    found = dfs(0, None, (), ())
     if found is None:
         return None
     return LeinertWitness(s, tuple(elements[i] for i in found))

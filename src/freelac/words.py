@@ -4,6 +4,9 @@ A word is an alternating sequence of letters a_n^e with adjacent letters from
 different factors and exponents in [1, p_n - 1]; the empty sequence is the
 identity.  All values are immutable and every operation is pure, so words can
 be shared freely between enumeration workers.
+
+``reduce_pairs`` is the one reducer; it works on plain (factor, exp) pairs,
+which hot loops use directly.  ``Word`` is the validated type at the API.
 """
 
 from __future__ import annotations
@@ -60,42 +63,45 @@ def letter_word(table: FactorTable, factor: int, exp: int) -> Word:
     return Word(table, (Letter(factor, e),))
 
 
-def reduce_raw(table: FactorTable, pairs: Iterable[tuple[int, int]]) -> Word:
-    """Reduce a raw (factor, exponent) sequence to normal form.
+def reduce_pairs(orders: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Normal form of a raw (factor, exponent) sequence, as (factor, exp) pairs.
 
+    Factor n has order ``orders[n - 1]``; the caller keeps every index in range.
     Adjacent same-factor letters merge by adding exponents mod p_n and
     zero-exponent letters drop; the stack reaches the fixpoint in one pass.
+    Reduced pair tuples sort like the ``canonical_key`` bytes of their words.
     """
-    stack: list[list[int]] = []
+    stack: list[tuple[int, int]] = []
     for factor, exp in pairs:
-        p = table.order(factor)
+        p = orders[factor - 1]
         e = exp % p
         if stack and stack[-1][0] == factor:
             merged = (stack[-1][1] + e) % p
             if merged == 0:
                 stack.pop()
             else:
-                stack[-1][1] = merged
+                stack[-1] = (factor, merged)
         elif e != 0:
-            stack.append([factor, e])
-    return Word(table, tuple(Letter(f, e) for f, e in stack))
+            stack.append((factor, e))
+    return tuple(stack)
 
 
-def _require_same_table(a: Word, b: Word) -> None:
-    if a.table != b.table:
-        raise ValueError("words from different factor tables cannot be combined")
+def reduce_raw(table: FactorTable, pairs: Iterable[tuple[int, int]]) -> Word:
+    """Reduce a raw (factor, exponent) sequence to a normal-form ``Word``."""
+    pairs = tuple(pairs)
+    for factor, _ in pairs:
+        table.order(factor)  # rejects factor indices outside the table
+    return Word(table, tuple(Letter(f, e) for f, e in reduce_pairs(table.orders, pairs)))
 
 
 def multiply(a: Word, b: Word) -> Word:
-    _require_same_table(a, b)
+    if a.table != b.table:
+        raise ValueError("words from different factor tables cannot be combined")
     return reduce_raw(a.table, [(l.factor, l.exp) for l in a.letters + b.letters])
 
 
 def invert(a: Word) -> Word:
-    letters = tuple(
-        Letter(l.factor, a.table.order(l.factor) - l.exp) for l in reversed(a.letters)
-    )
-    return Word(a.table, letters)
+    return alternating_product([a], START_INVERSE)
 
 
 def is_identity(a: Word) -> bool:
@@ -128,13 +134,11 @@ def alternating_product(
     start_sign = 1 if convention == START_PLAIN else -1
     for i, item in enumerate(items):
         sign = start_sign if i % 2 == 0 else -start_sign
-        if isinstance(item, Letter):
-            raw.append((item.factor, sign * item.exp))
-        else:
-            if item.table != table:
-                raise ValueError("words from different factor tables cannot be combined")
-            word = item if sign == 1 else invert(item)
-            raw.extend((l.factor, l.exp) for l in word.letters)
+        if isinstance(item, Word) and item.table != table:
+            raise ValueError("words from different factor tables cannot be combined")
+        letters = item.letters if isinstance(item, Word) else (item,)
+        # an inverse negates the exponents over the reversed letters
+        raw.extend((l.factor, sign * l.exp) for l in (letters if sign == 1 else reversed(letters)))
     return reduce_raw(table, raw)
 
 

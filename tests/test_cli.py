@@ -30,6 +30,17 @@ DESK2_CERT_SHA256 = {
     "report": "d9fdeb1bab7a53e05eaafc9068ad0e201f68d349997ff668d39c83ec923d135b",
 }
 
+# Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
+# --n-max 10 is where the least witness among several maxima is chosen.
+DESK4_N10_CERT_SHA256 = {
+    "zs": "6336eabec0eec6203fe368cb0306e827f6ac6214524f5c5d0168687e1d36d58c",
+    "zs-mitm": "07b85ad814807bd8124557f144a5b8125ca795475f1a3589ae3ec1aa6e353043",
+    "leinert": "e8b5e10b8296376120cda5d331c6b478654959fc2e5be92b78a4d7a472fce99b",
+    "report": "cdf8c35bc1ec5df33a7eec0e2edeb58fa61157fbcb4dc66918766fa75eae5488",
+}
+# the family of build --s 2 --profile paper --seed 7, which pins the rng draws
+SEEDED_PAPER2_FAMILY_SHA256 = "c63d903fec20ee7b3e9b89a632567d61703d55f4c4e91e82c659ffa481aba516"
+
 
 def build_desk_family(tmp_path, name="family.json"):
     out = tmp_path / name
@@ -223,6 +234,26 @@ def test_desk2_certificate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         for name in DESK2_CERT_SHA256
     }
     assert digests == DESK2_CERT_SHA256
+
+
+def test_desk4_and_seeded_certificate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    build = ["build", "--s", "4", "--n-max", "10", "--out", "family.json"]
+    assert main(build) == EXIT_VIOLATION  # n=8 stops at 5 of 6 elements
+    assert main(["verify", "zs", "family.json", "--out", "zs.json"]) == EXIT_OK
+    mitm = ["verify", "zs", "family.json", "--strategy", "meet-in-middle", "--out", "zs-mitm.json"]
+    assert main(mitm) == EXIT_OK
+    assert main(["verify", "leinert", "family.json", "--out", "leinert.json"]) == EXIT_VIOLATION
+    assert main(["report", "family.json", "--out", "report.json"]) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+        for name in DESK4_N10_CERT_SHA256
+    }
+    assert digests == DESK4_N10_CERT_SHA256
+    seeded = ["build", "--s", "2", "--profile", "paper", "--seed", "7", "--out", "seeded.json"]
+    assert main(seeded) == EXIT_VIOLATION
+    digest = hashlib.sha256((tmp_path / "seeded.json").read_bytes()).hexdigest()
+    assert digest == SEEDED_PAPER2_FAMILY_SHA256
 
 
 def test_report_agrees_with_verify(tmp_path, capsys):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
@@ -13,6 +14,7 @@ from freelac import (
     FactorSubset,
     FactorTable,
     LeinertWitness,
+    START_INVERSE,
     START_PLAIN,
     alternating_product,
     canonical_key,
@@ -21,6 +23,7 @@ from freelac import (
     is_quasi_independent,
     letter_word,
     leinert_violation,
+    reduce_raw,
     z_value,
     zs_paper_target,
 )
@@ -30,6 +33,48 @@ TABLE = FactorTable.paper_default(6)
 
 def words_in(factor: int, exponents) -> list:
     return [letter_word(TABLE, factor, e) for e in exponents]
+
+
+def distinct_words(size: int, draw) -> list:
+    """``size`` pairwise-distinct words from repeated calls of ``draw``."""
+    elements, seen = [], set()
+    while len(elements) < size:
+        w = draw()
+        if canonical_key(w) not in seen:
+            seen.add(canonical_key(w))
+            elements.append(w)
+    return elements
+
+
+def multi_letter_word(rng: random.Random):
+    """A reduced word of 1 to 3 letters alternating over the factors of order 5 and 11."""
+    letters = []
+    factor = rng.choice((1, 2))
+    for _ in range(rng.randint(1, 3)):
+        letters.append((factor, rng.randrange(1, TABLE.order(factor))))
+        factor = 3 - factor
+    return reduce_raw(TABLE, letters)
+
+
+def z_oracle(elements, s) -> tuple:
+    """(value, least witness key) from alternating_product and canonical_key per tuple."""
+    counts = Counter(
+        canonical_key(alternating_product([elements[i] for i in t], START_INVERSE))
+        for t in permutations(range(len(elements)), s)
+    )
+    value = max(counts.values())
+    return value, min(k for k, c in counts.items() if c == value)
+
+
+def leinert_oracle(words, s):
+    """First adjacent-distinct index tuple whose start-plain product is e: a full
+    product scan without pruning."""
+    for tup in product(range(len(words)), repeat=2 * s):
+        if any(tup[i] == tup[i + 1] for i in range(2 * s - 1)):
+            continue
+        if is_identity(alternating_product([words[i] for i in tup], START_PLAIN)):
+            return tup
+    return None
 
 
 def test_zs_paper_target():
@@ -63,20 +108,25 @@ def test_z_value_strategies_agree_on_random_ground_sets():
     for trial in range(50):
         s = 2 if trial % 2 == 0 else 4
         size = rng.randrange(s + 1, 13)
-        elements = []
-        seen = set()
-        while len(elements) < size:
+
+        def draw():
             factor = rng.randrange(1, len(TABLE) + 1)
-            exp = rng.randrange(1, TABLE.order(factor))
-            w = letter_word(TABLE, factor, exp)
-            k = canonical_key(w)
-            if k not in seen:
-                seen.add(k)
-                elements.append(w)
+            return letter_word(TABLE, factor, rng.randrange(1, TABLE.order(factor)))
+
+        elements = distinct_words(size, draw)
         naive = z_value(elements, s, strategy="naive")
         mitm = z_value(elements, s, strategy="meet-in-middle")
         assert naive.value == mitm.value, (trial, s, size)
         assert canonical_key(naive.witness) == canonical_key(mitm.witness)
+    # multi-letter elements, where an inverse reverses its letters
+    rng = random.Random(47)
+    for trial in range(20):
+        s = 2 if trial % 2 == 0 else 4
+        elements = distinct_words(rng.randrange(s + 1, 9), lambda: multi_letter_word(rng))
+        expected = z_oracle(elements, s)
+        for strategy in ("naive", "meet-in-middle"):
+            cert = z_value(elements, s, strategy=strategy)
+            assert (cert.value, canonical_key(cert.witness)) == expected, (trial, strategy)
 
 
 def test_z_value_translation_invariance_within_one_factor():
@@ -105,6 +155,11 @@ def test_z_value_input_validation():
         z_value(words_in(3, range(1, 9)), 2, budget=10, strategy="meet-in-middle")
     with pytest.raises(ValueError):
         z_value(words_in(3, (1, 2, 3)), 3, strategy="meet-in-middle")  # odd split
+    # fewer elements than s: the arguments are still checked
+    with pytest.raises(ValueError):
+        z_value(words_in(1, (1, 2)), 4, strategy="bogus")
+    with pytest.raises(ValueError):
+        z_value(words_in(1, (1, 2)), 3, strategy="meet-in-middle")
 
 
 def test_leinert_witness_example():
@@ -132,24 +187,24 @@ def test_leinert_none_for_distinct_pair():
 
 def test_leinert_matches_slow_enumerator_on_tiny_sets():
     rng = random.Random(41)
+    grounds = []
     for _ in range(25):
         factor = rng.choice([3, 4])
         p = TABLE.order(factor)
         size = rng.randrange(2, 6)
         exponents = rng.sample(range(1, p), size)
-        words = words_in(factor, exponents)
+        grounds.append(words_in(factor, exponents))
+    # multi-letter elements, where an inverse reverses its letters
+    for _ in range(15):
+        grounds.append(distinct_words(rng.randrange(2, 6), lambda: multi_letter_word(rng)))
+    # random words rarely cancel; conjugates b a^e and b a^e b^5 of one factor do
+    for tail in ([], [(2, 5)]):
+        grounds.append([reduce_raw(TABLE, [(2, 3), (1, e)] + tail) for e in (1, 2, 3, 4)])
+    for words in grounds:
         for s in (1, 2):
-            # independent oracle: full product scan, no pruning
-            slow_hit = None
-            for tup in product(range(size), repeat=2 * s):
-                if any(tup[i] == tup[i + 1] for i in range(2 * s - 1)):
-                    continue
-                prod = alternating_product([words[i] for i in tup], START_PLAIN)
-                if is_identity(prod):
-                    slow_hit = tup
-                    break
+            slow_hit = leinert_oracle(words, s)
             fast = leinert_violation(words, s)
-            assert (fast is None) == (slow_hit is None), (factor, exponents, s)
+            assert (fast is None) == (slow_hit is None), (words, s)
             if fast is not None:
                 assert [canonical_key(w) for w in fast.elements] == [
                     canonical_key(words[i]) for i in slow_hit

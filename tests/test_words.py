@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freelac import (
     FactorTable,
@@ -21,8 +23,13 @@ from freelac import (
     multiply,
     reduce_raw,
 )
+from freelac.words import reduce_pairs
 
 TABLE = FactorTable.paper_default(5)
+
+# raw letters over factors of order 5, 11 and 17, so adjacent same-factor
+# letters and exponents that vanish mod p are common; negatives included
+RAW = st.lists(st.tuples(st.integers(1, 3), st.integers(-40, 40)), max_size=12)
 
 
 def random_word(rng: random.Random, max_len: int = 6) -> Word:
@@ -90,6 +97,41 @@ def test_word_invariants_enforced():
         Word(TABLE, (Letter(1, 1), Letter(1, 2)))
     with pytest.raises(ValueError):
         Word(TABLE, (Letter(9, 1),))
+    # the reducer indexes the order table, so reduce_raw checks factors first
+    for factor in (0, -1, 6):
+        with pytest.raises(ValueError):
+            reduce_raw(TABLE, [(1, 1), (factor, 1)])
+
+
+def slow_reduce(raw) -> tuple:
+    """Reference normal form: drop zero letters and merge one adjacent
+    same-factor pair at a time until neither applies."""
+    letters = [(f, e % TABLE.order(f)) for f, e in raw]
+    while True:
+        letters = [(f, e) for f, e in letters if e]
+        for i in range(len(letters) - 1):
+            if letters[i][0] == letters[i + 1][0]:
+                f = letters[i][0]
+                letters[i : i + 2] = [(f, (letters[i][1] + letters[i + 1][1]) % TABLE.order(f))]
+                break
+        else:
+            return tuple(letters)
+
+
+@settings(deadline=None)
+@given(RAW)
+def test_reduce_pairs_matches_reduce_raw_and_slow_fixpoint(raw):
+    pairs = reduce_pairs(TABLE.orders, raw)
+    assert pairs == tuple((l.factor, l.exp) for l in reduce_raw(TABLE, raw).letters)
+    assert pairs == slow_reduce(raw)
+
+
+@settings(deadline=None)
+@given(st.lists(RAW, max_size=20))
+def test_pair_tuples_sort_like_canonical_keys(raws):
+    words = [reduce_raw(TABLE, raw) for raw in raws]
+    by_pairs = sorted(words, key=lambda w: tuple((l.factor, l.exp) for l in w.letters))
+    assert [canonical_key(w) for w in by_pairs] == sorted(canonical_key(w) for w in words)
 
 
 def test_alternating_product_examples():
