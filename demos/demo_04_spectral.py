@@ -35,7 +35,7 @@ def main():
           f"{dual_header:>15} {'(4n+1)^(1/4)':>13}")
     for n in range(1, 9):
         p = kernel_order(n)
-        check = kernel_norm_check(n, p, 4.0)
+        check = kernel_norm_check(n, transform(fejer_kernel(n, p)), 4.0)
         flag = "ok" if check.passed else "FAIL"
         print(f"{n:>3} {p:>5} {check.norm_a:>10.6f} {check.norm_vn:>10.4f} "
               f"{check.norm_lq_prime:>15.10f} {check.kernel_bound:>13.10f} {flag}")

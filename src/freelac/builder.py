@@ -173,11 +173,15 @@ class PNCertificate:
 class BuildResult:
     """Outcome of building one factor set; infeasible runs keep their partial work."""
 
-    feasible: bool
     subset: FactorSubset
     certificate: PNCertificate
     nodes_searched: int = 0
     search_exhausted: bool = True
+
+    @property
+    def feasible(self) -> bool:
+        """Whether the stored set reaches the target size."""
+        return len(self.subset) == self.certificate.target_size
 
 
 DEFAULT_SEARCH_BUDGET = 5_000
@@ -250,9 +254,7 @@ def build_factor_set(
         forbidden_trace=best_trace,
     )
     subset = FactorSubset(factor=n, order=p, exponents=tuple(sorted(best_chosen)))
-    return BuildResult(
-        len(best_chosen) == target_size, subset, certificate, nodes, exhausted
-    )
+    return BuildResult(subset, certificate, nodes, exhausted)
 
 
 class CountBound(NamedTuple):
@@ -381,7 +383,6 @@ def build_family(
     n_range: tuple[int, int],
     profile: BuildProfile | str = "desk",
     seed: Optional[int] = None,
-    table: Optional[FactorTable] = None,
 ) -> LacunaryFamily:
     """Build each factor set in the range independently; failures are recorded,
     never fatal."""
@@ -389,10 +390,8 @@ def build_family(
         profile = PROFILES[profile]
     n_min, n_max = n_range
     if n_min > n_max:
-        results: tuple[BuildResult, ...] = ()
-        return LacunaryFamily(s, table or FactorTable.paper_default(1), profile.name, seed, results)
-    if table is None:
-        table = FactorTable.paper_default(n_max)
+        return LacunaryFamily(s, FactorTable.paper_default(1), profile.name, seed, ())
+    table = FactorTable.paper_default(n_max)
     rng = random.Random(seed) if seed is not None else None
     built = []
     for n in range(n_min, n_max + 1):

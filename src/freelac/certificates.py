@@ -155,17 +155,10 @@ class RunConfig:
     n_max: Optional[int] = None
     profile: str = "desk"
     seed: Optional[int] = None
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET
-    subset_budget_bits: int = DEFAULT_SUBSET_BUDGET_BITS
-    spectral_budget: int = DEFAULT_SPECTRAL_BUDGET
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         if self.s < 2 or self.s % 2 != 0:
             raise ValueError(f"s must be an even integer >= 2, got {self.s}")
-        for name in ("tuple_budget", "subset_budget_bits", "spectral_budget"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     def resolved_range(self) -> tuple[int, int]:
         lo, hi = PROFILES[self.profile].default_range(self.s)
@@ -181,10 +174,10 @@ class RunConfig:
             "n_min": n_min,
             "profile": self.profile,
             "s": self.s,
-            "spectral_budget": self.spectral_budget,
-            "subset_budget_bits": self.subset_budget_bits,
-            "tolerance": fmt_float(self.tolerance),
-            "tuple_budget": self.tuple_budget,
+            "spectral_budget": DEFAULT_SPECTRAL_BUDGET,
+            "subset_budget_bits": DEFAULT_SUBSET_BUDGET_BITS,
+            "tolerance": fmt_float(DEFAULT_TOLERANCE),
+            "tuple_budget": DEFAULT_TUPLE_BUDGET,
         }
 
 
@@ -269,5 +262,11 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
             )
         except ValueError as exc:
             raise CertificateFormatError(f"factor {n}: {exc}") from exc
-        results.append(BuildResult(feasible, subset, certificate))
+        result = BuildResult(subset, certificate)
+        if feasible != result.feasible:
+            raise CertificateFormatError(
+                f"factor {n}: stored feasible={feasible} contradicts its {len(subset)} of "
+                f"{target_size} target exponents"
+            )
+        results.append(result)
     return LacunaryFamily(s, table, profile, seed, tuple(results))

@@ -204,24 +204,19 @@ def _verify_zs(family, args) -> dict:
 
 
 def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> dict:
-    s = args.s if adhoc_subset is not None else family.s
+    if adhoc_subset is not None:
+        s = args.s
+        targets = [(1, adhoc_subset, FactorTable.explicit([adhoc_subset.order]))]
+    else:
+        s = family.s
+        targets = [(r.certificate.n, r.subset, family.table) for r in family.results]
     searched = []
     first_witness = None
-    if adhoc_subset is not None:
-        table = FactorTable.explicit([adhoc_subset.order])
-        words = adhoc_subset.words(table)
-        first_witness = leinert_violation(words, s, budget=args.budget_tuples)
-        searched.append({"exponents": list(adhoc_subset.exponents), "n": 1})
-    else:
-        for result in family.results:
-            words = result.subset.words(family.table)
-            witness = leinert_violation(words, s, budget=args.budget_tuples)
-            searched.append(
-                {"exponents": list(result.subset.exponents), "n": result.certificate.n}
-            )
-            if witness is not None:
-                first_witness = witness
-                break
+    for n, subset, table in targets:
+        first_witness = leinert_violation(subset.words(table), s, budget=args.budget_tuples)
+        searched.append({"exponents": list(subset.exponents), "n": n})
+        if first_witness is not None:
+            break
     holds = first_witness is None
     if holds:
         print(f"leinert: no 2s={2 * s} violation found (exhaustive)")
@@ -310,22 +305,15 @@ def cmd_norms(args) -> int:
     kernels = []
     for n in scales:
         p = kernel_order(n)
-        checks = []
+        report = transform(fejer_kernel(n, p))
         qs = sorted(set(q_grid + [float(2 * n)]))
-        for q in qs:
-            check = kernel_norm_check(n, p, q, tolerance=args.tolerance)
-            checks.append(check)
-            all_ok = all_ok and check.passed
+        checks = [kernel_norm_check(n, report, q, tolerance=args.tolerance) for q in qs]
         floor_ok = all(fejer_coefficient(n, j) >= 0.5 for j in range(1, n + 1))
-        all_ok = all_ok and floor_ok
-        head = checks[0]
-        spectrum_values = None
-        if p <= 1024:
-            report = transform(fejer_kernel(n, p))
-            spectrum_values = [fmt_complex(z) for z in report.spectrum]
+        all_ok = all_ok and floor_ok and all(check.passed for check in checks)
+        spectrum_values = [fmt_complex(z) for z in report.spectrum] if p <= 1024 else None
         print(
-            f"scale n={n:>2} p={p:>5} ||K||_A={head.norm_a:.17g} "
-            f"||K||_VN={head.norm_vn:.17g} floor>=1/2 on 1..n: {floor_ok}"
+            f"scale n={n:>2} p={p:>5} ||K||_A={report.norm_a:.17g} "
+            f"||K||_VN={report.norm_vn:.17g} floor>=1/2 on 1..n: {floor_ok}"
         )
         for check in checks:
             print(
@@ -350,8 +338,8 @@ def cmd_norms(args) -> int:
                 ],
                 "floor_half_holds": floor_ok,
                 "n": n,
-                "norm_a": fmt_float(head.norm_a),
-                "norm_vn": fmt_float(head.norm_vn),
+                "norm_a": fmt_float(report.norm_a),
+                "norm_vn": fmt_float(report.norm_vn),
                 "p": p,
                 "spectrum": spectrum_values,
             }

@@ -4,6 +4,9 @@ Conventions: spectrum f_hat(k) = sum_j f(j) exp(-2 pi i j k / p); the algebra
 norm carries the 1/p factor (mean of |f_hat|), the operator norm is the max,
 and the normalized q-norms are ((1/p) sum |f_hat|^q)^(1/q).  A point mass at 0
 then has algebra norm = operator norm = 1.
+
+Each function is transformed once: its SpectrumReport keeps the spectrum, and
+every check reads that report, computing a q-norm from it on demand.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -75,19 +78,20 @@ class SpectrumReport:
     norm_a: float
     norm_vn: float
     norm_l2: float
-    norm_lq: dict[float, float]
     values_l2: float
 
+    def norm_lq(self, q: float) -> float:
+        """Normalized q-norm ((1/p) sum |f_hat|^q)^(1/q) of the stored spectrum."""
+        return float(np.mean(np.abs(self.spectrum) ** float(q)) ** (1.0 / float(q)))
 
-def transform(
-    f: CyclicFunction,
-    q_list: Sequence[float] = (),
-    budget: int = DEFAULT_SPECTRAL_BUDGET,
-) -> SpectrumReport:
+
+def transform(f: CyclicFunction, budget: int = DEFAULT_SPECTRAL_BUDGET) -> SpectrumReport:
     """Exact-definition DFT, evaluated directly in O(p * support).
 
     Root-of-unity arguments are reduced mod p in exact integer arithmetic
     before exponentiation, so phases never lose precision to large j*k.
+    Transform a function once and read every norm from the returned report;
+    q-norms are computed on demand by ``SpectrumReport.norm_lq``.
     """
     p = f.p
     if p > budget:
@@ -98,7 +102,6 @@ def transform(
     for j, v in f.values:
         spectrum += v * roots[(j * k) % p]
     mag = np.abs(spectrum)
-    norm_lq = {float(q): float(np.mean(mag ** float(q)) ** (1.0 / float(q))) for q in q_list}
     values_l2 = math.sqrt(sum(abs(v) ** 2 for _, v in f.values))
     return SpectrumReport(
         p=p,
@@ -106,7 +109,6 @@ def transform(
         norm_a=float(np.mean(mag)),
         norm_vn=float(np.max(mag)),
         norm_l2=float(np.sqrt(np.mean(mag**2))),
-        norm_lq=norm_lq,
         values_l2=values_l2,
     )
 
@@ -161,20 +163,22 @@ class KernelNormCheck:
 
 def kernel_norm_check(
     n: int,
-    p: int,
+    report: SpectrumReport,
     q: float,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> KernelNormCheck:
-    """Check ||K||_{q'} <= ||K||_A^{1/q'} ||K||_VN^{1/q} <= (4n+1)^{1/q}."""
+    """Check ||K||_{q'} <= ||K||_A^{1/q'} ||K||_VN^{1/q} <= (4n+1)^{1/q}.
+
+    ``report`` is the kernel's spectrum, ``transform(fejer_kernel(n, p))``.
+    """
     q = float(q)
     q_prime = _dual_index(q)
-    report = transform(fejer_kernel(n, p), q_list=(q_prime,))
-    norm_lq_prime = report.norm_lq[q_prime]
+    norm_lq_prime = report.norm_lq(q_prime)
     interpolation_bound = report.norm_a ** (1.0 / q_prime) * report.norm_vn ** (1.0 / q)
     kernel_bound = (4 * n + 1) ** (1.0 / q)
     return KernelNormCheck(
         n=n,
-        p=p,
+        p=report.p,
         q=q,
         q_prime=q_prime,
         norm_a=report.norm_a,
@@ -215,12 +219,12 @@ def holder_check(
         raise ValueError(f"orders differ: {f.p} vs {g.p}")
     q = float(q)
     q_prime = _dual_index(q)
-    rf = transform(f, q_list=(q_prime,))
-    rg = transform(g, q_list=(q,))
+    rf = transform(f)
+    rg = transform(g)
     spectral = complex(np.mean(rf.spectrum * np.conj(rg.spectrum)))
     g_values = dict(g.values)
     direct = sum(v * g_values.get(j, 0j).conjugate() for j, v in f.values)
-    bound = rf.norm_lq[q_prime] * rg.norm_lq[q]
+    bound = rf.norm_lq(q_prime) * rg.norm_lq(q)
     return HolderCheck(
         q=q,
         q_prime=q_prime,

@@ -249,7 +249,7 @@ def test_criterion_7_kernel_machinery(desk2_family, capsys):
         for j in range(1, n + 1):
             assert fejer_coefficient(n, j) >= Fraction(1, 2)
         for q in (3.0, 4.0, 6.0, 10.0):
-            check = kernel_norm_check(n, p, q, tolerance=TOL)
+            check = kernel_norm_check(n, report, q, tolerance=TOL)
             assert check.interpolation_holds
             assert check.kernel_bound_holds
 
@@ -283,8 +283,8 @@ def test_criterion_7_kernel_machinery(desk2_family, capsys):
         assert check.pairing.real <= check.bound + TOL
         # final link of the chain: the kernel's dual norm obeys the peak bound
         q_prime = q / (q - 1.0)
-        kernel_report = transform(kernel, q_list=(q_prime,))
-        assert kernel_report.norm_lq[q_prime] <= (4 * n + 1) ** (1.0 / q) + TOL
+        kernel_report = transform(kernel)
+        assert kernel_report.norm_lq(q_prime) <= (4 * n + 1) ** (1.0 / q) + TOL
 
     elapsed = time.time() - t0
     assert elapsed < 30.0

@@ -128,12 +128,10 @@ def test_run_config_defaults_and_validation():
     assert config.resolved_range() == (9, 11)
     with pytest.raises(ValueError):
         RunConfig(s=3)
-    with pytest.raises(ValueError):
-        RunConfig(s=2, tuple_budget=0)
 
 
 def test_provenance_parameters_have_no_raw_floats():
-    config = RunConfig(s=2, profile="desk", tolerance=1e-9)
+    config = RunConfig(s=2, profile="desk")
     params = config.provenance_parameters()
     assert params["tolerance"] == "1.0000000000000001e-09"
     cert = CertificateFile(

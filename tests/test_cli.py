@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from freelac import cli, spectral
 from freelac.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -40,6 +41,8 @@ DESK4_N10_CERT_SHA256 = {
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
 SEEDED_PAPER2_FAMILY_SHA256 = "c63d903fec20ee7b3e9b89a632567d61703d55f4c4e91e82c659ffa481aba516"
+# verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
+ADHOC_LEINERT_CERT_SHA256 = "0073f2f52ad851e9da3ff2bb33f2a74090d8a6b55454fcf431a966b51982e1aa"
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -123,6 +126,19 @@ def test_tampered_family_fails_pn_with_witness(tmp_path):
     assert bad and bad[0]["violating_epsilon"] == [2, -1, 0, 0, 0, 0, 0, 0]
 
 
+def test_tampered_feasible_flag_is_format_error(tmp_path, capsys):
+    family = tmp_path / "paper.json"
+    build = ["build", "--s", "2", "--profile", "paper", "--n-min", "3", "--n-max", "3"]
+    assert main(build + ["--out", str(family)]) == EXIT_VIOLATION  # 2 of 9
+    doc = read_json(family)
+    doc["payload"]["factors"][0]["feasible"] = True
+    family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    capsys.readouterr()
+    assert main(["report", str(family)]) == EXIT_IO
+    assert main(["verify", "pn", str(family)]) == EXIT_IO
+    assert "factor 3" in capsys.readouterr().err
+
+
 def test_verify_ignores_cached_fields(tmp_path):
     family = build_desk_family(tmp_path)
     doc = read_json(family)
@@ -144,6 +160,13 @@ def test_verify_leinert_adhoc_violation(tmp_path):
     assert code == EXIT_VIOLATION
     witness = read_json(out)["payload"]["witness"]
     assert [letters[0][1] for letters in witness] == [1, 2, 3, 2]
+
+
+def test_adhoc_leinert_certificate_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "leinert.json"
+    adhoc = ["verify", "leinert", "--exponents", "1,2,3,4", "--order", "17", "--s", "2"]
+    assert main(adhoc + ["--out", str(out)]) == EXIT_VIOLATION
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ADHOC_LEINERT_CERT_SHA256
 
 
 def test_verify_budget_refusal(tmp_path):
@@ -188,6 +211,24 @@ def test_norms_command(tmp_path, capsys):
         assert kernel["floor_half_holds"]
         for check in kernel["checks"]:
             assert check["interpolation_holds"] and check["kernel_bound_holds"]
+
+
+def test_norms_transforms_each_kernel_once(monkeypatch, capsys):
+    calls = {"transform": 0, "fejer_kernel": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(spectral, name))
+        monkeypatch.setattr(spectral, name, wrapped)
+        monkeypatch.setattr(cli, name, wrapped)
+    assert main(["norms", "--n-max", "3"]) == EXIT_OK
+    assert calls == {"transform": 3, "fejer_kernel": 3}
 
 
 def test_norms_single_scale_includes_spectrum(tmp_path):

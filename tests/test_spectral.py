@@ -73,19 +73,31 @@ def test_parseval_on_random_sparse_functions():
         assert abs(report.norm_l2 - report.values_l2) < TOL
 
 
+def test_norm_lq_matches_definition_oracle():
+    rng = random.Random(61)
+    for _ in range(10):
+        p = rng.choice([5, 17, 67])
+        f = random_sparse(rng, p)
+        report = transform(f)
+        magnitudes = [abs(dft_oracle(f, k)) for k in range(p)]
+        for q in (1.25, 1.5, 2.0, 3.0, 7.5):
+            expected = (sum(m**q for m in magnitudes) / p) ** (1.0 / q)
+            assert math.isclose(report.norm_lq(q), expected, rel_tol=1e-9)
+
+
 def test_norm_orderings():
     rng = random.Random(59)
     for _ in range(20):
         f = random_sparse(rng, 67)
-        report = transform(f, q_list=(2.0, 3.0, 4.0, 10.0))
+        report = transform(f)
         max_value = max(abs(v) for _, v in f.values)
         assert report.norm_vn <= 67 * max_value + TOL
         assert report.norm_a <= report.norm_vn + TOL  # mean below max
         # normalized q-norms increase with q
-        assert report.norm_lq[2.0] <= report.norm_lq[3.0] + TOL
-        assert report.norm_lq[3.0] <= report.norm_lq[4.0] + TOL
-        assert report.norm_lq[4.0] <= report.norm_lq[10.0] + TOL
-        assert abs(report.norm_lq[2.0] - report.norm_l2) < TOL
+        assert report.norm_lq(2.0) <= report.norm_lq(3.0) + TOL
+        assert report.norm_lq(3.0) <= report.norm_lq(4.0) + TOL
+        assert report.norm_lq(4.0) <= report.norm_lq(10.0) + TOL
+        assert abs(report.norm_lq(2.0) - report.norm_l2) < TOL
 
 
 def test_spectral_budget():
@@ -141,7 +153,7 @@ def test_fejer_rejects_small_order():
 
 
 def test_kernel_norm_check_example():
-    check = kernel_norm_check(2, 37, 4)
+    check = kernel_norm_check(2, transform(fejer_kernel(2, 37)), 4)
     assert check.passed
     assert check.norm_lq_prime <= check.interpolation_bound + TOL
     assert check.interpolation_bound <= (4 * 2 + 1) ** 0.25 + TOL
@@ -149,9 +161,9 @@ def test_kernel_norm_check_example():
 
 def test_kernel_norm_check_q2_and_large_q():
     # q = q' = 2 reduces to the Cauchy-Schwarz style bound
-    assert kernel_norm_check(1, 11, 2).passed
+    assert kernel_norm_check(1, transform(fejer_kernel(1, 11)), 2).passed
     # large q: the q' norm approaches the algebra norm (1 here)
-    check = kernel_norm_check(1, 11, 100)
+    check = kernel_norm_check(1, transform(fejer_kernel(1, 11)), 100)
     assert check.passed
     assert abs(check.norm_lq_prime - check.norm_a) < 0.05
 
