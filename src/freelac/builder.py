@@ -6,6 +6,12 @@ combination sum(eps_j * g_j) with eps_j in {0, +-1, +-2} and sum|eps_j| <= 2s
 vanishes mod p.  The builder realizes the forbidden products incrementally as
 weight-stratified residue sets, so each new exponent g is admitted exactly
 when neither g nor 2g lies in any stratum.
+
+The ledger keeps each stratum as one p-bit integer (bit r set when residue r
+is forbidden).  Admitting g rotates the lower strata by +-g and +-2g and ORs
+them in, with no loop over residues; the scan for the next exponent reads the
+OR of all strata as a string of binary digits and skips forbidden residues
+in C.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceeded
@@ -70,59 +76,106 @@ class EpsilonVector:
         return sum(abs(e) for e in self.entries)
 
 
+def _residues(bits: int) -> frozenset[int]:
+    """The residues r whose bit r is set in ``bits``."""
+    digits = bin(bits)[:1:-1]  # digits[r] is bit r
+    return frozenset(compress(range(len(digits)), map("1".__eq__, digits)))
+
+
 @dataclass(frozen=True)
 class ForbiddenStrata:
     """Weight-stratified forbidden residues for the current chosen exponents.
 
-    strata[w] is exactly the set of residues sum(eps_j * g_j) mod p over
+    Stratum w is exactly the set of residues sum(eps_j * g_j) mod p over
     vectors of weight w; stratum 0 is {0} and every stratum is closed under
-    negation mod p.
+    negation mod p.  ``bits[w]`` stores stratum w as one p-bit integer whose
+    bit r is set when residue r lies in it, so adding an exponent rotates
+    whole strata at once and the avoidance scan reads their OR.
     """
 
     p: int
     s: int
-    strata: tuple[frozenset[int], ...]
+    bits: tuple[int, ...]
 
     @classmethod
     def empty(cls, p: int, s: int) -> "ForbiddenStrata":
         if s < 2 or s % 2 != 0:
             raise ValueError(f"parameter s must be an even integer >= 2, got {s}")
-        return cls(p, s, (frozenset({0}),) + tuple(frozenset() for _ in range(2 * s)))
+        return cls(p, s, (1,) + (0,) * (2 * s))
+
+    @property
+    def strata(self) -> tuple[frozenset[int], ...]:
+        """The strata decoded to residue sets, stratum 0 first."""
+        return tuple(_residues(stratum) for stratum in self.bits)
 
     @property
     def count(self) -> int:
-        return sum(len(stratum) for stratum in self.strata)
+        """Residues summed over the strata, with repeats across strata."""
+        return sum(stratum.bit_count() for stratum in self.bits)
 
-    def union(self) -> set[int]:
-        out: set[int] = set()
-        for stratum in self.strata:
+    @property
+    def forbidden(self) -> int:
+        """The union of all strata, as a p-bit integer."""
+        out = 0
+        for stratum in self.bits:
             out |= stratum
         return out
 
+    def union(self) -> set[int]:
+        return set(_residues(self.forbidden))
+
 
 def strata_extend(f: ForbiddenStrata, g: int) -> ForbiddenStrata:
-    """Strata after appending exponent g to the chosen set."""
+    """Strata after appending exponent g to the chosen set.
+
+    Stratum w gains stratum w-1 shifted by +-g and stratum w-2 shifted by
+    +-2g.  A shift is a rotation of p bits: with the stratum repeated as
+    x | x << p, bit i of ``(x | x << p) >> t`` is bit (i + t) mod p of x
+    for i < p, a shift by -t, and t = p - k shifts by +k.
+    """
     if not 1 <= g <= f.p - 1:
         raise ValueError(f"exponent {g} outside [1, {f.p - 1}]")
     p = f.p
-    shifts = (g % p, (2 * g) % p)
-    new: list[frozenset[int]] = []
-    for w in range(len(f.strata)):
-        stratum = set(f.strata[w])
-        for d, shift in enumerate(shifts, start=1):
-            if w - d >= 0:
-                for r in f.strata[w - d]:
-                    stratum.add((r + shift) % p)
-                    stratum.add((r - shift) % p)
-        new.append(frozenset(stratum))
+    mask = (1 << p) - 1
+    g2 = (2 * g) % p
+    repeated = [x | (x << p) for x in f.bits[:-1]]  # the top stratum feeds none
+    new = [f.bits[0]]
+    for w in range(1, len(f.bits)):
+        one = repeated[w - 1]
+        shifted = (one >> g) | (one >> (p - g))
+        if w >= 2:
+            two = repeated[w - 2]
+            shifted |= (two >> g2) | (two >> (p - g2))
+        new.append(f.bits[w] | (shifted & mask))
     return ForbiddenStrata(p, f.s, tuple(new))
 
 
-def _admissible(forbidden: set[int], p: int, start: int, stop: int) -> Iterator[int]:
-    """Exponents g in [start, stop), ascending, with g and 2g mod p outside ``forbidden``."""
-    for g in range(start, stop):
-        if g not in forbidden and (2 * g) % p not in forbidden:
+def _admissible(forbidden: int, p: int, start: int, stop: int) -> Iterator[int]:
+    """Exponents g in [start, stop), ascending, whose bits g and 2g mod p are
+    clear in the p-bit integer ``forbidden``.
+
+    The integer is written out once as p binary digits; ``str.find`` skips
+    each run of forbidden residues, and 2g mod p is one digit lookup.
+    """
+    digits = format(forbidden, f"0{p}b")[::-1]  # digits[r] is bit r
+    g = digits.find("0", start, stop)
+    while g >= 0:
+        if digits[2 * g % p] == "0":
             yield g
+        g = digits.find("0", g + 1, stop)
+
+
+def _admissible_list(forbidden: int, p: int, start: int, stop: int) -> list[int]:
+    """Every exponent ``_admissible`` yields, in one pass, for a uniform draw.
+
+    Residue g is blocked when bit g or bit 2g mod p is set; the doubling
+    bits come from reordering the digits (even residues 2g for g < p/2, then
+    odd residues 2g - p), so the whole scan runs in C.
+    """
+    digits = format(forbidden, f"0{p}b")[::-1]  # digits[r] is bit r
+    twice = digits[0::2] + digits[1::2]  # twice[g] is digits[2g mod p]
+    blocked = format(forbidden | int(twice[::-1], 2), f"0{p}b")[::-1]
+    return list(compress(range(start, stop), map("0".__eq__, blocked[start:stop])))
 
 
 def choose_next(
@@ -136,12 +189,10 @@ def choose_next(
     With ``rng`` set, picks uniformly among all admissible candidates instead.
     Returns None when the pool is exhausted.
     """
-    candidates = (
-        g for g in _admissible(f.union(), f.p, 1, min(pool_bound, f.p - 1) + 1) if g not in used
-    )
+    stop = min(pool_bound, f.p - 1) + 1
     if rng is None:
-        return next(candidates, None)
-    admissible = list(candidates)
+        return next((g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used), None)
+    admissible = [g for g in _admissible_list(f.forbidden, f.p, 1, stop) if g not in used]
     return rng.choice(admissible) if admissible else None
 
 
@@ -171,12 +222,18 @@ class PNCertificate:
 
 @dataclass(frozen=True)
 class BuildResult:
-    """Outcome of building one factor set; infeasible runs keep their partial work."""
+    """Outcome of building one factor set; infeasible runs keep their partial work.
+
+    ``nodes_searched`` counts admission steps and ``search_exhausted`` says the
+    search stopped before its node budget: a deterministic search then visited
+    its whole tree, a seeded walk reached a dead end.  Family certificates do
+    not store either, so a family read back from a file has both as None.
+    """
 
     subset: FactorSubset
     certificate: PNCertificate
-    nodes_searched: int = 0
-    search_exhausted: bool = True
+    nodes_searched: Optional[int] = None
+    search_exhausted: Optional[bool] = None
 
     @property
     def feasible(self) -> bool:
@@ -226,9 +283,10 @@ def build_factor_set(
             best_chosen, best_trace = chosen, trace
         if len(chosen) == target_size:
             return True
-        candidates: Iterable[int] = _admissible(strata.union(), p, start, pool_bound + 1)
-        if rng is not None:
-            pool = list(candidates)
+        if rng is None:
+            candidates: Iterable[int] = _admissible(strata.forbidden, p, start, pool_bound + 1)
+        else:
+            pool = _admissible_list(strata.forbidden, p, start, pool_bound + 1)
             candidates = [rng.choice(pool)] if pool else []
         for g in candidates:
             if nodes >= search_budget:

@@ -214,7 +214,9 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
     ``chosen`` and ``forbidden_trace`` are construction caches: when deleted
     from a file the family still parses (chosen falls back to the sorted
     exponents with a zero trace) and every verification verdict is unchanged,
-    since verifiers recompute from the exponents alone.
+    since verifiers recompute from the exponents alone.  The payload holds no
+    search record, so every result has ``nodes_searched`` and
+    ``search_exhausted`` None.
     """
     try:
         rule = payload["prime_rule"]

@@ -147,7 +147,14 @@ def cmd_build(args) -> int:
     feasible = [r for r in family.results if r.feasible]
     for result in family.results:
         cert = result.certificate
-        status = "ok" if result.feasible else "INFEASIBLE"
+        if result.feasible:
+            status = "ok"
+        elif family.seed is not None:
+            status = "INFEASIBLE (seeded walk: dead end)"
+        elif result.search_exhausted:
+            status = "INFEASIBLE (exhausted)"
+        else:
+            status = f"INFEASIBLE (search budget: {result.nodes_searched} nodes)"
         print(
             f"n={cert.n:>3} p={cert.p:>8} target={cert.target_size:>3} "
             f"achieved={cert.achieved_size:>3} pool=[1,{cert.pool_bound}] {status}"

@@ -3,9 +3,12 @@ choice, certificates, and family construction."""
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freelac import (
     BudgetExceeded,
@@ -65,8 +68,6 @@ def test_strata_duplicate_element_flags_degenerate_relation():
 
 
 def test_strata_match_enumeration_exactly():
-    import random
-
     rng = random.Random(23)
     for _ in range(30):
         p = rng.choice([17, 37, 67])
@@ -77,6 +78,45 @@ def test_strata_match_enumeration_exactly():
         oracle = enumerate_sums_by_weight(exponents, p, s)
         for w in range(2 * s + 1):
             assert strata.strata[w] == oracle[w], (exponents, p, s, w)
+
+
+@st.composite
+def chains(draw, max_size=4):
+    """An order p and up to ``max_size`` exponents mod p, biased towards the
+    values where a rotation or the doubling 2g wraps: 1, p-1 and (p+-1)/2."""
+    p = draw(st.sampled_from([17, 67, 131, 257, 521, 1031]))
+    edge = st.sampled_from([1, p - 1, (p - 1) // 2, (p + 1) // 2])
+    exponent = st.one_of(edge, st.integers(1, p - 1))
+    return p, draw(st.lists(exponent, min_size=1, max_size=max_size))
+
+
+@settings(deadline=None)
+@given(chains(), st.sampled_from([2, 4]))
+def test_bitset_strata_match_enumeration(chain, s):
+    p, exponents = chain
+    strata = strata_from(exponents, p, s)
+    oracle = enumerate_sums_by_weight(exponents, p, s)
+    assert strata.strata == tuple(oracle[w] for w in range(2 * s + 1))
+    assert strata.count == sum(len(stratum) for stratum in oracle.values())
+    assert strata.union() == set().union(*oracle.values())
+
+
+@settings(deadline=None)
+@given(chains(), st.sampled_from([2, 4]), st.integers(0, 2000), st.integers(0, 2**32))
+def test_choose_next_matches_a_plain_set_scan(chain, s, pool_bound, seed):
+    p, exponents = chain
+    prefix = exponents[:-1]  # random prefixes, the empty one included
+    forbidden = set().union(*enumerate_sums_by_weight(prefix, p, s).values())
+    used = frozenset(prefix)
+    admissible = [
+        g
+        for g in range(1, min(pool_bound, p - 1) + 1)
+        if g not in forbidden and (2 * g) % p not in forbidden and g not in used
+    ]
+    strata = strata_from(prefix, p, s)
+    assert choose_next(strata, pool_bound, used) == (admissible[0] if admissible else None)
+    expected = random.Random(seed).choice(admissible) if admissible else None
+    assert choose_next(strata, pool_bound, used, rng=random.Random(seed)) == expected
 
 
 def test_strata_negation_closure_and_count_bounds(desk2_family):
@@ -110,8 +150,6 @@ def test_choose_next_exhausted():
 
 
 def test_choose_next_random_mode_is_admissible_and_seeded():
-    import random
-
     strata = strata_extend(ForbiddenStrata.empty(17, 2), 1)
     forbidden = strata.union()
     picks = set()
@@ -148,6 +186,26 @@ def test_build_n10_passes_bruteforce():
     assert result.certificate.p == 2053
     ok, witness = verify_pn_bruteforce(result.subset, 2)
     assert ok and witness is None
+
+
+def test_budget_bound_search_is_pinned():
+    # these trees stop at exactly 5,000 nodes, so a change in the order the
+    # search visits them shows up here first
+    result = build_factor_set(8, 4, 6, 256, TABLE)
+    assert (result.nodes_searched, result.search_exhausted) == (5000, False)
+    assert result.certificate.chosen == (1, 3, 9, 27, 81)
+    family = build_family(4, (3, 8), "paper")
+    assert [(r.certificate.n, r.nodes_searched, r.search_exhausted) for r in family.results] == [
+        (3, 28, True),
+        (4, 212, True),
+        (5, 2807, True),
+        (6, 5000, False),
+        (7, 5000, False),
+        (8, 5000, False),
+    ]
+    assert [r.certificate.chosen for r in family.results] == [
+        (1, 3), (1, 3, 9), (1, 3, 9), (1, 3, 9, 27), (1, 3, 9, 27, 81), (1, 3, 9, 27, 81)
+    ]
 
 
 def test_build_pool_larger_than_order_rejected():

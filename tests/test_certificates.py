@@ -93,6 +93,20 @@ def test_family_payload_round_trip():
     assert family_to_payload(again) == payload
 
 
+def test_loaded_family_does_not_claim_an_exhausted_search():
+    # the n=8 factor stops on its node budget; the family file does not
+    # record that, so the loaded result must not read as exhausted
+    family = build_family(4, (8, 8), "desk")
+    (built,) = family.results
+    assert (built.nodes_searched, built.search_exhausted) == (5000, False)
+    payload = family_to_payload(family)
+    (loaded,) = family_from_payload(payload).results
+    assert loaded.search_exhausted is None and loaded.nodes_searched is None
+    assert (loaded.subset, loaded.certificate) == (built.subset, built.certificate)
+    assert not loaded.feasible
+    assert family_to_payload(family_from_payload(payload)) == payload
+
+
 def test_family_payload_survives_cache_deletion():
     family = build_family(2, (8, 9), "desk")
     payload = family_to_payload(family)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from freelac import cli, spectral
 from freelac.cli import (
     EXIT_BUDGET,
@@ -41,6 +43,12 @@ DESK4_N10_CERT_SHA256 = {
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
 SEEDED_PAPER2_FAMILY_SHA256 = "c63d903fec20ee7b3e9b89a632567d61703d55f4c4e91e82c659ffa481aba516"
+# the families of build --s 2|4 --profile paper: their factors n >= 6 stop on
+# the 5,000-node search budget, so these bytes pin the order the search visits
+PAPER_FAMILY_SHA256 = {
+    "2": "b0fb6cb3c5ece6aa1ae873fed93192cfd60f1c5f7859f1eb9a6f3deeb0d2e1dd",
+    "4": "5aff592251ca65151bb3d5d441fa0d0135b640b2346fe22c459d013bc011a9f2",
+}
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
 ADHOC_LEINERT_CERT_SHA256 = "0073f2f52ad851e9da3ff2bb33f2a74090d8a6b55454fcf431a966b51982e1aa"
 
@@ -108,6 +116,32 @@ def test_build_s4_desk_records_partial_n8(tmp_path):
     assert all(factors[n]["feasible"] for n in (9, 10, 11, 12))
     # verification runs against whatever was stored, partial factors included
     assert main(["verify", "pn", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (["--s", "4", "--profile", "desk", "--n-min", "8", "--n-max", "8"],
+         "INFEASIBLE (search budget: 5000 nodes)"),
+        (["--s", "2", "--profile", "paper", "--n-min", "3", "--n-max", "3"],
+         "INFEASIBLE (exhausted)"),
+        (["--s", "4", "--n-min", "8", "--n-max", "8", "--seed", "3"],
+         "INFEASIBLE (seeded walk: dead end)"),
+    ],
+)
+def test_build_says_why_a_factor_is_infeasible(tmp_path, capsys, build, label):
+    out = tmp_path / "fam.json"
+    assert main(["build", *build, "--out", str(out)]) == EXIT_VIOLATION
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n=")]
+    assert line.endswith(label)
+
+
+def test_paper_family_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for s, expected in PAPER_FAMILY_SHA256.items():
+        build = ["build", "--s", s, "--profile", "paper", "--out", f"paper{s}.json"]
+        assert main(build) == EXIT_VIOLATION  # no factor reaches its n^2 target
+        assert hashlib.sha256((tmp_path / f"paper{s}.json").read_bytes()).hexdigest() == expected
 
 
 def test_tampered_family_fails_pn_with_witness(tmp_path):
