@@ -154,28 +154,22 @@ def _admissible(forbidden: int, p: int, start: int, stop: int) -> Iterator[int]:
     """Exponents g in [start, stop), ascending, whose bits g and 2g mod p are
     clear in the p-bit integer ``forbidden``.
 
-    The integer is written out once as p binary digits; ``str.find`` skips
-    each run of forbidden residues, and 2g mod p is one digit lookup.
-    """
-    digits = format(forbidden, f"0{p}b")[::-1]  # digits[r] is bit r
-    g = digits.find("0", start, stop)
-    while g >= 0:
-        if digits[2 * g % p] == "0":
-            yield g
-        g = digits.find("0", g + 1, stop)
-
-
-def _admissible_list(forbidden: int, p: int, start: int, stop: int) -> list[int]:
-    """Every exponent ``_admissible`` yields, in one pass, for a uniform draw.
-
-    Residue g is blocked when bit g or bit 2g mod p is set; the doubling
-    bits come from reordering the digits (even residues 2g for g < p/2, then
-    odd residues 2g - p), so the whole scan runs in C.
+    The integer is written out once as p binary digits, and once more with
+    the digits reordered so that position g holds digit 2g mod p (the even
+    residues 2g for g < p/2, then the odd residues 2g - p).  ``str.find``
+    skips each run of forbidden residues, and inside a free run the doubling
+    test is a lazy C-level ``compress``, so taking the first exponent and
+    listing them all share one scan.
     """
     digits = format(forbidden, f"0{p}b")[::-1]  # digits[r] is bit r
     twice = digits[0::2] + digits[1::2]  # twice[g] is digits[2g mod p]
-    blocked = format(forbidden | int(twice[::-1], 2), f"0{p}b")[::-1]
-    return list(compress(range(start, stop), map("0".__eq__, blocked[start:stop])))
+    g = digits.find("0", start, stop)
+    while g >= 0:
+        end = digits.find("1", g, stop)
+        if end < 0:
+            end = stop
+        yield from compress(range(g, end), map("0".__eq__, twice[g:end]))
+        g = digits.find("0", end, stop)
 
 
 def choose_next(
@@ -192,7 +186,7 @@ def choose_next(
     stop = min(pool_bound, f.p - 1) + 1
     if rng is None:
         return next((g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used), None)
-    admissible = [g for g in _admissible_list(f.forbidden, f.p, 1, stop) if g not in used]
+    admissible = [g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used]
     return rng.choice(admissible) if admissible else None
 
 
@@ -286,7 +280,7 @@ def build_factor_set(
         if rng is None:
             candidates: Iterable[int] = _admissible(strata.forbidden, p, start, pool_bound + 1)
         else:
-            pool = _admissible_list(strata.forbidden, p, start, pool_bound + 1)
+            pool = list(_admissible(strata.forbidden, p, start, pool_bound + 1))
             candidates = [rng.choice(pool)] if pool else []
         for g in candidates:
             if nodes >= search_budget:
