@@ -184,9 +184,10 @@ def choose_next(
     Returns None when the pool is exhausted.
     """
     stop = min(pool_bound, f.p - 1) + 1
+    candidates = (g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used)
     if rng is None:
-        return next((g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used), None)
-    admissible = [g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used]
+        return next(candidates, None)
+    admissible = list(candidates)
     return rng.choice(admissible) if admissible else None
 
 
