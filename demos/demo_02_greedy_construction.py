@@ -46,9 +46,9 @@ def main():
     print("  greedy vs backtracking at factor 8 (p = 521, pool [1, 256])")
     print("=" * 64)
     result = build_factor_set(8, s, 8, 256, table)
-    print(f"target 8: achieved {result.certificate.achieved_size} "
+    print(f"target 8: achieved {len(result.subset)} "
           f"after {result.nodes_searched} admission steps")
-    print(f"chosen: {result.certificate.chosen}")
+    print(f"chosen: {result.chosen}")
     print("the pure greedy path 1,3,9,23,39,67,117 dead-ends at 7; the search")
     print("backs up twice and lands on 73, 125, 153 instead")
 
@@ -58,10 +58,9 @@ def main():
     print("=" * 64)
     family = build_family(s, (3, 5), "paper")
     for r in family.results:
-        cert = r.certificate
         state = "ok" if r.feasible else "infeasible"
-        print(f"n={cert.n}: target {cert.target_size} from pool [1,{cert.pool_bound}] "
-              f"-> kept {cert.achieved_size} ({state})")
+        print(f"n={r.n}: target {r.target_size} from pool [1,{r.pool_bound}] "
+              f"-> kept {len(r.subset)} ({state})")
     print("the paper-scale rule m_n = n^2 only fits once pools dwarf the target;")
     print("desk scale records what it could build and says so")
 

@@ -57,7 +57,7 @@ def main():
     for result in family.results[:3]:
         words = result.subset.words(table)
         hit = leinert_violation(words, 2)
-        print(f"built E_{result.certificate.n}: exhaustive search over 2s=4 tuples "
+        print(f"built E_{result.n}: exhaustive search over 2s=4 tuples "
               f"-> {'violation!' if hit else 'none (avoidance excludes weight<=4 relations)'}")
 
     print()

@@ -47,8 +47,8 @@ def main():
     print("=" * 72)
     q = 4.0
     for result in family.results[:4]:
-        n = result.certificate.n
-        p = result.certificate.p
+        n = result.n
+        p = result.p
         window = [e for e in result.subset.exponents if e <= n]
         kernel = fejer_kernel(n, p)
         chk = holder_check(kernel, CyclicFunction.indicator(p, window), q)
@@ -61,7 +61,7 @@ def main():
     print("=" * 72)
     print(f"{'n':>3} {'Lambda(2n) const >=':>20} {'QI size':>8} {'Leinert const >=':>17}")
     for result in family.results:
-        n = result.certificate.n
+        n = result.n
         dens = density_lower_bound(result.subset, n, 2.0 * n)
         qi = extract_quasi_independent(result.subset)
         qi_subset = FactorSubset(result.subset.factor, result.subset.order, qi.subset)

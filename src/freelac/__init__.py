@@ -18,7 +18,6 @@ from .builder import (
     FactorSubset,
     ForbiddenStrata,
     LacunaryFamily,
-    PNCertificate,
     PROFILES,
     build_factor_set,
     build_family,
@@ -31,7 +30,6 @@ from .builder import (
 from .certificates import (
     CertificateFile,
     CertificateFormatError,
-    RunConfig,
     family_from_payload,
     family_to_payload,
     parse,

@@ -29,6 +29,12 @@ from .words import Word, letter_word
 DEFAULT_PN_BUDGET = 10_000_000
 
 
+def check_even_s(s: int) -> None:
+    """Reject a parameter s that is not an even integer >= 2."""
+    if s < 2 or s % 2 != 0:
+        raise ValueError(f"s must be an even integer >= 2, got {s}")
+
+
 @dataclass(frozen=True)
 class FactorSubset:
     """A finite subset of one cyclic factor, stored as exponent residues."""
@@ -99,8 +105,7 @@ class ForbiddenStrata:
 
     @classmethod
     def empty(cls, p: int, s: int) -> "ForbiddenStrata":
-        if s < 2 or s % 2 != 0:
-            raise ValueError(f"parameter s must be an even integer >= 2, got {s}")
+        check_even_s(s)
         return cls(p, s, (1,) + (0,) * (2 * s))
 
     @property
@@ -192,16 +197,29 @@ def choose_next(
 
 
 @dataclass(frozen=True)
-class PNCertificate:
-    """Machine-checkable record of one factor-set construction."""
+class BuildResult:
+    """One built factor set, with how it was chosen and how far the search went.
 
-    n: int
-    p: int
-    s: int
+    ``subset`` holds the kept exponents sorted; ``chosen`` holds the same
+    exponents in admission order, and ``forbidden_trace`` the number of
+    forbidden residues (summed over the strata) seen before each admission.
+    Infeasible runs keep the deepest prefix reached, so ``feasible`` compares
+    the kept size with ``target_size``.  The factor index and order come from
+    ``subset``.
+
+    ``nodes_searched`` counts admission steps and ``search_exhausted`` says the
+    search stopped before its node budget: a deterministic search then visited
+    its whole tree, a seeded walk reached a dead end.  Family certificates do
+    not store either, so a family read back from a file has both as None.
+    """
+
+    subset: FactorSubset
     chosen: tuple[int, ...]
     pool_bound: int
     target_size: int
     forbidden_trace: tuple[int, ...]
+    nodes_searched: Optional[int] = None
+    search_exhausted: Optional[bool] = None
 
     def __post_init__(self):
         for g in self.chosen:
@@ -211,29 +229,17 @@ class PNCertificate:
             raise ValueError("forbidden-count trace must have one entry per chosen exponent")
 
     @property
-    def achieved_size(self) -> int:
-        return len(self.chosen)
+    def n(self) -> int:
+        return self.subset.factor
 
-
-@dataclass(frozen=True)
-class BuildResult:
-    """Outcome of building one factor set; infeasible runs keep their partial work.
-
-    ``nodes_searched`` counts admission steps and ``search_exhausted`` says the
-    search stopped before its node budget: a deterministic search then visited
-    its whole tree, a seeded walk reached a dead end.  Family certificates do
-    not store either, so a family read back from a file has both as None.
-    """
-
-    subset: FactorSubset
-    certificate: PNCertificate
-    nodes_searched: Optional[int] = None
-    search_exhausted: Optional[bool] = None
+    @property
+    def p(self) -> int:
+        return self.subset.order
 
     @property
     def feasible(self) -> bool:
         """Whether the stored set reaches the target size."""
-        return len(self.subset) == self.certificate.target_size
+        return len(self.subset) == self.target_size
 
 
 DEFAULT_SEARCH_BUDGET = 5_000
@@ -281,8 +287,8 @@ def build_factor_set(
         if rng is None:
             candidates: Iterable[int] = _admissible(strata.forbidden, p, start, pool_bound + 1)
         else:
-            pool = list(_admissible(strata.forbidden, p, start, pool_bound + 1))
-            candidates = [rng.choice(pool)] if pool else []
+            pick = choose_next(strata, pool_bound, rng=rng)
+            candidates = [] if pick is None else [pick]
         for g in candidates:
             if nodes >= search_budget:
                 exhausted = False
@@ -297,17 +303,8 @@ def build_factor_set(
 
     dfs(ForbiddenStrata.empty(p, s), (), (), 1)
 
-    certificate = PNCertificate(
-        n=n,
-        p=p,
-        s=s,
-        chosen=best_chosen,
-        pool_bound=pool_bound,
-        target_size=target_size,
-        forbidden_trace=best_trace,
-    )
     subset = FactorSubset(factor=n, order=p, exponents=tuple(sorted(best_chosen)))
-    return BuildResult(subset, certificate, nodes, exhausted)
+    return BuildResult(subset, best_chosen, pool_bound, target_size, best_trace, nodes, exhausted)
 
 
 class CountBound(NamedTuple):
@@ -350,8 +347,7 @@ def verify_pn_bruteforce(
     support in (1, -1, 2, -2) product order.  Refuses when the enumeration
     would exceed ``budget``.
     """
-    if s < 2 or s % 2 != 0:
-        raise ValueError(f"parameter s must be an even integer >= 2, got {s}")
+    check_even_s(s)
     n_elements = len(subset.exponents)
     count = epsilon_vector_count(n_elements, s)
     if count > budget:
@@ -386,6 +382,13 @@ class BuildProfile:
     def pool_bound(self, n: int) -> int:
         return 2**n
 
+    def n_range(
+        self, s: int, n_min: Optional[int] = None, n_max: Optional[int] = None
+    ) -> tuple[int, int]:
+        """The factor range to build: the default range for s, either end overridden."""
+        lo, hi = self.default_range(s)
+        return (lo if n_min is None else n_min, hi if n_max is None else n_max)
+
 
 PROFILES = {
     profile.name: profile
@@ -401,7 +404,7 @@ PROFILES = {
 
 @dataclass(frozen=True)
 class LacunaryFamily:
-    """The per-factor sets built for one parameter s, with their certificates."""
+    """The per-factor sets built for one parameter s, one build record each."""
 
     s: int
     table: FactorTable
@@ -414,12 +417,12 @@ class LacunaryFamily:
         """First factor index at which the target size was met."""
         for result in self.results:
             if result.feasible:
-                return result.certificate.n
+                return result.n
         return None
 
     def result_for(self, n: int) -> BuildResult:
         for result in self.results:
-            if result.certificate.n == n:
+            if result.n == n:
                 return result
         raise KeyError(f"factor {n} not present in family")
 
@@ -439,6 +442,7 @@ def build_family(
 ) -> LacunaryFamily:
     """Build each factor set in the range independently; failures are recorded,
     never fatal."""
+    check_even_s(s)
     if isinstance(profile, str):
         profile = PROFILES[profile]
     n_min, n_max = n_range

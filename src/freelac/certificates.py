@@ -15,16 +15,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .builder import (
-    BuildResult,
-    FactorSubset,
-    LacunaryFamily,
-    PNCertificate,
-    PROFILES,
-)
-from .counting import DEFAULT_SUBSET_BUDGET_BITS, DEFAULT_TUPLE_BUDGET
+from .builder import BuildResult, FactorSubset, LacunaryFamily
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
-from .spectral import DEFAULT_SPECTRAL_BUDGET, DEFAULT_TOLERANCE
 
 FORMAT_VERSION = 1
 KINDS = ("family", "pn", "zs", "leinert", "qi", "spectrum", "report")
@@ -146,55 +138,19 @@ def read_certificate(path: str) -> CertificateFile:
         return parse(handle.read())
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parameters of a build/verify run, echoed into certificate provenance."""
-
-    s: int = 2
-    n_min: Optional[int] = None
-    n_max: Optional[int] = None
-    profile: str = "desk"
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.s < 2 or self.s % 2 != 0:
-            raise ValueError(f"s must be an even integer >= 2, got {self.s}")
-
-    def resolved_range(self) -> tuple[int, int]:
-        lo, hi = PROFILES[self.profile].default_range(self.s)
-        return (
-            self.n_min if self.n_min is not None else lo,
-            self.n_max if self.n_max is not None else hi,
-        )
-
-    def provenance_parameters(self) -> dict:
-        n_min, n_max = self.resolved_range()
-        return {
-            "n_max": n_max,
-            "n_min": n_min,
-            "profile": self.profile,
-            "s": self.s,
-            "spectral_budget": DEFAULT_SPECTRAL_BUDGET,
-            "subset_budget_bits": DEFAULT_SUBSET_BUDGET_BITS,
-            "tolerance": fmt_float(DEFAULT_TOLERANCE),
-            "tuple_budget": DEFAULT_TUPLE_BUDGET,
-        }
-
-
 def family_to_payload(family: LacunaryFamily) -> dict:
     factors = []
     for result in family.results:
-        cert = result.certificate
         factors.append(
             {
-                "chosen": list(cert.chosen),
+                "chosen": list(result.chosen),
                 "exponents": list(result.subset.exponents),
                 "feasible": result.feasible,
-                "forbidden_trace": list(cert.forbidden_trace),
-                "n": cert.n,
-                "p": cert.p,
-                "pool_bound": cert.pool_bound,
-                "target_size": cert.target_size,
+                "forbidden_trace": list(result.forbidden_trace),
+                "n": result.n,
+                "p": result.p,
+                "pool_bound": result.pool_bound,
+                "target_size": result.target_size,
             }
         )
     return {
@@ -214,9 +170,11 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
     ``chosen`` and ``forbidden_trace`` are construction caches: when deleted
     from a file the family still parses (chosen falls back to the sorted
     exponents with a zero trace) and every verification verdict is unchanged,
-    since verifiers recompute from the exponents alone.  The payload holds no
-    search record, so every result has ``nodes_searched`` and
-    ``search_exhausted`` None.
+    since verifiers recompute from the exponents alone.  The ``feasible`` flags
+    and ``n_feasible`` are derived, so a stored value that disagrees with the
+    exponents and targets is a format error.  The payload holds no search
+    record, so every result has ``nodes_searched`` and ``search_exhausted``
+    None.
     """
     try:
         rule = payload["prime_rule"]
@@ -225,6 +183,7 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
         profile = payload["profile"]
         seed = payload["seed"]
         raw_factors = payload["factors"]
+        n_feasible = payload["n_feasible"]
     except (KeyError, TypeError) as exc:
         raise CertificateFormatError(f"family payload missing field: {exc}") from exc
     if rule == PAPER_PRIME_RULE:
@@ -253,22 +212,19 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
         trace = tuple(int(t) for t in raw.get("forbidden_trace", (0,) * len(chosen)))
         try:
             subset = FactorSubset(factor=n, order=p, exponents=exponents)
-            certificate = PNCertificate(
-                n=n,
-                p=p,
-                s=s,
-                chosen=chosen,
-                pool_bound=pool_bound,
-                target_size=target_size,
-                forbidden_trace=trace,
-            )
+            result = BuildResult(subset, chosen, pool_bound, target_size, trace)
         except ValueError as exc:
             raise CertificateFormatError(f"factor {n}: {exc}") from exc
-        result = BuildResult(subset, certificate)
         if feasible != result.feasible:
             raise CertificateFormatError(
                 f"factor {n}: stored feasible={feasible} contradicts its {len(subset)} of "
                 f"{target_size} target exponents"
             )
         results.append(result)
-    return LacunaryFamily(s, table, profile, seed, tuple(results))
+    family = LacunaryFamily(s, table, profile, seed, tuple(results))
+    if n_feasible != family.n_feasible:
+        raise CertificateFormatError(
+            f"stored n_feasible={n_feasible} contradicts the first feasible factor "
+            f"{family.n_feasible}"
+        )
+    return family

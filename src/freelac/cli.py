@@ -9,6 +9,7 @@ recomputes from the stored exponents; cached construction data is ignored.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import math
 import sys
@@ -24,7 +25,6 @@ from .builder import (
 from .certificates import (
     CertificateFile,
     CertificateFormatError,
-    RunConfig,
     family_from_payload,
     family_to_payload,
     fmt_complex,
@@ -46,6 +46,7 @@ from .counting import (
 from .errors import BudgetExceeded
 from .primes import FactorTable, smallest_admissible_prime
 from .spectral import (
+    DEFAULT_SPECTRAL_BUDGET,
     DEFAULT_TOLERANCE,
     density_lower_bound,
     fejer_coefficient,
@@ -82,6 +83,15 @@ def _emit(args, kind: str, payload: dict, parameters: dict, seed=None, out=None)
     if out:
         write_certificate(out, CertificateFile(kind=kind, payload=payload, provenance=provenance))
         print(f"{'family' if kind == 'family' else 'certificate'} written: {out}")
+
+
+@contextlib.contextmanager
+def _budget_flag(flag: str):
+    """Name ``flag`` in any budget refusal raised inside the block."""
+    try:
+        yield
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{exc} (raise it with {flag})") from exc
 
 
 def _load_family(path: str):
@@ -140,13 +150,10 @@ def cmd_primes(args) -> int:
 
 
 def cmd_build(args) -> int:
-    config = RunConfig(
-        s=args.s, n_min=args.n_min, n_max=args.n_max, profile=args.profile, seed=args.seed
-    )
-    family = build_family(config.s, config.resolved_range(), config.profile, seed=config.seed)
+    n_min, n_max = PROFILES[args.profile].n_range(args.s, args.n_min, args.n_max)
+    family = build_family(args.s, (n_min, n_max), args.profile, seed=args.seed)
     feasible = [r for r in family.results if r.feasible]
     for result in family.results:
-        cert = result.certificate
         if result.feasible:
             status = "ok"
         elif family.seed is not None:
@@ -156,19 +163,29 @@ def cmd_build(args) -> int:
         else:
             status = f"INFEASIBLE (search budget: {result.nodes_searched} nodes)"
         print(
-            f"n={cert.n:>3} p={cert.p:>8} target={cert.target_size:>3} "
-            f"achieved={cert.achieved_size:>3} pool=[1,{cert.pool_bound}] {status}"
+            f"n={result.n:>3} p={result.p:>8} target={result.target_size:>3} "
+            f"achieved={len(result.subset):>3} pool=[1,{result.pool_bound}] {status}"
         )
     print(
         f"built {len(feasible)}/{len(family.results)} targets; "
         f"n_feasible={family.n_feasible}"
     )
+    parameters = {
+        "n_max": n_max,
+        "n_min": n_min,
+        "profile": args.profile,
+        "s": args.s,
+        "spectral_budget": DEFAULT_SPECTRAL_BUDGET,
+        "subset_budget_bits": DEFAULT_SUBSET_BUDGET_BITS,
+        "tolerance": fmt_float(DEFAULT_TOLERANCE),
+        "tuple_budget": DEFAULT_TUPLE_BUDGET,
+    }
     _emit(
         args,
         "family",
         family_to_payload(family),
-        config.provenance_parameters(),
-        seed=config.seed,
+        parameters,
+        seed=args.seed,
         out=args.out or "family.json",
     )
     if not family.results or len(feasible) < len(family.results):
@@ -187,15 +204,15 @@ def _verify_pn(family, args) -> dict:
         record = {
             "exponents": list(result.subset.exponents),
             "holds": ok,
-            "n": result.certificate.n,
-            "p": result.certificate.p,
+            "n": result.n,
+            "p": result.p,
         }
         if witness is not None:
             record["violating_epsilon"] = list(witness.entries)
             holds = False
         claims.append(record)
         state = "ok" if ok else f"VIOLATED by epsilon={list(witness.entries)}"
-        print(f"pn n={result.certificate.n}: {state}")
+        print(f"pn n={result.n}: {state}")
     return {"claims": claims, "holds": holds, "s": family.s}
 
 
@@ -216,7 +233,7 @@ def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> dict:
         targets = [(1, adhoc_subset, FactorTable.explicit([adhoc_subset.order]))]
     else:
         s = family.s
-        targets = [(r.certificate.n, r.subset, family.table) for r in family.results]
+        targets = [(r.n, r.subset, family.table) for r in family.results]
     searched = []
     first_witness = None
     for n, subset, table in targets:
@@ -250,14 +267,14 @@ def _verify_qi(family, args) -> dict:
                 "extracted": list(witness.subset),
                 "floor_bound": floor_bound,
                 "maximal": witness.maximal,
-                "n": result.certificate.n,
+                "n": result.n,
                 "ok": ok,
                 "parent_size": len(witness.parent),
                 "table_digest": witness.table_digest,
             }
         )
         print(
-            f"qi n={result.certificate.n}: |F|={len(witness.subset)} >= {floor_bound} "
+            f"qi n={result.n}: |F|={len(witness.subset)} >= {floor_bound} "
             f"maximal={witness.maximal} {'ok' if ok else 'VIOLATED'}"
         )
     return {"factors": rows, "holds": all(row["ok"] for row in rows)}
@@ -278,10 +295,12 @@ def cmd_verify(args) -> int:
             raise _UsageError("a family file is required (or --exponents/--order for leinert)")
         family = _load_family(args.family)
 
-    if args.kind == "leinert":
-        payload = _verify_leinert(family, args, adhoc_subset)
-    else:
-        payload = {"pn": _verify_pn, "zs": _verify_zs, "qi": _verify_qi}[args.kind](family, args)
+    with _budget_flag("--budget-subsets" if args.kind == "qi" else "--budget-tuples"):
+        if args.kind == "leinert":
+            payload = _verify_leinert(family, args, adhoc_subset)
+        else:
+            verify = {"pn": _verify_pn, "zs": _verify_zs, "qi": _verify_qi}[args.kind]
+            payload = verify(family, args)
     parameters = {
         "budget_subsets": args.budget_subsets,
         "budget_tuples": args.budget_tuples,
@@ -369,19 +388,18 @@ def cmd_report(args) -> int:
 
     rows = []
     for result in family.results:
-        cert = result.certificate
         rows.append(
             {
-                "achieved": cert.achieved_size,
+                "achieved": len(result.subset),
                 "feasible": result.feasible,
-                "n": cert.n,
-                "p": cert.p,
-                "target": cert.target_size,
+                "n": result.n,
+                "p": result.p,
+                "target": result.target_size,
             }
         )
         print(
-            f"  n={cert.n:>3} p={cert.p:>8} |E_n|={cert.achieved_size:>3}"
-            f"/{cert.target_size:<3} {'ok' if result.feasible else 'infeasible'}"
+            f"  n={result.n:>3} p={result.p:>8} |E_n|={len(result.subset):>3}"
+            f"/{result.target_size:<3} {'ok' if result.feasible else 'infeasible'}"
         )
     sections["construction"] = {
         "n_feasible": family.n_feasible,
@@ -412,8 +430,10 @@ def cmd_report(args) -> int:
         # quasi-independent extraction and operator-norm lower bounds
         qi_rows = []
         density_rows = []
-        for result, witness, floor_bound, ok in _qi_claims(family, args.budget_subsets):
-            n = result.certificate.n
+        with _budget_flag("--budget-subsets"):
+            qi_claims = list(_qi_claims(family, args.budget_subsets))
+        for result, witness, floor_bound, ok in qi_claims:
+            n = result.n
             lower = leinert_lower_bound(
                 FactorSubset(result.subset.factor, result.subset.order, witness.subset)
             )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .builder import FactorSubset
+from .builder import FactorSubset, check_even_s
 from .errors import BudgetExceeded
 # perfbench/tracing.py counts calls of multiply, alternating_product and canonical_key here
 from .words import (
@@ -49,8 +49,7 @@ Pairs = tuple[tuple[int, int], ...]  # a word as plain (factor, exp) pairs
 
 def zs_paper_target(s: int) -> tuple[int, int]:
     """The pair (((s/2)!)^2, s!) that bounds the tuple count for even s."""
-    if s < 2 or s % 2 != 0:
-        raise ValueError(f"s must be an even integer >= 2, got {s}")
+    check_even_s(s)
     half = math.factorial(s // 2)
     return half * half, math.factorial(s)
 

@@ -103,26 +103,25 @@ def test_criterion_2_construction(desk2_family, capsys):
 
     t0 = time.time()
     fresh = build_family(2, (8, 16), "desk")
-    assert [r.certificate.chosen for r in fresh.results] == [
-        r.certificate.chosen for r in desk2_family.results
+    assert [r.chosen for r in fresh.results] == [
+        r.chosen for r in desk2_family.results
     ]
     assert all(result.feasible for result in desk2_family.results)
-    assert [r.certificate.target_size for r in desk2_family.results] == list(range(8, 17))
+    assert [r.target_size for r in desk2_family.results] == list(range(8, 17))
     for result in desk2_family.results:
-        if result.certificate.n <= 12:
+        if result.n <= 12:
             ok, witness = verify_pn_bruteforce(result.subset, desk2_family.s)
             assert ok and witness is None
     for result in desk2_family.results:
-        cert = result.certificate
-        strata = ForbiddenStrata.empty(cert.p, desk2_family.s)
-        for i, g in enumerate(cert.chosen):
+        strata = ForbiddenStrata.empty(result.p, desk2_family.s)
+        for i, g in enumerate(result.chosen):
             strata = strata_extend(strata, g)
             prefix_size = i + 1
             if prefix_size > 10:
                 break
-            oracle = enumerate_sums_by_support(cert.chosen[:prefix_size], cert.p, desk2_family.s)
+            oracle = enumerate_sums_by_support(result.chosen[:prefix_size], result.p, desk2_family.s)
             for w in range(2 * desk2_family.s + 1):
-                assert strata.strata[w] == oracle[w], (cert.n, prefix_size, w)
+                assert strata.strata[w] == oracle[w], (result.n, prefix_size, w)
     elapsed = time.time() - t0
     assert elapsed < 60.0
     with capsys.disabled():
@@ -143,7 +142,7 @@ def test_criterion_3_tuple_count_bounds(desk2_family, desk4_family, capsys):
     # n=8 at s=4 is infeasible within the search budget (the order-521 search
     # stops at 5 of 6 exponents below 2^8 without ruling out a sixth);
     # the partial factor is kept, so the union carries 29 of the nominal 30
-    sizes = {r.certificate.n: len(r.subset) for r in desk4_family.results}
+    sizes = {r.n: len(r.subset) for r in desk4_family.results}
     assert sizes == {8: 5, 9: 6, 10: 6, 11: 6, 12: 6}
     assert len(union4) == 29
     cert4 = z_value(union4, 4, strategy="meet-in-middle")
@@ -268,8 +267,8 @@ def test_criterion_7_kernel_machinery(desk2_family, capsys):
 
     q = 4.0
     for result in desk2_family.results:
-        n = result.certificate.n
-        p = result.certificate.p
+        n = result.n
+        p = result.p
         window = [e for e in result.subset.exponents if 1 <= e <= n]
         if not window:
             continue

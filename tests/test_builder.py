@@ -15,6 +15,7 @@ from freelac import (
     FactorSubset,
     FactorTable,
     ForbiddenStrata,
+    PROFILES,
     build_factor_set,
     build_family,
     choose_next,
@@ -121,10 +122,10 @@ def test_choose_next_matches_a_plain_set_scan(chain, s, pool_bound, seed):
 
 def test_strata_negation_closure_and_count_bounds(desk2_family):
     for result in desk2_family.results[:3]:
-        p = result.certificate.p
+        p = result.p
         strata = ForbiddenStrata.empty(p, 2)
         previous_count = strata.count
-        for i, g in enumerate(result.certificate.chosen):
+        for i, g in enumerate(result.chosen):
             strata = strata_extend(strata, g)
             for stratum in strata.strata:
                 assert stratum == {(-r) % p for r in stratum}
@@ -166,16 +167,16 @@ def test_build_two_elements():
     result = build_factor_set(3, 2, 2, 8, TABLE)
     assert result.feasible
     assert result.subset.exponents == (1, 3)
-    assert result.certificate.chosen == (1, 3)
+    assert result.chosen == (1, 3)
     # forbidden residues seen at each step: {0}, then {0, +-1, +-2}
-    assert result.certificate.forbidden_trace == (1, 5)
+    assert result.forbidden_trace == (1, 5)
 
 
 def test_build_target_exceeding_pool_is_infeasible_with_partial():
     result = build_factor_set(3, 2, 9, 8, TABLE)
     assert not result.feasible
     assert 0 < len(result.subset.exponents) < 9
-    assert result.certificate.achieved_size == len(result.subset.exponents)
+    assert len(result.chosen) == len(result.subset.exponents)
     ok, _ = verify_pn_bruteforce(result.subset, 2)
     assert ok
 
@@ -183,7 +184,7 @@ def test_build_target_exceeding_pool_is_infeasible_with_partial():
 def test_build_n10_passes_bruteforce():
     result = build_factor_set(10, 2, 10, 1024, TABLE)
     assert result.feasible
-    assert result.certificate.p == 2053
+    assert result.p == 2053
     ok, witness = verify_pn_bruteforce(result.subset, 2)
     assert ok and witness is None
 
@@ -193,9 +194,9 @@ def test_budget_bound_search_is_pinned():
     # search visits them shows up here first
     result = build_factor_set(8, 4, 6, 256, TABLE)
     assert (result.nodes_searched, result.search_exhausted) == (5000, False)
-    assert result.certificate.chosen == (1, 3, 9, 27, 81)
+    assert result.chosen == (1, 3, 9, 27, 81)
     family = build_family(4, (3, 8), "paper")
-    assert [(r.certificate.n, r.nodes_searched, r.search_exhausted) for r in family.results] == [
+    assert [(r.n, r.nodes_searched, r.search_exhausted) for r in family.results] == [
         (3, 28, True),
         (4, 212, True),
         (5, 2807, True),
@@ -203,7 +204,7 @@ def test_budget_bound_search_is_pinned():
         (7, 5000, False),
         (8, 5000, False),
     ]
-    assert [r.certificate.chosen for r in family.results] == [
+    assert [r.chosen for r in family.results] == [
         (1, 3), (1, 3, 9), (1, 3, 9), (1, 3, 9, 27), (1, 3, 9, 27, 81), (1, 3, 9, 27, 81)
     ]
 
@@ -262,13 +263,13 @@ def test_paper_count_bound_examples():
 def test_family_desk_all_feasible(desk2_family):
     assert all(r.feasible for r in desk2_family.results)
     assert desk2_family.n_feasible == 8
-    assert [r.certificate.n for r in desk2_family.results] == list(range(8, 17))
+    assert [r.n for r in desk2_family.results] == list(range(8, 17))
     assert len(desk2_family.union_words()) == sum(range(8, 17))
 
 
 def test_family_every_built_set_passes_bruteforce(desk2_family):
     for result in desk2_family.results:
-        if result.certificate.n <= 12:
+        if result.n <= 12:
             ok, _ = verify_pn_bruteforce(result.subset, desk2_family.s)
             assert ok
 
@@ -277,8 +278,8 @@ def test_family_paper_profile_records_infeasible():
     family = build_family(2, (3, 3), "paper")
     result = family.result_for(3)
     assert not result.feasible
-    assert result.certificate.target_size == 9
-    assert result.certificate.pool_bound == 8
+    assert result.target_size == 9
+    assert result.pool_bound == 8
     assert result.search_exhausted  # the whole tree fits under the budget
 
 
@@ -287,6 +288,18 @@ def test_family_empty_range():
     assert family.results == ()
     assert family.n_feasible is None
     assert family.union_words() == []
+
+
+def test_profile_range_defaults_and_validation():
+    desk = PROFILES["desk"]
+    assert desk.n_range(2) == (8, 16)
+    assert desk.n_range(4) == (8, 12)
+    assert desk.n_range(2, 9, 11) == (9, 11)
+    assert desk.n_range(4, n_max=10) == (8, 10)
+    # the even-s rule runs before an empty range could return an empty family
+    for s in (3, 0):
+        with pytest.raises(ValueError, match="even integer"):
+            build_family(s, (9, 8))
 
 
 def test_family_tiny_profile_feasible():
@@ -301,9 +314,7 @@ def test_family_tiny_profile_feasible():
 def test_family_seeded_build_is_reproducible():
     a = build_family(2, (8, 9), "desk", seed=5)
     b = build_family(2, (8, 9), "desk", seed=5)
-    assert [r.certificate.chosen for r in a.results] == [
-        r.certificate.chosen for r in b.results
-    ]
+    assert [r.chosen for r in a.results] == [r.chosen for r in b.results]
     for result in a.results:
         ok, _ = verify_pn_bruteforce(result.subset, 2)
         assert ok

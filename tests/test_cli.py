@@ -26,6 +26,7 @@ def read_json(path):
 # sha256 of the desk s=2 certificates; changing their bytes needs a
 # format_version bump
 DESK2_CERT_SHA256 = {
+    "family": "ca698569ef0cda21c06db74ec2416660deebc86eba84dececbc5e8edb061fcce",
     "pn": "29dcc3df8480b46fbe25506fc87b9aace8895778bb687b29652f5aa6cb5139f3",
     "zs": "48cce58eb273ff33d45cf6559caf89da8d6855ef1e2c5233a66539c3a5c9cb5a",
     "leinert": "0f70bd8f4f2d753991ec996e5c37213d8d1e74396f9b62fbdf6a50295642d9f9",
@@ -36,6 +37,7 @@ DESK2_CERT_SHA256 = {
 # Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
 # --n-max 10 is where the least witness among several maxima is chosen.
 DESK4_N10_CERT_SHA256 = {
+    "family": "11ce337590d717b79ad6b5cf1eead317d5afd8ccd8c63a1ab1bb65f5316d8363",
     "zs": "6336eabec0eec6203fe368cb0306e827f6ac6214524f5c5d0168687e1d36d58c",
     "zs-mitm": "07b85ad814807bd8124557f144a5b8125ca795475f1a3589ae3ec1aa6e353043",
     "leinert": "e8b5e10b8296376120cda5d331c6b478654959fc2e5be92b78a4d7a472fce99b",
@@ -161,16 +163,23 @@ def test_tampered_family_fails_pn_with_witness(tmp_path):
 
 
 def test_tampered_feasible_flag_is_format_error(tmp_path, capsys):
-    family = tmp_path / "paper.json"
-    build = ["build", "--s", "2", "--profile", "paper", "--n-min", "3", "--n-max", "3"]
-    assert main(build + ["--out", str(family)]) == EXIT_VIOLATION  # 2 of 9
-    doc = read_json(family)
-    doc["payload"]["factors"][0]["feasible"] = True
-    family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    capsys.readouterr()
-    assert main(["report", str(family)]) == EXIT_IO
-    assert main(["verify", "pn", str(family)]) == EXIT_IO
-    assert "factor 3" in capsys.readouterr().err
+    # (build, its exit code, the edit, a fragment of the error)
+    cases = [
+        (["--s", "2", "--profile", "paper", "--n-min", "3", "--n-max", "3"], EXIT_VIOLATION,
+         lambda payload: payload["factors"][0].update(feasible=True), "factor 3"),  # 2 of 9
+        (["--s", "2", "--profile", "tiny"], EXIT_OK,
+         lambda payload: payload.update(n_feasible=99), "n_feasible=99"),
+    ]
+    for build, build_exit, tamper, message in cases:
+        family = tmp_path / "family.json"
+        assert main(["build", *build, "--out", str(family)]) == build_exit
+        doc = read_json(family)
+        tamper(doc["payload"])
+        family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        capsys.readouterr()
+        assert main(["report", str(family)]) == EXIT_IO
+        assert main(["verify", "pn", str(family)]) == EXIT_IO
+        assert message in capsys.readouterr().err
 
 
 def test_verify_ignores_cached_fields(tmp_path):
@@ -206,6 +215,25 @@ def test_adhoc_leinert_certificate_bytes_are_pinned(tmp_path, capsys):
 def test_verify_budget_refusal(tmp_path):
     family = build_desk_family(tmp_path)
     assert main(["verify", "zs", str(family), "--budget-tuples", "10"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize(
+    "command, flag, budget",
+    [
+        (["verify", "pn"], "--budget-tuples", "10"),
+        (["verify", "zs"], "--budget-tuples", "10"),
+        (["verify", "leinert"], "--budget-tuples", "10"),
+        (["verify", "qi"], "--budget-subsets", "1"),
+        (["report"], "--budget-subsets", "1"),
+    ],
+    ids=["pn", "zs", "leinert", "qi", "report"],
+)
+def test_budget_refusal_names_its_flag(tmp_path, capsys, command, flag, budget):
+    family = build_desk_family(tmp_path)
+    capsys.readouterr()
+    assert main([*command, str(family), flag, budget]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("budget refusal: ") and err.rstrip().endswith(f"(raise it with {flag})")
 
 
 def test_verify_missing_family_is_usage_error():
@@ -368,6 +396,22 @@ def test_witness_weak_sidon(capsys, tmp_path):
     assert all(r["holds"] for r in rows)
 
 
+def test_build_provenance_has_no_raw_floats(tmp_path):
+    out = tmp_path / "family.json"
+    build = ["build", "--s", "2", "--n-max", "9", "--out", str(out)]
+    assert main(build) == EXIT_OK  # writing rejects raw floats, so this alone checks it
+    assert read_json(out)["provenance"]["parameters"] == {
+        "n_max": 9,
+        "n_min": 8,
+        "profile": "desk",
+        "s": 2,
+        "spectral_budget": 1_048_576,
+        "subset_budget_bits": 22,
+        "tolerance": "1.0000000000000001e-09",
+        "tuple_budget": 2_000_000,
+    }
+
+
 def test_stamp_flag_breaks_byte_identity_only_when_used(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -377,6 +421,10 @@ def test_stamp_flag_breaks_byte_identity_only_when_used(tmp_path):
     assert read_json(b)["provenance"]["timestamp"] is not None
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     assert main(["verify", "nonsense", "x.json"]) == EXIT_IO
     assert main(["build", "--profile", "unknown"]) == EXIT_IO
+    # odd s is refused even when the range is empty, and no file is written
+    out = tmp_path / "odd.json"
+    assert main(["build", "--s", "3", "--n-min", "9", "--n-max", "8", "--out", str(out)]) == EXIT_IO
+    assert not out.exists()
