@@ -51,7 +51,7 @@ def main():
     print("=" * 64)
     progression = [letter_word(table, 3, e) for e in (1, 2, 3, 4)]
     witness = leinert_violation(progression, 2)
-    exps = [w.letters[0].exp for w in witness.elements]
+    exps = [w.pairs[0][1] for w in witness.elements]
     print(f"{{a, a^2, a^3, a^4}} in Z_17: first violation {exps} "
           f"({exps[0]} - {exps[1]} + {exps[2]} - {exps[3]} = 0)")
     for result in family.results[:3]:

@@ -67,7 +67,6 @@ from .spectral import (
     weak_sidon_witness,
 )
 from .words import (
-    Letter,
     START_INVERSE,
     START_PLAIN,
     Word,

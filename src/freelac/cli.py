@@ -229,7 +229,7 @@ def _verify_zs(family, args) -> dict:
 
 def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> dict:
     if adhoc_subset is not None:
-        s = args.s
+        s = 2 if args.s is None else args.s
         targets = [(1, adhoc_subset, FactorTable.explicit([adhoc_subset.order]))]
     else:
         s = family.s
@@ -245,16 +245,14 @@ def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> dict:
     if holds:
         print(f"leinert: no 2s={2 * s} violation found (exhaustive)")
     else:
-        exps = [
-            "*".join(f"a_{l.factor}^{l.exp}" for l in w.letters) for w in first_witness.elements
-        ]
+        exps = ["*".join(f"a_{f}^{e}" for f, e in w.pairs) for w in first_witness.elements]
         print(f"leinert: VIOLATION ({', '.join(exps)})")
     return {
         "holds": holds,
         "s": s,
         "searched": searched,
         "witness": None if holds else [
-            [[l.factor, l.exp] for l in w.letters] for w in first_witness.elements
+            [list(pair) for pair in w.pairs] for w in first_witness.elements
         ],
     }
 
@@ -293,6 +291,10 @@ def cmd_verify(args) -> int:
     else:
         if args.family is None:
             raise _UsageError("a family file is required (or --exponents/--order for leinert)")
+        if args.s is not None:
+            raise _UsageError(
+                "--s applies only to ad-hoc leinert checks; a family file carries its own s"
+            )
         family = _load_family(args.family)
 
     with _budget_flag("--budget-subsets" if args.kind == "qi" else "--budget-tuples"):
@@ -413,19 +415,15 @@ def cmd_report(args) -> int:
             print(f"  {name}: unverified (empty family)")
     else:
         # tuple-count bound, recomputed fresh
-        try:
+        with _budget_flag("--budget-tuples"):
             claim = _zs_claim(family, "auto", args.budget_tuples)
-        except BudgetExceeded as exc:
-            sections["zs"] = {"status": f"unverified (budget: {exc})"}
-            print(f"  zs: unverified (budget: {exc})")
-        else:
-            violated = violated or not claim["holds"]
-            keys = ("bound_factorial", "bound_half_square", "holds", "strategy", "value")
-            sections["zs"] = {"status": "verified", **{key: claim[key] for key in keys}}
-            print(
-                f"  zs: Z_{family.s} = {claim['value']} <= {claim['bound_half_square']} "
-                f"[verified, {claim['strategy']}]"
-            )
+        violated = violated or not claim["holds"]
+        keys = ("bound_factorial", "bound_half_square", "holds", "strategy", "value")
+        sections["zs"] = {"status": "verified", **{key: claim[key] for key in keys}}
+        print(
+            f"  zs: Z_{family.s} = {claim['value']} <= {claim['bound_half_square']} "
+            f"[verified, {claim['strategy']}]"
+        )
 
         # quasi-independent extraction and operator-norm lower bounds
         qi_rows = []
@@ -531,54 +529,62 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="freelac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by several commands, declared once
+    output = _Parser(add_help=False)
+    output.add_argument("--out", default=None)
+    output.add_argument("--stamp", action="store_true", help="record a wall-clock timestamp")
+    budgets = _Parser(add_help=False)
+    budgets.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
+    budgets.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET_BITS)
+
     p_primes = sub.add_parser("primes", help="print the factor-order prime table")
     p_primes.add_argument("n_max", type=int)
     p_primes.set_defaults(func=cmd_primes)
 
-    p_build = sub.add_parser("build", help="build a family and write its certificate")
+    p_build = sub.add_parser(
+        "build", parents=[output], help="build a family and write its certificate"
+    )
     p_build.add_argument("--s", type=int, default=2)
     p_build.add_argument("--n-min", type=int, default=None)
     p_build.add_argument("--n-max", type=int, default=None)
     p_build.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p_build.add_argument("--seed", type=int, default=None)
-    p_build.add_argument("--out", default=None)
-    p_build.add_argument("--stamp", action="store_true", help="record a wall-clock timestamp")
     p_build.set_defaults(func=cmd_build)
 
-    p_verify = sub.add_parser("verify", help="re-verify a claim from a family file")
+    p_verify = sub.add_parser(
+        "verify", parents=[budgets, output], help="re-verify a claim from a family file"
+    )
     p_verify.add_argument("kind", choices=("pn", "zs", "leinert", "qi"))
     p_verify.add_argument("family", nargs="?", default=None)
-    p_verify.add_argument("--s", type=int, default=2)
+    p_verify.add_argument(
+        "--s", type=int, default=None, help="s of an ad-hoc leinert check (default 2)"
+    )
     p_verify.add_argument("--exponents", default=None, help="ad-hoc set, e.g. 1,2,3,4 (leinert)")
     p_verify.add_argument("--order", type=int, default=None, help="cyclic order for --exponents")
     p_verify.add_argument("--strategy", choices=("auto", STRATEGY_NAIVE, STRATEGY_MITM), default="auto")
-    p_verify.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
-    p_verify.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET_BITS)
-    p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--stamp", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_norms = sub.add_parser("norms", help="kernel norms and interpolation checks")
+    p_norms = sub.add_parser(
+        "norms", parents=[output], help="kernel norms and interpolation checks"
+    )
     p_norms.add_argument("--scale", type=int, default=None)
     p_norms.add_argument("--n-max", type=int, default=8)
     p_norms.add_argument("--q", default=None, help="comma-separated q grid (default 3,4,6,10)")
     p_norms.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p_norms.add_argument("--out", default=None)
-    p_norms.add_argument("--stamp", action="store_true")
     p_norms.set_defaults(func=cmd_norms)
 
-    p_report = sub.add_parser("report", help="end-to-end narrative for a family file")
+    p_report = sub.add_parser(
+        "report", parents=[budgets, output], help="end-to-end narrative for a family file"
+    )
     p_report.add_argument("family")
-    p_report.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
-    p_report.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET_BITS)
-    p_report.add_argument("--out", default=None)
-    p_report.add_argument("--stamp", action="store_true")
     p_report.set_defaults(func=cmd_report)
 
-    p_ws = sub.add_parser("witness-weak-sidon", help="integer witnesses against weak-Sidon constants")
+    p_ws = sub.add_parser(
+        "witness-weak-sidon",
+        parents=[output],
+        help="integer witnesses against weak-Sidon constants",
+    )
     p_ws.add_argument("constants", nargs="+", help="constants C (decimal strings stay exact)")
-    p_ws.add_argument("--out", default=None)
-    p_ws.add_argument("--stamp", action="store_true")
     p_ws.set_defaults(func=cmd_witness_weak_sidon)
 
     return parser

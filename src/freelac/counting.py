@@ -4,47 +4,48 @@ Three independent engines over the group core:
 
 * ``z_value`` — the exact supremum, over group elements x, of the number of
   pairwise-distinct s-tuples whose alternating product x_1^-1 x_2 x_3^-1 ...
-  equals x, by full enumeration or a meet-in-the-middle split;
+  equals x, by full enumeration or a meet-in-the-middle split; both keep a
+  count per product and nothing else;
 * ``leinert_violation`` — exhaustive search for adjacent-distinct 2s-tuples
   whose start-plain alternating product is the identity;
 * quasi-independence testing and greedy maximal extraction via exact subset
   sums inside one cyclic factor.
 
-The Z_s and Leinert engines take and return ``Word`` values but loop over
-plain (factor, exp) pair tuples reduced by ``words.reduce_pairs``.
+The Z_s and Leinert engines take and return ``Word`` values and loop over
+their (factor, exp) pair tuples, reduced by ``words.reduce_pairs`` and
+inverted by ``words.inverse_pairs``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
 from .builder import FactorSubset, check_even_s
 from .errors import BudgetExceeded
-# perfbench/tracing.py counts calls of multiply, alternating_product and canonical_key here
+# perfbench/tracing.py counts calls of multiply, alternating_product and canonical_key
+# through this module, so the three names stay importable from it
 from .words import (
     START_PLAIN,
+    Pairs,
     Word,
     alternating_product,
     canonical_key,
+    inverse_pairs,
     is_identity,
     multiply,
     reduce_pairs,
-    reduce_raw,
 )
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
 DEFAULT_SUBSET_BUDGET_BITS = 22
-SAMPLE_CAP = 5
 
 STRATEGY_NAIVE = "naive"
 STRATEGY_MITM = "meet-in-middle"
-
-Pairs = tuple[tuple[int, int], ...]  # a word as plain (factor, exp) pairs
 
 
 def zs_paper_target(s: int) -> tuple[int, int]:
@@ -56,20 +57,24 @@ def zs_paper_target(s: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ZsCertificate:
-    """Exact tuple-count supremum with a witness and sample tuples."""
+    """Exact tuple-count supremum and its witness.
+
+    ``value`` is the largest number of pairwise-distinct s-tuples sharing one
+    start-inverse alternating product; ``witness`` is the least such product
+    by canonical key (None when no s-tuple exists).  ``tuples_examined``
+    counts naive tuples or meet-in-the-middle half-pairs.
+    """
 
     s: int
     ground_size: int
     value: int
     witness: Optional[Word]
-    samples: tuple[tuple[Word, ...], ...]
     strategy: str
     tuples_examined: int
 
 
 def _check_ground_set(elements: Sequence[Word]) -> None:
-    keys = {canonical_key(w) for w in elements}
-    if len(keys) != len(elements):
+    if len({w.pairs for w in elements}) != len(elements):
         raise ValueError("ground set elements must be distinct")
     if len({w.table for w in elements}) > 1:
         raise ValueError("ground set elements must share one factor table")
@@ -77,8 +82,7 @@ def _check_ground_set(elements: Sequence[Word]) -> None:
 
 def _signed_pairs(elements: Sequence[Word]) -> list[tuple[Pairs, Pairs]]:
     """Per element, its (factor, exp) pairs and those of its inverse (unreduced)."""
-    plain = [tuple((l.factor, l.exp) for l in w.letters) for w in elements]
-    return [(pairs, tuple((f, -e) for f, e in reversed(pairs))) for pairs in plain]
+    return [(w.pairs, inverse_pairs(w.pairs)) for w in elements]
 
 
 def _product(
@@ -96,19 +100,16 @@ def _z_result(
     elements: Sequence[Word],
     s: int,
     counts: dict[Pairs, int],
-    samples: dict[Pairs, list[tuple[int, ...]]],
     strategy: str,
     examined: int,
 ) -> ZsCertificate:
-    """The maximal count, its least-key witness and that witness's sample tuples."""
+    """The maximal count and its least-key witness; the keys are already reduced."""
     n = len(elements)
     if not counts:
-        return ZsCertificate(s, n, 0, None, (), strategy, examined)
+        return ZsCertificate(s, n, 0, None, strategy, examined)
     value = max(counts.values())
     witness_key = min(k for k, c in counts.items() if c == value)
-    witness = reduce_raw(elements[0].table, witness_key)
-    sample_tuples = tuple(tuple(elements[i] for i in t) for t in samples[witness_key])
-    return ZsCertificate(s, n, value, witness, sample_tuples, strategy, examined)
+    return ZsCertificate(s, n, value, Word(elements[0].table, witness_key), strategy, examined)
 
 
 def _z_naive(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
@@ -118,14 +119,8 @@ def _z_naive(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
         raise BudgetExceeded(f"naive enumeration needs {total} tuples, budget is {budget}")
     orders = elements[0].table.orders
     signed = _signed_pairs(elements)
-    counts: dict[Pairs, int] = defaultdict(int)
-    samples: dict[Pairs, list[tuple[int, ...]]] = defaultdict(list)
-    for t in permutations(range(n), s):
-        k = _product(orders, signed, t, 0)
-        counts[k] += 1
-        if counts[k] <= SAMPLE_CAP:
-            samples[k].append(t)
-    return _z_result(elements, s, counts, samples, STRATEGY_NAIVE, total)
+    counts = Counter(_product(orders, signed, t, 0) for t in permutations(range(n), s))
+    return _z_result(elements, s, counts, STRATEGY_NAIVE, total)
 
 
 def _z_meet_in_middle(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
@@ -140,28 +135,19 @@ def _z_meet_in_middle(elements: Sequence[Word], s: int, budget: int) -> ZsCertif
     orders = elements[0].table.orders
     signed = _signed_pairs(elements)
 
-    def group_halves(offset: int) -> dict[tuple[Pairs, frozenset[int]], list]:
-        groups: dict[tuple[Pairs, frozenset[int]], list] = {}
-        for t in permutations(range(n), h):
-            key = (_product(orders, signed, t, offset), frozenset(t))
-            groups.setdefault(key, [0, t])[0] += 1  # [count, first tuple]
-        return groups
+    def group_halves(offset: int) -> Counter[tuple[Pairs, frozenset[int]]]:
+        return Counter(
+            (_product(orders, signed, t, offset), frozenset(t)) for t in permutations(range(n), h)
+        )
 
     left = group_halves(0)
     right = group_halves(h)
     counts: dict[Pairs, int] = defaultdict(int)
-    samples: dict[Pairs, list[tuple[int, ...]]] = defaultdict(list)
-    examined = 0
-    for (lpairs, lset), (lcount, lrep) in left.items():
-        for (rpairs, rset), (rcount, rrep) in right.items():
-            examined += 1
-            if not lset.isdisjoint(rset):
-                continue
-            k = reduce_pairs(orders, lpairs + rpairs)
-            counts[k] += lcount * rcount
-            if len(samples[k]) < SAMPLE_CAP:
-                samples[k].append(lrep + rrep)
-    return _z_result(elements, s, counts, samples, STRATEGY_MITM, examined)
+    for (lpairs, lset), lcount in left.items():
+        for (rpairs, rset), rcount in right.items():
+            if lset.isdisjoint(rset):
+                counts[reduce_pairs(orders, lpairs + rpairs)] += lcount * rcount
+    return _z_result(elements, s, counts, STRATEGY_MITM, len(left) * len(right))
 
 
 def z_value(
@@ -184,7 +170,7 @@ def z_value(
         raise ValueError("meet-in-the-middle split requires even s")
     _check_ground_set(elements)
     if len(elements) < s:
-        return ZsCertificate(s, len(elements), 0, None, (), strategy, 0)
+        return ZsCertificate(s, len(elements), 0, None, strategy, 0)
     engine = _z_naive if strategy == STRATEGY_NAIVE else _z_meet_in_middle
     return engine(elements, s, budget)
 
@@ -200,7 +186,7 @@ class LeinertWitness:
         if len(self.elements) != 2 * self.s:
             raise ValueError(f"witness needs {2 * self.s} entries, got {len(self.elements)}")
         for i in range(len(self.elements) - 1):
-            if canonical_key(self.elements[i]) == canonical_key(self.elements[i + 1]):
+            if self.elements[i] == self.elements[i + 1]:
                 raise ValueError(f"adjacent entries {i} and {i + 1} coincide")
         if not is_identity(alternating_product(self.elements, START_PLAIN)):
             raise ValueError("alternating product of the witness is not the identity")

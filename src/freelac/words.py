@@ -5,15 +5,16 @@ different factors and exponents in [1, p_n - 1]; the empty sequence is the
 identity.  All values are immutable and every operation is pure, so words can
 be shared freely between enumeration workers.
 
-``reduce_pairs`` is the one reducer; it works on plain (factor, exp) pairs,
-which hot loops use directly.  ``Word`` is the validated type at the API.
+A word is its tuple of (factor, exp) pairs, the same format at the API and in
+hot loops.  ``reduce_pairs`` is the one reducer and ``inverse_pairs`` the one
+inverse; ``Word`` adds the factor table and validates its pairs.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .primes import FactorTable
 
@@ -23,32 +24,28 @@ _CONVENTIONS = (START_PLAIN, START_INVERSE)
 
 _KEY_FMT = struct.Struct(">QQ")
 
-
-@dataclass(frozen=True)
-class Letter:
-    """A single generator power a_factor^exp with exp in [1, p-1]."""
-
-    factor: int
-    exp: int
+Pairs = tuple[tuple[int, int], ...]  # letters a_factor^exp as (factor, exp) pairs
 
 
 @dataclass(frozen=True)
 class Word:
+    """A reduced word: its (factor, exp) pairs over the factors of ``table``."""
+
     table: FactorTable
-    letters: tuple[Letter, ...]
+    pairs: Pairs
 
     def __post_init__(self):
         prev = None
-        for let in self.letters:
-            p = self.table.order(let.factor)
-            if not 1 <= let.exp <= p - 1:
-                raise ValueError(f"exponent {let.exp} outside [1, {p - 1}] in factor {let.factor}")
-            if prev is not None and prev == let.factor:
-                raise ValueError(f"word not reduced: adjacent letters in factor {let.factor}")
-            prev = let.factor
+        for factor, exp in self.pairs:
+            p = self.table.order(factor)
+            if not 1 <= exp <= p - 1:
+                raise ValueError(f"exponent {exp} outside [1, {p - 1}] in factor {factor}")
+            if prev is not None and prev == factor:
+                raise ValueError(f"word not reduced: adjacent letters in factor {factor}")
+            prev = factor
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.pairs)
 
 
 def identity(table: FactorTable) -> Word:
@@ -60,10 +57,10 @@ def letter_word(table: FactorTable, factor: int, exp: int) -> Word:
     e = exp % table.order(factor)
     if e == 0:
         return Word(table, ())
-    return Word(table, (Letter(factor, e),))
+    return Word(table, ((factor, e),))
 
 
-def reduce_pairs(orders: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def reduce_pairs(orders: Sequence[int], pairs: Iterable[tuple[int, int]]) -> Pairs:
     """Normal form of a raw (factor, exponent) sequence, as (factor, exp) pairs.
 
     Factor n has order ``orders[n - 1]``; the caller keeps every index in range.
@@ -86,18 +83,23 @@ def reduce_pairs(orders: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tup
     return tuple(stack)
 
 
+def inverse_pairs(pairs: Pairs) -> Pairs:
+    """Raw pairs of the inverse: the exponents negated over the reversed letters."""
+    return tuple((factor, -exp) for factor, exp in reversed(pairs))
+
+
 def reduce_raw(table: FactorTable, pairs: Iterable[tuple[int, int]]) -> Word:
     """Reduce a raw (factor, exponent) sequence to a normal-form ``Word``."""
     pairs = tuple(pairs)
     for factor, _ in pairs:
         table.order(factor)  # rejects factor indices outside the table
-    return Word(table, tuple(Letter(f, e) for f, e in reduce_pairs(table.orders, pairs)))
+    return Word(table, reduce_pairs(table.orders, pairs))
 
 
 def multiply(a: Word, b: Word) -> Word:
     if a.table != b.table:
         raise ValueError("words from different factor tables cannot be combined")
-    return reduce_raw(a.table, [(l.factor, l.exp) for l in a.letters + b.letters])
+    return reduce_raw(a.table, a.pairs + b.pairs)
 
 
 def invert(a: Word) -> Word:
@@ -105,40 +107,26 @@ def invert(a: Word) -> Word:
 
 
 def is_identity(a: Word) -> bool:
-    return not a.letters
+    return not a.pairs
 
 
-def alternating_product(
-    items: Sequence[Union[Word, Letter]],
-    convention: str,
-    table: FactorTable | None = None,
-) -> Word:
-    """Product of the items with exponent signs alternating +1/-1.
+def alternating_product(items: Sequence[Word], convention: str) -> Word:
+    """Product of the words with exponent signs alternating +1/-1.
 
     ``start-plain`` applies signs +,-,+,...; ``start-inverse`` applies
-    -,+,-,...  Letters are promoted to single-letter words against ``table``
-    (or the table of the first Word present).
+    -,+,-,...  Every word must share the table of the first.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {_CONVENTIONS}")
     if not items:
         raise ValueError("alternating product of an empty tuple is undefined")
-    if table is None:
-        for item in items:
-            if isinstance(item, Word):
-                table = item.table
-                break
-        else:
-            raise ValueError("a factor table is required when all items are letters")
+    table = items[0].table
+    plain_parity = 0 if convention == START_PLAIN else 1
     raw: list[tuple[int, int]] = []
-    start_sign = 1 if convention == START_PLAIN else -1
-    for i, item in enumerate(items):
-        sign = start_sign if i % 2 == 0 else -start_sign
-        if isinstance(item, Word) and item.table != table:
+    for i, w in enumerate(items):
+        if w.table != table:
             raise ValueError("words from different factor tables cannot be combined")
-        letters = item.letters if isinstance(item, Word) else (item,)
-        # an inverse negates the exponents over the reversed letters
-        raw.extend((l.factor, sign * l.exp) for l in (letters if sign == 1 else reversed(letters)))
+        raw.extend(w.pairs if i % 2 == plain_parity else inverse_pairs(w.pairs))
     return reduce_raw(table, raw)
 
 
@@ -148,4 +136,4 @@ def canonical_key(w: Word) -> bytes:
     Layout: per letter, factor index then exponent, each 8 bytes big-endian;
     the identity maps to the empty string.
     """
-    return b"".join(_KEY_FMT.pack(l.factor, l.exp) for l in w.letters)
+    return b"".join(_KEY_FMT.pack(factor, exp) for factor, exp in w.pairs)

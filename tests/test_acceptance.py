@@ -170,7 +170,7 @@ def test_criterion_4_leinert_behaviour(desk2_family, capsys):
     words = [letter_word(table, 3, e) for e in (1, 2, 3, 4)]
     witness = leinert_violation(words, 2)
     assert witness is not None
-    assert [w.letters[0].exp for w in witness.elements] == [1, 2, 3, 2]
+    assert [w.pairs for w in witness.elements] == [((3, e),) for e in (1, 2, 3, 2)]
     # the cited tuple (a, a^3, a^4, a^2) is itself a valid violation
     LeinertWitness(2, tuple(letter_word(table, 3, e) for e in (1, 3, 4, 2)))
     for result in desk2_family.results:

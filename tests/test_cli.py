@@ -225,8 +225,9 @@ def test_verify_budget_refusal(tmp_path):
         (["verify", "leinert"], "--budget-tuples", "10"),
         (["verify", "qi"], "--budget-subsets", "1"),
         (["report"], "--budget-subsets", "1"),
+        (["report"], "--budget-tuples", "10"),
     ],
-    ids=["pn", "zs", "leinert", "qi", "report"],
+    ids=["pn", "zs", "leinert", "qi", "report", "report-zs"],
 )
 def test_budget_refusal_names_its_flag(tmp_path, capsys, command, flag, budget):
     family = build_desk_family(tmp_path)
@@ -421,9 +422,19 @@ def test_stamp_flag_breaks_byte_identity_only_when_used(tmp_path):
     assert read_json(b)["provenance"]["timestamp"] is not None
 
 
-def test_usage_error_exit_code(tmp_path):
+def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["verify", "nonsense", "x.json"]) == EXIT_IO
     assert main(["build", "--profile", "unknown"]) == EXIT_IO
+    # a family file carries its own s, so --s is refused for every kind
+    family = build_desk_family(tmp_path)
+    for kind in ("pn", "zs", "leinert", "qi"):
+        capsys.readouterr()
+        assert main(["verify", kind, str(family), "--s", "4"]) == EXIT_IO
+        assert "a family file carries its own s" in capsys.readouterr().err
+    # shared flags reach only the commands that declare them
+    assert main(["primes", "4", "--out", "p.json"]) == EXIT_IO
+    assert main(["build", "--budget-tuples", "10"]) == EXIT_IO
+    assert main(["norms", "--budget-subsets", "1"]) == EXIT_IO
     # odd s is refused even when the range is empty, and no file is written
     out = tmp_path / "odd.json"
     assert main(["build", "--s", "3", "--n-min", "9", "--n-max", "8", "--out", str(out)]) == EXIT_IO

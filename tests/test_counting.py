@@ -92,12 +92,16 @@ def test_z_value_examples():
     cert = z_value(words_in(1, (1, 2)), 2)
     assert cert.value == 1
     # {a, a^2, a^3} in Z_17: difference 1 is hit by (1,2) and (2,3)
-    cert = z_value(words_in(3, (1, 2, 3)), 2)
+    elements = words_in(3, (1, 2, 3))
+    cert = z_value(elements, 2)
     assert cert.value == 2
     assert cert.witness is not None
-    assert len(cert.samples) == 2
-    for sample in cert.samples:
-        assert alternating_product(sample, "start-inverse") == cert.witness
+    # exactly value pairwise-distinct s-tuples multiply to the witness
+    hits = [
+        t for t in permutations(elements, 2)
+        if alternating_product(t, "start-inverse") == cert.witness
+    ]
+    assert len(hits) == cert.value
     # a single element admits no pairwise-distinct pair
     cert = z_value(words_in(1, (1,)), 2)
     assert cert.value == 0 and cert.witness is None
@@ -167,7 +171,7 @@ def test_leinert_witness_example():
     witness = leinert_violation(words, 2)
     assert witness is not None
     # first in lexicographic order: exponents (1, 2, 3, 2), since 1-2+3-2 = 0
-    assert [w.letters[0].exp for w in witness.elements] == [1, 2, 3, 2]
+    assert [w.pairs for w in witness.elements] == [((3, e),) for e in (1, 2, 3, 2)]
     # the tuple (a, a^3, a^4, a^2) is a violation as well: 1-3+4-2 = 0
     LeinertWitness(2, tuple(words_in(3, (1, 3, 4, 2))))
 

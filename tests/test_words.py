@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from freelac import (
     FactorTable,
-    Letter,
     START_INVERSE,
     START_PLAIN,
     Word,
@@ -46,10 +45,10 @@ def test_reduce_examples():
     assert is_identity(reduce_raw(TABLE, [(1, 2), (1, 3)]))
     # second factor cancels: 1 + 10 = 0 mod 11
     w = reduce_raw(TABLE, [(1, 1), (2, 1), (2, 10)])
-    assert w.letters == (Letter(1, 1),)
+    assert w.pairs == ((1, 1),)
     # already reduced stays put
     w = reduce_raw(TABLE, [(1, 1), (2, 3), (1, 4)])
-    assert w.letters == (Letter(1, 1), Letter(2, 3), Letter(1, 4))
+    assert w.pairs == ((1, 1), (2, 3), (1, 4))
 
 
 def test_reduce_cascading_cancellation():
@@ -62,7 +61,7 @@ def test_reduce_idempotent():
     rng = random.Random(7)
     for _ in range(200):
         w = random_word(rng)
-        assert reduce_raw(TABLE, [(l.factor, l.exp) for l in w.letters]) == w
+        assert reduce_raw(TABLE, w.pairs) == w
 
 
 def test_group_laws():
@@ -81,7 +80,7 @@ def test_group_laws():
 def test_invert_example():
     # -2 = 3 mod 5
     w = letter_word(TABLE, 1, 2)
-    assert invert(w).letters == (Letter(1, 3),)
+    assert invert(w).pairs == ((1, 3),)
 
 
 def test_mixed_tables_rejected():
@@ -92,11 +91,13 @@ def test_mixed_tables_rejected():
 
 def test_word_invariants_enforced():
     with pytest.raises(ValueError):
-        Word(TABLE, (Letter(1, 0),))
+        Word(TABLE, ((1, 0),))
     with pytest.raises(ValueError):
-        Word(TABLE, (Letter(1, 1), Letter(1, 2)))
+        Word(TABLE, ((1, 5),))  # exponents stay below the order
     with pytest.raises(ValueError):
-        Word(TABLE, (Letter(9, 1),))
+        Word(TABLE, ((1, 1), (1, 2)))
+    with pytest.raises(ValueError):
+        Word(TABLE, ((9, 1),))
     # the reducer indexes the order table, so reduce_raw checks factors first
     for factor in (0, -1, 6):
         with pytest.raises(ValueError):
@@ -122,7 +123,7 @@ def slow_reduce(raw) -> tuple:
 @given(RAW)
 def test_reduce_pairs_matches_reduce_raw_and_slow_fixpoint(raw):
     pairs = reduce_pairs(TABLE.orders, raw)
-    assert pairs == tuple((l.factor, l.exp) for l in reduce_raw(TABLE, raw).letters)
+    assert pairs == reduce_raw(TABLE, raw).pairs
     assert pairs == slow_reduce(raw)
 
 
@@ -130,17 +131,17 @@ def test_reduce_pairs_matches_reduce_raw_and_slow_fixpoint(raw):
 @given(st.lists(RAW, max_size=20))
 def test_pair_tuples_sort_like_canonical_keys(raws):
     words = [reduce_raw(TABLE, raw) for raw in raws]
-    by_pairs = sorted(words, key=lambda w: tuple((l.factor, l.exp) for l in w.letters))
+    by_pairs = sorted(words, key=lambda w: w.pairs)
     assert [canonical_key(w) for w in by_pairs] == sorted(canonical_key(w) for w in words)
 
 
 def test_alternating_product_examples():
     # exponents 1 - 3 + 4 - 2 = 0 in Z_17
-    letters = [Letter(3, e) for e in (1, 3, 4, 2)]
-    assert is_identity(alternating_product(letters, START_PLAIN, table=TABLE))
+    letters = [letter_word(TABLE, 3, e) for e in (1, 3, 4, 2)]
+    assert is_identity(alternating_product(letters, START_PLAIN))
     # -1 + 2 = 1 in Z_5
-    w = alternating_product([Letter(1, 1), Letter(1, 2)], START_INVERSE, table=TABLE)
-    assert w.letters == (Letter(1, 1),)
+    w = alternating_product([letter_word(TABLE, 1, 1), letter_word(TABLE, 1, 2)], START_INVERSE)
+    assert w.pairs == ((1, 1),)
     # singleton stays put
     x = letter_word(TABLE, 2, 7)
     assert alternating_product([x], START_PLAIN) == x
@@ -164,7 +165,7 @@ def test_alternating_conventions_related_by_inversion():
 
 def test_alternating_product_empty_rejected():
     with pytest.raises(ValueError):
-        alternating_product([], START_PLAIN, table=TABLE)
+        alternating_product([], START_PLAIN)
 
 
 def test_canonical_key_layout():
