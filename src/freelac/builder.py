@@ -26,7 +26,7 @@ from .errors import BudgetExceeded
 from .primes import FactorTable, is_prime
 from .words import Word, letter_word
 
-DEFAULT_PN_BUDGET = 10_000_000
+DEFAULT_TUPLE_BUDGET = 2_000_000
 
 
 def check_even_s(s: int) -> None:
@@ -338,7 +338,7 @@ def epsilon_vector_count(n_elements: int, s: int) -> int:
 def verify_pn_bruteforce(
     subset: FactorSubset,
     s: int,
-    budget: int = DEFAULT_PN_BUDGET,
+    budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> tuple[bool, Optional[EpsilonVector]]:
     """Exhaustively check the avoidance property over all weight <= 2s vectors.
 

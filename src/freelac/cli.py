@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .builder import (
+    DEFAULT_TUPLE_BUDGET,
     FactorSubset,
     PROFILES,
     build_family,
@@ -35,7 +36,6 @@ from .certificates import (
 )
 from .counting import (
     DEFAULT_SUBSET_BUDGET_BITS,
-    DEFAULT_TUPLE_BUDGET,
     STRATEGY_MITM,
     STRATEGY_NAIVE,
     extract_quasi_independent,
@@ -69,8 +69,20 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Every flag is accepted only by its full name, and a usage error exits 4."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse defaults to exit(2); keep 2 for violations
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit(args, kind: str, payload: dict, parameters: dict, seed=None, out=None) -> None:
@@ -196,7 +208,8 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_pn(family, args) -> dict:
+def _verify_pn(args) -> dict:
+    family = _load_family(args.family)
     claims = []
     holds = True
     for result in family.results:
@@ -216,8 +229,8 @@ def _verify_pn(family, args) -> dict:
     return {"claims": claims, "holds": holds, "s": family.s}
 
 
-def _verify_zs(family, args) -> dict:
-    claim = _zs_claim(family, args.strategy, args.budget_tuples)
+def _verify_zs(args) -> dict:
+    claim = _zs_claim(_load_family(args.family), args.strategy, args.budget_tuples)
     print(
         f"zs: Z_{claim['s']} = {claim['value']} over {claim['ground_size']} elements "
         f"({claim['strategy']}, {claim['tuples_examined']} tuples examined); "
@@ -227,11 +240,22 @@ def _verify_zs(family, args) -> dict:
     return claim
 
 
-def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> dict:
-    if adhoc_subset is not None:
+def _verify_leinert(args) -> dict:
+    if args.exponents is not None or args.order is not None:
+        if args.exponents is None or args.order is None:
+            raise _UsageError("--exponents and --order must be given together")
+        exponents = tuple(sorted(int(x) for x in args.exponents.split(",")))
+        subset = FactorSubset(factor=1, order=args.order, exponents=exponents)
         s = 2 if args.s is None else args.s
-        targets = [(1, adhoc_subset, FactorTable.explicit([adhoc_subset.order]))]
+        targets = [(1, subset, FactorTable.explicit([subset.order]))]
     else:
+        if args.family is None:
+            raise _UsageError("a family file is required (or --exponents/--order)")
+        if args.s is not None:
+            raise _UsageError(
+                "--s applies only to ad-hoc leinert checks; a family file carries its own s"
+            )
+        family = _load_family(args.family)
         s = family.s
         targets = [(r.n, r.subset, family.table) for r in family.results]
     searched = []
@@ -257,7 +281,8 @@ def _verify_leinert(family, args, adhoc_subset: Optional[FactorSubset]) -> dict:
     }
 
 
-def _verify_qi(family, args) -> dict:
+def _verify_qi(args) -> dict:
+    family = _load_family(args.family)
     rows = []
     for result, witness, floor_bound, ok in _qi_claims(family, args.budget_subsets):
         rows.append(
@@ -279,33 +304,12 @@ def _verify_qi(family, args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    adhoc_subset = None
-    family = None
-    if args.exponents is not None or args.order is not None:
-        if args.kind != "leinert":
-            raise _UsageError("--exponents/--order are only supported for `verify leinert`")
-        if args.exponents is None or args.order is None:
-            raise _UsageError("--exponents and --order must be given together")
-        exponents = tuple(sorted(int(x) for x in args.exponents.split(",")))
-        adhoc_subset = FactorSubset(factor=1, order=args.order, exponents=exponents)
-    else:
-        if args.family is None:
-            raise _UsageError("a family file is required (or --exponents/--order for leinert)")
-        if args.s is not None:
-            raise _UsageError(
-                "--s applies only to ad-hoc leinert checks; a family file carries its own s"
-            )
-        family = _load_family(args.family)
-
     with _budget_flag("--budget-subsets" if args.kind == "qi" else "--budget-tuples"):
-        if args.kind == "leinert":
-            payload = _verify_leinert(family, args, adhoc_subset)
-        else:
-            verify = {"pn": _verify_pn, "zs": _verify_zs, "qi": _verify_qi}[args.kind]
-            payload = verify(family, args)
+        payload = args.verify(args)
+    # each kind reads one budget; the certificate records the other at its default
     parameters = {
-        "budget_subsets": args.budget_subsets,
-        "budget_tuples": args.budget_tuples,
+        "budget_subsets": getattr(args, "budget_subsets", DEFAULT_SUBSET_BUDGET_BITS),
+        "budget_tuples": getattr(args, "budget_tuples", DEFAULT_TUPLE_BUDGET),
         "kind": args.kind,
         "source": args.family or "adhoc",
     }
@@ -327,15 +331,15 @@ def kernel_order(scale: int) -> int:
 
 
 def cmd_norms(args) -> int:
-    q_grid = [float(q) for q in args.q.split(",")] if args.q else [3.0, 4.0, 6.0, 10.0]
-    scales = [args.scale] if args.scale else list(range(1, args.n_max + 1))
+    q_grid = [float(q) for q in args.q.split(",")]
+    scales = [args.scale] if args.scale is not None else list(range(1, args.n_max + 1))
     all_ok = True
     kernels = []
     for n in scales:
         p = kernel_order(n)
         report = transform(fejer_kernel(n, p))
         qs = sorted(set(q_grid + [float(2 * n)]))
-        checks = [kernel_norm_check(n, report, q, tolerance=args.tolerance) for q in qs]
+        checks = [kernel_norm_check(n, report, q) for q in qs]
         floor_ok = all(fejer_coefficient(n, j) >= 0.5 for j in range(1, n + 1))
         all_ok = all_ok and floor_ok and all(check.passed for check in checks)
         spectrum_values = [fmt_complex(z) for z in report.spectrum] if p <= 1024 else None
@@ -372,8 +376,8 @@ def cmd_norms(args) -> int:
                 "spectrum": spectrum_values,
             }
         )
-    payload = {"kernels": kernels, "tolerance": fmt_float(args.tolerance)}
-    _emit(args, "spectrum", payload, {"q": args.q or "3,4,6,10", "scales": scales})
+    payload = {"kernels": kernels, "tolerance": fmt_float(DEFAULT_TOLERANCE)}
+    _emit(args, "spectrum", payload, {"q": args.q, "scales": scales})
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
@@ -533,9 +537,10 @@ def build_parser() -> _Parser:
     output = _Parser(add_help=False)
     output.add_argument("--out", default=None)
     output.add_argument("--stamp", action="store_true", help="record a wall-clock timestamp")
-    budgets = _Parser(add_help=False)
-    budgets.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
-    budgets.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET_BITS)
+    tuples = _Parser(add_help=False)
+    tuples.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
+    subsets = _Parser(add_help=False)
+    subsets.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET_BITS)
 
     p_primes = sub.add_parser("primes", help="print the factor-order prime table")
     p_primes.add_argument("n_max", type=int)
@@ -551,30 +556,41 @@ def build_parser() -> _Parser:
     p_build.add_argument("--seed", type=int, default=None)
     p_build.set_defaults(func=cmd_build)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[budgets, output], help="re-verify a claim from a family file"
-    )
-    p_verify.add_argument("kind", choices=("pn", "zs", "leinert", "qi"))
-    p_verify.add_argument("family", nargs="?", default=None)
-    p_verify.add_argument(
-        "--s", type=int, default=None, help="s of an ad-hoc leinert check (default 2)"
-    )
-    p_verify.add_argument("--exponents", default=None, help="ad-hoc set, e.g. 1,2,3,4 (leinert)")
-    p_verify.add_argument("--order", type=int, default=None, help="cyclic order for --exponents")
-    p_verify.add_argument("--strategy", choices=("auto", STRATEGY_NAIVE, STRATEGY_MITM), default="auto")
+    p_verify = sub.add_parser("verify", help="re-verify a claim from a family file")
     p_verify.set_defaults(func=cmd_verify)
+    kinds = p_verify.add_subparsers(dest="kind", required=True)
+    p_pn = kinds.add_parser("pn", parents=[tuples, output], help="avoidance property")
+    p_pn.add_argument("family")
+    p_pn.set_defaults(verify=_verify_pn)
+    p_zs = kinds.add_parser("zs", parents=[tuples, output], help="alternating tuple count Z_s")
+    p_zs.add_argument("family")
+    p_zs.add_argument("--strategy", choices=("auto", STRATEGY_NAIVE, STRATEGY_MITM), default="auto")
+    p_zs.set_defaults(verify=_verify_zs)
+    p_leinert = kinds.add_parser(
+        "leinert", parents=[tuples, output], help="Leinert condition, family or ad-hoc set"
+    )
+    p_leinert.add_argument("family", nargs="?", default=None)
+    p_leinert.add_argument("--s", type=int, default=None, help="s of an ad-hoc check (default 2)")
+    p_leinert.add_argument("--exponents", default=None, help="ad-hoc set, e.g. 1,2,3,4")
+    p_leinert.add_argument("--order", type=int, default=None, help="cyclic order for --exponents")
+    p_leinert.set_defaults(verify=_verify_leinert)
+    p_qi = kinds.add_parser("qi", parents=[subsets, output], help="quasi-independent extraction")
+    p_qi.add_argument("family")
+    p_qi.set_defaults(verify=_verify_qi)
 
     p_norms = sub.add_parser(
         "norms", parents=[output], help="kernel norms and interpolation checks"
     )
-    p_norms.add_argument("--scale", type=int, default=None)
-    p_norms.add_argument("--n-max", type=int, default=8)
-    p_norms.add_argument("--q", default=None, help="comma-separated q grid (default 3,4,6,10)")
-    p_norms.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    scales = p_norms.add_mutually_exclusive_group()
+    scales.add_argument("--scale", type=_positive_int, default=None)
+    scales.add_argument("--n-max", type=_positive_int, default=8)
+    p_norms.add_argument(
+        "--q", default="3,4,6,10", help="comma-separated q grid (default %(default)s)"
+    )
     p_norms.set_defaults(func=cmd_norms)
 
     p_report = sub.add_parser(
-        "report", parents=[budgets, output], help="end-to-end narrative for a family file"
+        "report", parents=[tuples, subsets, output], help="end-to-end narrative for a family file"
     )
     p_report.add_argument("family")
     p_report.set_defaults(func=cmd_report)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .builder import FactorSubset, check_even_s
+from .builder import DEFAULT_TUPLE_BUDGET, FactorSubset, check_even_s
 from .errors import BudgetExceeded
 # perfbench/tracing.py counts calls of multiply, alternating_product and canonical_key
 # through this module, so the three names stay importable from it
@@ -41,7 +41,6 @@ from .words import (
     reduce_pairs,
 )
 
-DEFAULT_TUPLE_BUDGET = 2_000_000
 DEFAULT_SUBSET_BUDGET_BITS = 22
 
 STRATEGY_NAIVE = "naive"
@@ -309,9 +308,7 @@ def extract_quasi_independent(
     sums_set = {0}
     for x in subset.exponents:
         if len(chosen) >= budget_bits:
-            raise BudgetExceeded(
-                f"selection reached 2^{budget_bits} subset sums", partial=tuple(chosen)
-            )
+            raise BudgetExceeded(f"selection reached 2^{budget_bits} subset sums")
         # sums are distinct, so the shifted copy is distinct too; only the
         # overlap between old and shifted sums can break quasi-independence
         shifted = [(t + x) % p for t in sums]

@@ -7,10 +7,5 @@ class BudgetExceeded(RuntimeError):
     """An exhaustive enumeration would exceed its budget.
 
     Raised instead of silently truncating: a certificate must mean the whole
-    space was searched.  ``partial`` carries whatever was completed before the
-    refusal (e.g. a partially extracted subset), or None.
+    space was searched.
     """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial

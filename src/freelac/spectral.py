@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .builder import FactorSubset
-from .counting import DEFAULT_SUBSET_BUDGET_BITS, is_quasi_independent
+from .counting import is_quasi_independent
 from .errors import BudgetExceeded
 from .primes import is_prime
 
@@ -50,10 +50,9 @@ class CyclicFunction:
 
     @classmethod
     def from_values(cls, p: int, mapping: Mapping[int, complex]) -> "CyclicFunction":
-        items = sorted((j % p, complex(v)) for j, v in mapping.items() if v != 0)
         merged: dict[int, complex] = {}
-        for j, v in items:
-            merged[j] = merged.get(j, 0j) + v
+        for j, v in mapping.items():
+            merged[j % p] = merged.get(j % p, 0j) + complex(v)
         return cls(p, tuple(sorted((j, v) for j, v in merged.items() if v != 0)))
 
     @classmethod
@@ -85,17 +84,18 @@ class SpectrumReport:
         return float(np.mean(np.abs(self.spectrum) ** float(q)) ** (1.0 / float(q)))
 
 
-def transform(f: CyclicFunction, budget: int = DEFAULT_SPECTRAL_BUDGET) -> SpectrumReport:
+def transform(f: CyclicFunction) -> SpectrumReport:
     """Exact-definition DFT, evaluated directly in O(p * support).
 
     Root-of-unity arguments are reduced mod p in exact integer arithmetic
     before exponentiation, so phases never lose precision to large j*k.
     Transform a function once and read every norm from the returned report;
-    q-norms are computed on demand by ``SpectrumReport.norm_lq``.
+    q-norms are computed on demand by ``SpectrumReport.norm_lq``.  Refuses an
+    order above ``DEFAULT_SPECTRAL_BUDGET``.
     """
     p = f.p
-    if p > budget:
-        raise BudgetExceeded(f"order {p} exceeds the spectral budget {budget}")
+    if p > DEFAULT_SPECTRAL_BUDGET:
+        raise BudgetExceeded(f"order {p} exceeds the spectral budget {DEFAULT_SPECTRAL_BUDGET}")
     roots = np.exp(-2j * np.pi * np.arange(p) / p)
     k = np.arange(p, dtype=np.int64)
     spectrum = np.zeros(p, dtype=np.complex128)
@@ -161,12 +161,7 @@ class KernelNormCheck:
         return self.interpolation_holds and self.kernel_bound_holds
 
 
-def kernel_norm_check(
-    n: int,
-    report: SpectrumReport,
-    q: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> KernelNormCheck:
+def kernel_norm_check(n: int, report: SpectrumReport, q: float) -> KernelNormCheck:
     """Check ||K||_{q'} <= ||K||_A^{1/q'} ||K||_VN^{1/q} <= (4n+1)^{1/q}.
 
     ``report`` is the kernel's spectrum, ``transform(fejer_kernel(n, p))``.
@@ -186,8 +181,8 @@ def kernel_norm_check(
         norm_lq_prime=norm_lq_prime,
         interpolation_bound=interpolation_bound,
         kernel_bound=kernel_bound,
-        interpolation_holds=norm_lq_prime <= interpolation_bound + tolerance,
-        kernel_bound_holds=interpolation_bound <= kernel_bound + tolerance,
+        interpolation_holds=norm_lq_prime <= interpolation_bound + DEFAULT_TOLERANCE,
+        kernel_bound_holds=interpolation_bound <= kernel_bound + DEFAULT_TOLERANCE,
     )
 
 
@@ -204,12 +199,7 @@ class HolderCheck:
     holds: bool
 
 
-def holder_check(
-    f: CyclicFunction,
-    g: CyclicFunction,
-    q: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> HolderCheck:
+def holder_check(f: CyclicFunction, g: CyclicFunction, q: float) -> HolderCheck:
     """Check |<f, g>| <= ||f||_{q'} ||g||_q with the pairing sum_j f(j) conj(g(j)).
 
     The pairing is computed in the spectral form (1/p) sum_k f_hat conj(g_hat)
@@ -232,7 +222,7 @@ def holder_check(
         pairing_spectral=spectral,
         plancherel_gap=abs(spectral - direct),
         bound=bound,
-        holds=abs(direct) <= bound + tolerance,
+        holds=abs(direct) <= bound + DEFAULT_TOLERANCE,
     )
 
 
@@ -289,17 +279,13 @@ class SidonQICheck:
     holds: bool
 
 
-def sidon_qi_check(
-    subset: FactorSubset,
-    tolerance: float = DEFAULT_TOLERANCE,
-    budget_bits: int = DEFAULT_SUBSET_BUDGET_BITS,
-) -> SidonQICheck:
+def sidon_qi_check(subset: FactorSubset) -> SidonQICheck:
     """Check |F| <= 6 sqrt(6) ||1_F||_VN for a quasi-independent F.
 
     This is theorem-backed: a failure indicates an implementation bug, not a
     counterexample.  Raises ValueError when F is not quasi-independent.
     """
-    ok, collision = is_quasi_independent(subset, budget_bits)
+    ok, collision = is_quasi_independent(subset)
     if not ok:
         raise ValueError(f"set is not quasi-independent: {collision[0]} vs {collision[1]}")
     report = transform(CyclicFunction.from_subset(subset))
@@ -310,7 +296,7 @@ def sidon_qi_check(
         norm_vn=report.norm_vn,
         bound=bound,
         slack=bound - size,
-        holds=size <= bound + tolerance,
+        holds=size <= bound + DEFAULT_TOLERANCE,
     )
 
 

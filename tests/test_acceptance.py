@@ -225,7 +225,7 @@ def test_criterion_6_sidon_chain(capsys):
             continue
         size = min(len(extracted), 12)
         subset = FactorSubset(1, p, extracted[:size])
-        check = sidon_qi_check(subset, tolerance=TOL)
+        check = sidon_qi_check(subset)
         assert check.holds, (p, subset.exponents)
         assert len(subset.exponents) <= SIDON_CONSTANT * check.norm_vn + TOL
         lower = leinert_lower_bound(subset)
@@ -248,7 +248,7 @@ def test_criterion_7_kernel_machinery(desk2_family, capsys):
         for j in range(1, n + 1):
             assert fejer_coefficient(n, j) >= Fraction(1, 2)
         for q in (3.0, 4.0, 6.0, 10.0):
-            check = kernel_norm_check(n, report, q, tolerance=TOL)
+            check = kernel_norm_check(n, report, q)
             assert check.interpolation_holds
             assert check.kernel_bound_holds
 
@@ -274,7 +274,7 @@ def test_criterion_7_kernel_machinery(desk2_family, capsys):
             continue
         kernel = fejer_kernel(n, p)
         indicator = CyclicFunction.indicator(p, window)
-        check = holder_check(kernel, indicator, q, tolerance=TOL)
+        check = holder_check(kernel, indicator, q)
         assert check.holds
         # kernel floor: the pairing dominates half the window count
         assert check.pairing.real >= len(window) / 2.0 - TOL

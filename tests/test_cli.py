@@ -425,12 +425,18 @@ def test_stamp_flag_breaks_byte_identity_only_when_used(tmp_path):
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["verify", "nonsense", "x.json"]) == EXIT_IO
     assert main(["build", "--profile", "unknown"]) == EXIT_IO
-    # a family file carries its own s, so --s is refused for every kind
+    # a family file carries its own s: only verify leinert reads --s, for ad-hoc sets
     family = build_desk_family(tmp_path)
-    for kind in ("pn", "zs", "leinert", "qi"):
+    for kind in ("pn", "zs", "qi"):
         capsys.readouterr()
         assert main(["verify", kind, str(family), "--s", "4"]) == EXIT_IO
-        assert "a family file carries its own s" in capsys.readouterr().err
+        assert "unrecognized arguments: --s" in capsys.readouterr().err
+    assert main(["verify", "leinert", str(family), "--s", "4"]) == EXIT_IO
+    assert "a family file carries its own s" in capsys.readouterr().err
+    # kernel scales start at 1, and one scale excludes a range of them
+    assert main(["norms", "--scale", "0"]) == EXIT_IO
+    assert main(["norms", "--n-max", "0"]) == EXIT_IO
+    assert main(["norms", "--scale", "1", "--n-max", "3"]) == EXIT_IO
     # shared flags reach only the commands that declare them
     assert main(["primes", "4", "--out", "p.json"]) == EXIT_IO
     assert main(["build", "--budget-tuples", "10"]) == EXIT_IO
@@ -439,3 +445,33 @@ def test_usage_error_exit_code(tmp_path, capsys):
     out = tmp_path / "odd.json"
     assert main(["build", "--s", "3", "--n-min", "9", "--n-max", "8", "--out", str(out)]) == EXIT_IO
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "pn", "{family}", "--strategy", "naive"],
+        ["verify", "pn", "{family}", "--budget-subsets", "1"],
+        ["verify", "zs", "{family}", "--budget-subsets", "1"],
+        ["verify", "leinert", "{family}", "--strategy", "naive"],
+        ["verify", "leinert", "{family}", "--budget-subsets", "1"],
+        ["verify", "qi", "{family}", "--strategy", "naive"],
+        ["verify", "qi", "{family}", "--budget-tuples", "10"],
+        ["verify", "zs", "{family}", "--strat", "naive"],
+        ["build", "--prof", "tiny"],
+        ["report", "{family}", "--st"],
+        ["norms", "--tolerance", "1"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a != "{family}"),
+)
+def test_flag_is_accepted_only_where_read(tmp_path, monkeypatch, capsys, argv):
+    # a flag its command does not read, or a prefix of a flag's name, is a usage error
+    monkeypatch.chdir(tmp_path)
+    family = tmp_path / "small.json"
+    build = ["build", "--s", "2", "--n-min", "8", "--n-max", "8", "--out", str(family)]
+    assert main(build) == EXIT_OK
+    capsys.readouterr()
+    assert main([str(family) if a == "{family}" else a for a in argv]) == EXIT_IO
+    flag = next(a for a in argv if a.startswith("--"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "family.json").exists()

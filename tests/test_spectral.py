@@ -101,13 +101,19 @@ def test_norm_orderings():
 
 
 def test_spectral_budget():
+    # 1,048,583 is the least prime above the 2^20 spectral budget
     with pytest.raises(BudgetExceeded):
-        transform(CyclicFunction.point_mass(131101, 0), budget=1 << 16)
+        transform(CyclicFunction.point_mass(1_048_583, 0))
 
 
 def test_cyclic_function_requires_prime_order():
     with pytest.raises(ValueError):
         CyclicFunction.from_values(12, {1: 1.0})
+
+
+def test_from_values_merges_congruent_keys():
+    assert CyclicFunction.from_values(5, {0: 1, 5: 2}).values == ((0, 3 + 0j),)
+    assert CyclicFunction.from_values(5, {0: 1, 5: -1}).values == ()
 
 
 def test_fejer_values_small_case():
