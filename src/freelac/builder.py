@@ -31,8 +31,8 @@ DEFAULT_TUPLE_BUDGET = 2_000_000
 
 def check_even_s(s: int) -> None:
     """Reject a parameter s that is not an even integer >= 2."""
-    if s < 2 or s % 2 != 0:
-        raise ValueError(f"s must be an even integer >= 2, got {s}")
+    if not isinstance(s, int) or s < 2 or s % 2 != 0:
+        raise ValueError(f"s must be an even integer >= 2, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -274,14 +274,14 @@ def build_factor_set(
     p = table.order(n)
     if pool_bound > p - 1:
         raise ValueError(f"pool bound {pool_bound} exceeds p - 1 = {p - 1}")
-    best_chosen, best_trace = (), ()
+    best_chosen = ()
     nodes = 0
     exhausted = True
 
-    def dfs(strata: ForbiddenStrata, chosen: tuple[int, ...], trace: tuple[int, ...], start: int) -> bool:
-        nonlocal best_chosen, best_trace, nodes, exhausted
+    def dfs(strata: ForbiddenStrata, chosen: tuple[int, ...], start: int) -> bool:
+        nonlocal best_chosen, nodes, exhausted
         if len(chosen) > len(best_chosen):
-            best_chosen, best_trace = chosen, trace
+            best_chosen = chosen
         if len(chosen) == target_size:
             return True
         if rng is None:
@@ -295,16 +295,21 @@ def build_factor_set(
                 return False
             nodes += 1
             next_start = g + 1 if rng is None else 1
-            if dfs(strata_extend(strata, g), chosen + (g,), trace + (strata.count,), next_start):
+            if dfs(strata_extend(strata, g), chosen + (g,), next_start):
                 return True
             if not exhausted:
                 return False
         return False
 
-    dfs(ForbiddenStrata.empty(p, s), (), (), 1)
+    dfs(ForbiddenStrata.empty(p, s), (), 1)
 
+    # only the kept path's forbidden counts are recorded, so replay that path once
+    strata, trace = ForbiddenStrata.empty(p, s), []
+    for g in best_chosen:
+        trace.append(strata.count)
+        strata = strata_extend(strata, g)
     subset = FactorSubset(factor=n, order=p, exponents=tuple(sorted(best_chosen)))
-    return BuildResult(subset, best_chosen, pool_bound, target_size, best_trace, nodes, exhausted)
+    return BuildResult(subset, best_chosen, pool_bound, target_size, tuple(trace), nodes, exhausted)
 
 
 class CountBound(NamedTuple):

@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .builder import BuildResult, FactorSubset, LacunaryFamily
+from .builder import BuildResult, FactorSubset, LacunaryFamily, check_even_s
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
 
 FORMAT_VERSION = 1
@@ -172,20 +172,24 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
     exponents with a zero trace) and every verification verdict is unchanged,
     since verifiers recompute from the exponents alone.  The ``feasible`` flags
     and ``n_feasible`` are derived, so a stored value that disagrees with the
-    exponents and targets is a format error.  The payload holds no search
-    record, so every result has ``nodes_searched`` and ``search_exhausted``
-    None.
+    exponents and targets is a format error, as is an ``s`` that is not an
+    even integer >= 2.  The payload holds no search record, so every result
+    has ``nodes_searched`` and ``search_exhausted`` None.
     """
     try:
         rule = payload["prime_rule"]
         orders = tuple(int(p) for p in payload["orders"])
-        s = int(payload["s"])
+        s = payload["s"]
         profile = payload["profile"]
         seed = payload["seed"]
         raw_factors = payload["factors"]
         n_feasible = payload["n_feasible"]
     except (KeyError, TypeError) as exc:
         raise CertificateFormatError(f"family payload missing field: {exc}") from exc
+    try:
+        check_even_s(s)
+    except ValueError as exc:
+        raise CertificateFormatError(f"family payload: {exc}") from exc
     if rule == PAPER_PRIME_RULE:
         table = FactorTable(orders)
     elif rule == EXPLICIT_PRIME_RULE:

@@ -182,6 +182,26 @@ def test_tampered_feasible_flag_is_format_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "pn"], ["verify", "zs"], ["verify", "leinert"], ["verify", "qi"], ["report"]],
+    ids=" ".join,
+)
+def test_family_with_odd_s_is_format_error(tmp_path, capsys, command, s):
+    # a family file's s is read back as an even integer >= 2 before any check runs
+    family = tmp_path / "family.json"
+    assert main(["build", "--s", "2", "--profile", "tiny", "--out", str(family)]) == EXIT_OK
+    doc = read_json(family)
+    doc["payload"]["s"] = s
+    family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main([*command, str(family), "--out", str(out)]) == EXIT_IO
+    assert f"s must be an even integer >= 2, got {s}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_ignores_cached_fields(tmp_path):
     family = build_desk_family(tmp_path)
     doc = read_json(family)
@@ -437,6 +457,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["norms", "--scale", "0"]) == EXIT_IO
     assert main(["norms", "--n-max", "0"]) == EXIT_IO
     assert main(["norms", "--scale", "1", "--n-max", "3"]) == EXIT_IO
+    # a q that is not finite and above 1 has no dual index, and nothing is written
+    for q in ("inf", "nan"):
+        out = tmp_path / f"norms-{q}.json"
+        capsys.readouterr()
+        assert main(["norms", "--q", q, "--out", str(out)]) == EXIT_IO
+        assert "q must be finite and exceed 1" in capsys.readouterr().err
+        assert not out.exists()
     # shared flags reach only the commands that declare them
     assert main(["primes", "4", "--out", "p.json"]) == EXIT_IO
     assert main(["build", "--budget-tuples", "10"]) == EXIT_IO

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freelac import spectral
 from freelac import (
     BudgetExceeded,
     CyclicFunction,
@@ -22,6 +25,7 @@ from freelac import (
     kernel_norm_check,
     leinert_lower_bound,
     sidon_qi_check,
+    is_prime,
     transform,
     weak_sidon_witness,
 )
@@ -69,8 +73,8 @@ def test_parseval_on_random_sparse_functions():
     for _ in range(40):
         p = rng.choice([5, 17, 67, 521])
         f = random_sparse(rng, p)
-        report = transform(f)
-        assert abs(report.norm_l2 - report.values_l2) < TOL
+        values_l2 = math.sqrt(sum(abs(v) ** 2 for _, v in f.values))
+        assert abs(transform(f).norm_lq(2.0) - values_l2) < TOL
 
 
 def test_norm_lq_matches_definition_oracle():
@@ -97,7 +101,6 @@ def test_norm_orderings():
         assert report.norm_lq(2.0) <= report.norm_lq(3.0) + TOL
         assert report.norm_lq(3.0) <= report.norm_lq(4.0) + TOL
         assert report.norm_lq(4.0) <= report.norm_lq(10.0) + TOL
-        assert abs(report.norm_lq(2.0) - report.norm_l2) < TOL
 
 
 def test_spectral_budget():
@@ -194,6 +197,14 @@ def test_holder_on_random_pairs():
         assert check.plancherel_gap < 1e-8
 
 
+@pytest.mark.parametrize("q", [math.inf, math.nan, 1.0])
+def test_holder_rejects_q_not_finite_above_one(q):
+    f = CyclicFunction.point_mass(11, 0)
+    g = CyclicFunction.point_mass(11, 3)
+    with pytest.raises(ValueError, match="finite and exceed 1"):
+        holder_check(f, g, q)
+
+
 def test_holder_requires_shared_order():
     with pytest.raises(ValueError):
         holder_check(CyclicFunction.point_mass(11, 0), CyclicFunction.point_mass(13, 0), 4)
@@ -260,3 +271,37 @@ def test_leinert_lower_bound_examples():
     assert value > math.sqrt(4) / (6 * math.sqrt(6))
     with pytest.raises(ValueError):
         leinert_lower_bound(FactorSubset(1, 17, ()))
+
+
+ODD_PRIMES_TO_10007 = [p for p in range(3, 10_008) if is_prime(p)]
+
+
+@st.composite
+def indicators(draw):
+    """A prime p <= 10,007 and a set F of 2..40 residues mod p."""
+    p = draw(st.sampled_from(ODD_PRIMES_TO_10007))
+    residues = draw(st.sets(st.integers(0, p - 1), min_size=2, max_size=min(40, p)))
+    return p, residues
+
+
+@settings(deadline=None)
+@given(indicators())
+def test_indicator_operator_norm_is_its_size(indicator):
+    # the closed form ||1_F||_VN = |F| that sidon_qi_check and leinert_lower_bound read
+    p, residues = indicator
+    norm_vn = transform(CyclicFunction.indicator(p, residues)).norm_vn
+    assert math.isclose(norm_vn, len(residues), rel_tol=1e-12)
+
+
+def test_closed_forms_make_no_transform(monkeypatch):
+    def refuse(f):
+        raise AssertionError("transform called")
+
+    monkeypatch.setattr(spectral, "transform", refuse)
+    subset = FactorSubset(1, 10007, (1, 3, 9, 27, 81))
+    assert sidon_qi_check(subset).norm_vn == 5.0
+    assert leinert_lower_bound(subset) == 5 / math.sqrt(5)
+
+
+def test_singleton_leinert_bound_is_exactly_one():
+    assert leinert_lower_bound(FactorSubset(1, 17, (1,))) == 1.0
