@@ -222,6 +222,8 @@ class BuildResult:
     search_exhausted: Optional[bool] = None
 
     def __post_init__(self):
+        if tuple(sorted(self.chosen)) != self.subset.exponents:
+            raise ValueError(f"chosen exponents {list(self.chosen)} are not the subset's exponents")
         for g in self.chosen:
             if not 1 <= g <= self.pool_bound:
                 raise ValueError(f"chosen exponent {g} outside pool [1, {self.pool_bound}]")
@@ -361,13 +363,14 @@ def verify_pn_bruteforce(
         )
     p = subset.order
     exps = subset.exponents
-    max_weight = 2 * s
-    for k in range(1, min(max_weight, n_elements) + 1):
+    for k in range(1, min(2 * s, n_elements) + 1):
+        # the weight of a pattern depends on k alone; filtering keeps product order
+        patterns = [
+            v for v in product((1, -1, 2, -2), repeat=k) if k + v.count(2) + v.count(-2) <= 2 * s
+        ]
         for support in combinations(range(n_elements), k):
             support_exps = tuple(exps[i] for i in support)
-            for values in product((1, -1, 2, -2), repeat=k):
-                if k + sum(1 for v in values if abs(v) == 2) > max_weight:
-                    continue
+            for values in patterns:
                 if sum(v * g for v, g in zip(values, support_exps)) % p == 0:
                     entries = [0] * n_elements
                     for i, v in zip(support, values):
@@ -446,13 +449,13 @@ def build_family(
     seed: Optional[int] = None,
 ) -> LacunaryFamily:
     """Build each factor set in the range independently; failures are recorded,
-    never fatal."""
+    never fatal.  An empty range is refused: a family holds at least one factor."""
     check_even_s(s)
     if isinstance(profile, str):
         profile = PROFILES[profile]
     n_min, n_max = n_range
     if n_min > n_max:
-        return LacunaryFamily(s, FactorTable.paper_default(1), profile.name, seed, ())
+        raise ValueError(f"empty factor range: n_min={n_min} exceeds n_max={n_max}")
     table = FactorTable.paper_default(n_max)
     rng = random.Random(seed) if seed is not None else None
     built = []

@@ -170,11 +170,13 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
     ``chosen`` and ``forbidden_trace`` are construction caches: when deleted
     from a file the family still parses (chosen falls back to the sorted
     exponents with a zero trace) and every verification verdict is unchanged,
-    since verifiers recompute from the exponents alone.  The ``feasible`` flags
-    and ``n_feasible`` are derived, so a stored value that disagrees with the
-    exponents and targets is a format error, as is an ``s`` that is not an
-    even integer >= 2.  The payload holds no search record, so every result
-    has ``nodes_searched`` and ``search_exhausted`` None.
+    since verifiers recompute from the exponents alone; a stored ``chosen``
+    must be the exponents in admission order.  The ``feasible`` flags and
+    ``n_feasible`` are derived, so a stored value that disagrees with the
+    exponents and targets is a format error, as are an ``s`` that is not an
+    even integer >= 2 and a payload with no factors.  The payload holds no
+    search record, so every result has ``nodes_searched`` and
+    ``search_exhausted`` None.
     """
     try:
         rule = payload["prime_rule"]
@@ -190,6 +192,8 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
         check_even_s(s)
     except ValueError as exc:
         raise CertificateFormatError(f"family payload: {exc}") from exc
+    if not raw_factors:
+        raise CertificateFormatError("family payload holds no factors")
     if rule == PAPER_PRIME_RULE:
         table = FactorTable(orders)
     elif rule == EXPLICIT_PRIME_RULE:

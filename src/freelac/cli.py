@@ -143,7 +143,7 @@ def _qi_claims(family, budget_bits: int):
         if not parent_size:
             continue
         witness = extract_quasi_independent(result.subset, budget_bits)
-        floor_bound = math.ceil(math.log(parent_size, 3)) if parent_size > 1 else 0
+        floor_bound = math.ceil(math.log(parent_size, 3))
         yield result, witness, floor_bound, witness.maximal and len(witness.subset) >= floor_bound
 
 
@@ -200,9 +200,7 @@ def cmd_build(args) -> int:
         seed=args.seed,
         out=args.out or "family.json",
     )
-    if not family.results or len(feasible) < len(family.results):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_OK if len(feasible) == len(family.results) else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------- verify
@@ -241,7 +239,10 @@ def _verify_zs(args) -> dict:
 
 
 def _verify_leinert(args) -> dict:
-    if args.exponents is not None or args.order is not None:
+    adhoc = args.exponents is not None or args.order is not None
+    if adhoc == (args.family is not None):
+        raise _UsageError("give exactly one input: a family file or --exponents/--order")
+    if adhoc:
         if args.exponents is None or args.order is None:
             raise _UsageError("--exponents and --order must be given together")
         exponents = tuple(sorted(int(x) for x in args.exponents.split(",")))
@@ -249,8 +250,6 @@ def _verify_leinert(args) -> dict:
         s = 2 if args.s is None else args.s
         targets = [(1, subset, FactorTable.explicit([subset.order]))]
     else:
-        if args.family is None:
-            raise _UsageError("a family file is required (or --exponents/--order)")
         if args.s is not None:
             raise _UsageError(
                 "--s applies only to ad-hoc leinert checks; a family file carries its own s"
@@ -388,7 +387,6 @@ def cmd_report(args) -> int:
     family = _load_family(args.family)
     sections: dict[str, dict] = {}
     violated = False
-    empty = not family.results
 
     print(f"=== family report: s={family.s} profile={family.profile} ===")
 
@@ -407,63 +405,54 @@ def cmd_report(args) -> int:
             f"  n={result.n:>3} p={result.p:>8} |E_n|={len(result.subset):>3}"
             f"/{result.target_size:<3} {'ok' if result.feasible else 'infeasible'}"
         )
-    sections["construction"] = {
-        "n_feasible": family.n_feasible,
-        "rows": rows,
-        "status": "unverified (empty family)" if empty else "recorded",
-    }
+    sections["construction"] = {"n_feasible": family.n_feasible, "rows": rows, "status": "recorded"}
 
-    if empty:
-        for name in ("zs", "qi", "density"):
-            sections[name] = {"status": "unverified (empty family)"}
-            print(f"  {name}: unverified (empty family)")
-    else:
-        # tuple-count bound, recomputed fresh
-        with _budget_flag("--budget-tuples"):
-            claim = _zs_claim(family, "auto", args.budget_tuples)
-        violated = violated or not claim["holds"]
-        keys = ("bound_factorial", "bound_half_square", "holds", "strategy", "value")
-        sections["zs"] = {"status": "verified", **{key: claim[key] for key in keys}}
-        print(
-            f"  zs: Z_{family.s} = {claim['value']} <= {claim['bound_half_square']} "
-            f"[verified, {claim['strategy']}]"
+    # tuple-count bound, recomputed fresh
+    with _budget_flag("--budget-tuples"):
+        claim = _zs_claim(family, "auto", args.budget_tuples)
+    violated = violated or not claim["holds"]
+    keys = ("bound_factorial", "bound_half_square", "holds", "strategy", "value")
+    sections["zs"] = {"status": "verified", **{key: claim[key] for key in keys}}
+    print(
+        f"  zs: Z_{family.s} = {claim['value']} <= {claim['bound_half_square']} "
+        f"[verified, {claim['strategy']}]"
+    )
+
+    # quasi-independent extraction and operator-norm lower bounds
+    qi_rows = []
+    density_rows = []
+    with _budget_flag("--budget-subsets"):
+        qi_claims = list(_qi_claims(family, args.budget_subsets))
+    for result, witness, floor_bound, ok in qi_claims:
+        n = result.n
+        lower = leinert_lower_bound(
+            FactorSubset(result.subset.factor, result.subset.order, witness.subset)
         )
-
-        # quasi-independent extraction and operator-norm lower bounds
-        qi_rows = []
-        density_rows = []
-        with _budget_flag("--budget-subsets"):
-            qi_claims = list(_qi_claims(family, args.budget_subsets))
-        for result, witness, floor_bound, ok in qi_claims:
-            n = result.n
-            lower = leinert_lower_bound(
-                FactorSubset(result.subset.factor, result.subset.order, witness.subset)
-            )
-            violated = violated or not ok
-            qi_rows.append(
-                {
-                    "extracted_size": len(witness.subset),
-                    "floor_bound": floor_bound,
-                    "leinert_lower_bound": fmt_float(lower),
-                    "maximal": witness.maximal,
-                    "n": n,
-                    "parent_size": len(witness.parent),
-                }
-            )
-            q = float(2 * n)
-            dens = density_lower_bound(result.subset, n, q)
-            density_rows.append({"n": n, "q": fmt_float(q), "window": n, "bound": fmt_float(dens)})
-            print(
-                f"  qi n={n}: |F|={len(witness.subset)} >= {floor_bound}, "
-                f"leinert constant >= {lower:.17g} [verified]"
-            )
-        sections["qi"] = {"rows": qi_rows, "status": "verified"}
-        sections["density"] = {"rows": density_rows, "status": "verified"}
-        for row in density_rows:
-            print(
-                f"  density n={row['n']}: Lambda({row['q']}) constant >= {row['bound']} "
-                f"[verified]"
-            )
+        violated = violated or not ok
+        qi_rows.append(
+            {
+                "extracted_size": len(witness.subset),
+                "floor_bound": floor_bound,
+                "leinert_lower_bound": fmt_float(lower),
+                "maximal": witness.maximal,
+                "n": n,
+                "parent_size": len(witness.parent),
+            }
+        )
+        q = float(2 * n)
+        dens = density_lower_bound(result.subset, n, q)
+        density_rows.append({"n": n, "q": fmt_float(q), "window": n, "bound": fmt_float(dens)})
+        print(
+            f"  qi n={n}: |F|={len(witness.subset)} >= {floor_bound}, "
+            f"leinert constant >= {lower:.17g} [verified]"
+        )
+    sections["qi"] = {"rows": qi_rows, "status": "verified"}
+    sections["density"] = {"rows": density_rows, "status": "verified"}
+    for row in density_rows:
+        print(
+            f"  density n={row['n']}: Lambda({row['q']}) constant >= {row['bound']} "
+            f"[verified]"
+        )
 
     ws_rows = []
     for c in (1, 2, 4):

@@ -233,6 +233,46 @@ def test_verify_pn_examples():
     assert verify_pn_bruteforce(FactorSubset(1, 5, (1,)), 2) == (True, None)
 
 
+ODD_PRIMES_BELOW_400 = [
+    p for p in range(3, 400, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2))
+]
+
+
+@st.composite
+def small_sets(draw):
+    """An odd prime p < 400 and 1 to 6 distinct exponents mod p, sorted."""
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_400))
+    size = min(6, p - 1)
+    exponents = draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=size, unique=True))
+    return p, tuple(sorted(exponents))
+
+
+@settings(deadline=None)
+@given(small_sets(), st.sampled_from([2, 4]))
+def test_verify_pn_returns_the_first_vanishing_vector(small_set, s):
+    # oracle order: support size, then support indices, then values ranked 1, -1, 2, -2
+    p, exponents = small_set
+    rank = {1: 0, -1: 1, 2: 2, -2: 3}
+
+    def order(eps):
+        support = tuple(i for i, e in enumerate(eps) if e)
+        return len(support), support, tuple(rank[eps[i]] for i in support)
+
+    vectors = sorted(
+        (
+            eps
+            for eps in product((-2, -1, 0, 1, 2), repeat=len(exponents))
+            if 0 < sum(abs(e) for e in eps) <= 2 * s
+        ),
+        key=order,
+    )
+    vanishing = (eps for eps in vectors if sum(e * g for e, g in zip(eps, exponents)) % p == 0)
+    first = next(vanishing, None)
+    ok, witness = verify_pn_bruteforce(FactorSubset(1, p, exponents), s)
+    assert ok == (first is None)
+    assert (None if witness is None else witness.entries) == first
+
+
 def test_verify_pn_budget_refusal():
     subset = FactorSubset(10, 2053, tuple(range(1, 16)))
     with pytest.raises(BudgetExceeded):
@@ -284,10 +324,8 @@ def test_family_paper_profile_records_infeasible():
 
 
 def test_family_empty_range():
-    family = build_family(2, (5, 4), "desk")
-    assert family.results == ()
-    assert family.n_feasible is None
-    assert family.union_words() == []
+    with pytest.raises(ValueError, match="empty factor range"):
+        build_family(2, (5, 4), "desk")
 
 
 def test_profile_range_defaults_and_validation():
@@ -296,7 +334,7 @@ def test_profile_range_defaults_and_validation():
     assert desk.n_range(4) == (8, 12)
     assert desk.n_range(2, 9, 11) == (9, 11)
     assert desk.n_range(4, n_max=10) == (8, 10)
-    # the even-s rule runs before an empty range could return an empty family
+    # the even-s rule runs before the empty-range refusal
     for s in (3, 0):
         with pytest.raises(ValueError, match="even integer"):
             build_family(s, (9, 8))

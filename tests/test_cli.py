@@ -202,6 +202,27 @@ def test_family_with_odd_s_is_format_error(tmp_path, capsys, command, s):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "pn"], ["verify", "zs"], ["verify", "leinert"], ["verify", "qi"], ["report"]],
+    ids=" ".join,
+)
+def test_family_with_foreign_chosen_is_format_error(tmp_path, capsys, command):
+    # a stored chosen must be its factor's exponents in admission order
+    family = tmp_path / "family.json"
+    assert main(["build", "--s", "2", "--profile", "tiny", "--out", str(family)]) == EXIT_OK
+    doc = read_json(family)
+    factor = doc["payload"]["factors"][0]
+    assert factor["exponents"] == [1, 3, 9]
+    factor.update(chosen=[7, 8], forbidden_trace=factor["forbidden_trace"][:2])
+    family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main([*command, str(family), "--out", str(out)]) == EXIT_IO
+    assert f"factor {factor['n']}: chosen exponents [7, 8]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_ignores_cached_fields(tmp_path):
     family = build_desk_family(tmp_path)
     doc = read_json(family)
@@ -400,13 +421,21 @@ def test_report_agrees_with_verify(tmp_path, capsys):
 
 
 def test_report_empty_family(tmp_path, capsys):
-    out = tmp_path / "empty.json"
-    main(["build", "--s", "2", "--n-min", "9", "--n-max", "8", "--out", str(out)])
-    report = tmp_path / "report.json"
-    assert main(["report", str(out), "--out", str(report)]) == EXIT_OK
-    sections = read_json(report)["payload"]["sections"]
-    assert sections["zs"]["status"] == "unverified (empty family)"
-    assert sections["qi"]["status"] == "unverified (empty family)"
+    # an empty range builds nothing, and a family file without factors is refused
+    empty = tmp_path / "empty.json"
+    assert main(["build", "--s", "2", "--n-min", "9", "--n-max", "8", "--out", str(empty)]) == EXIT_IO
+    assert "empty factor range" in capsys.readouterr().err
+    assert not empty.exists()
+    doc = read_json(build_desk_family(tmp_path))
+    doc["payload"].update(factors=[], n_feasible=None)
+    empty.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    out = tmp_path / "out.json"
+    for command in (["verify", "pn"], ["verify", "zs"], ["verify", "leinert"], ["verify", "qi"],
+                    ["report"]):
+        capsys.readouterr()
+        assert main([*command, str(empty), "--out", str(out)]) == EXIT_IO
+        assert "family payload holds no factors" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_witness_weak_sidon(capsys, tmp_path):
@@ -453,6 +482,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert "unrecognized arguments: --s" in capsys.readouterr().err
     assert main(["verify", "leinert", str(family), "--s", "4"]) == EXIT_IO
     assert "a family file carries its own s" in capsys.readouterr().err
+    # verify leinert checks a family file or an ad-hoc set, never both, and writes nothing
+    out = tmp_path / "leinert.json"
+    both = ["verify", "leinert", str(family), "--exponents", "1,2,3,4", "--order", "17"]
+    for argv in (both, ["verify", "leinert"]):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == EXIT_IO
+        assert "exactly one input" in capsys.readouterr().err
+        assert not out.exists()
     # kernel scales start at 1, and one scale excludes a range of them
     assert main(["norms", "--scale", "0"]) == EXIT_IO
     assert main(["norms", "--n-max", "0"]) == EXIT_IO
