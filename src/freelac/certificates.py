@@ -68,18 +68,13 @@ class CertificateFile:
             raise CertificateFormatError(f"unknown certificate kind {self.kind!r}")
 
 
-def make_provenance(
-    version: str,
-    parameters: dict,
-    seed: Optional[int] = None,
-    timestamp: Optional[str] = None,
-) -> dict:
-    """Provenance block; the timestamp stays None unless explicitly requested,
-    keeping identical runs byte-identical."""
+def make_provenance(version: str, parameters: dict, seed: Optional[int] = None) -> dict:
+    """Provenance block.  It records no wall-clock time, so identical runs write
+    identical bytes; the ``timestamp`` key stays, always null, for format 1."""
     return {
         "parameters": parameters,
         "seed": seed,
-        "timestamp": timestamp,
+        "timestamp": None,
         "tool": f"{TOOL_NAME} {version}",
     }
 
@@ -174,7 +169,8 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
     must be the exponents in admission order.  The ``feasible`` flags and
     ``n_feasible`` are derived, so a stored value that disagrees with the
     exponents and targets is a format error, as are an ``s`` that is not an
-    even integer >= 2 and a payload with no factors.  The payload holds no
+    even integer >= 2, a payload with no factors and a factor with no
+    exponents (``build`` always admits exponent 1).  The payload holds no
     search record, so every result has ``nodes_searched`` and
     ``search_exhausted`` None.
     """
@@ -212,6 +208,8 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
             exponents = tuple(int(e) for e in raw["exponents"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"malformed factor record: {exc}") from exc
+        if not exponents:
+            raise CertificateFormatError(f"factor {n} holds no exponents")
         if table.order(n) != p:
             raise CertificateFormatError(
                 f"factor {n}: stored order {p} contradicts the table order {table.order(n)}"

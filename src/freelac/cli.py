@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime
 import math
 import sys
 from typing import Optional, Sequence
@@ -87,10 +86,7 @@ def _positive_int(text: str) -> int:
 
 def _emit(args, kind: str, payload: dict, parameters: dict, seed=None, out=None) -> None:
     """Write the certificate to ``out`` (or ``--out``, if given) and say where."""
-    timestamp = None
-    if args.stamp:
-        timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    provenance = make_provenance(__version__, parameters, seed=seed, timestamp=timestamp)
+    provenance = make_provenance(__version__, parameters, seed=seed)
     out = out or args.out
     if out:
         write_certificate(out, CertificateFile(kind=kind, payload=payload, provenance=provenance))
@@ -136,14 +132,11 @@ def _zs_claim(family, strategy: str, budget: int) -> dict:
 
 
 def _qi_claims(family, budget_bits: int):
-    """Per nonempty factor: (result, witness, floor_bound, ok) of the greedy
+    """Per factor: (result, witness, floor_bound, ok) of the greedy
     quasi-independent extraction against the ceil(log_3 |E_n|) floor."""
     for result in family.results:
-        parent_size = len(result.subset.exponents)
-        if not parent_size:
-            continue
         witness = extract_quasi_independent(result.subset, budget_bits)
-        floor_bound = math.ceil(math.log(parent_size, 3))
+        floor_bound = math.ceil(math.log(len(result.subset.exponents), 3))
         yield result, witness, floor_bound, witness.maximal and len(witness.subset) >= floor_bound
 
 
@@ -525,7 +518,6 @@ def build_parser() -> _Parser:
     # flags shared by several commands, declared once
     output = _Parser(add_help=False)
     output.add_argument("--out", default=None)
-    output.add_argument("--stamp", action="store_true", help="record a wall-clock timestamp")
     tuples = _Parser(add_help=False)
     tuples.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
     subsets = _Parser(add_help=False)

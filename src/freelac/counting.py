@@ -200,31 +200,29 @@ def leinert_violation(
 
     None means the whole tuple space was searched; a budget refusal is raised
     before any truncated search, so "none" is always exhaustive.  The search
-    runs depth-first in index order with prefix pruning: a partial product too
-    long to cancel within the remaining positions is abandoned.
+    runs depth-first in index order over the first 2s - 1 entries.  Start-plain
+    inverts the last entry, so the tuple closes exactly when the last entry is
+    the reduced product of the prefix: the elements are distinct, so one lookup
+    finds the only candidate, which is refused when it equals the entry before.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     _check_ground_set(elements)
     m = len(elements)
     length = 2 * s
-    if m == 0:
-        return None
-    space = m * (m - 1) ** (length - 1) if m > 1 else 0
+    space = m * (m - 1) ** (length - 1)
     if space > budget:
         raise BudgetExceeded(f"tuple space has {space} entries, budget is {budget}")
     if space == 0:
         return None
-    max_len = max(len(w) for w in elements)
     orders = elements[0].table.orders
     signed = _signed_pairs(elements)
+    closing = {w.pairs: i for i, w in enumerate(elements)}
 
     def dfs(pos: int, prev: Optional[int], prod: Pairs, chosen: tuple[int, ...]):
-        if pos == length:
-            return None if prod else chosen
-        remaining = length - pos
-        if len(prod) > remaining * max_len:
-            return None
+        if pos == length - 1:
+            last = closing.get(prod)
+            return None if last is None or last == prev else chosen + (last,)
         inverted = pos % 2  # start-plain: even positions plain, odd positions inverted
         for i in range(m):
             if i == prev:

@@ -421,21 +421,35 @@ def test_report_agrees_with_verify(tmp_path, capsys):
 
 
 def test_report_empty_family(tmp_path, capsys):
-    # an empty range builds nothing, and a family file without factors is refused
+    # an empty range builds nothing, and a family file without factors, or with a
+    # factor without exponents, is refused
     empty = tmp_path / "empty.json"
     assert main(["build", "--s", "2", "--n-min", "9", "--n-max", "8", "--out", str(empty)]) == EXIT_IO
     assert "empty factor range" in capsys.readouterr().err
     assert not empty.exists()
-    doc = read_json(build_desk_family(tmp_path))
-    doc["payload"].update(factors=[], n_feasible=None)
-    empty.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    built = read_json(build_desk_family(tmp_path))
+
+    def no_factors(payload):
+        payload.update(factors=[], n_feasible=None)
+
+    def no_exponents(payload):
+        for factor in payload["factors"]:
+            factor.update(chosen=[], exponents=[], feasible=False, forbidden_trace=[])
+        payload.update(n_feasible=None)
+
+    first_n = built["payload"]["factors"][0]["n"]
     out = tmp_path / "out.json"
-    for command in (["verify", "pn"], ["verify", "zs"], ["verify", "leinert"], ["verify", "qi"],
-                    ["report"]):
-        capsys.readouterr()
-        assert main([*command, str(empty), "--out", str(out)]) == EXIT_IO
-        assert "family payload holds no factors" in capsys.readouterr().err
-        assert not out.exists()
+    for tamper, message in ((no_factors, "family payload holds no factors"),
+                            (no_exponents, f"factor {first_n} holds no exponents")):
+        doc = json.loads(json.dumps(built))
+        tamper(doc["payload"])
+        empty.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        for command in (["verify", "pn"], ["verify", "zs"], ["verify", "leinert"],
+                        ["verify", "qi"], ["report"]):
+            capsys.readouterr()
+            assert main([*command, str(empty), "--out", str(out)]) == EXIT_IO
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_witness_weak_sidon(capsys, tmp_path):
@@ -460,15 +474,6 @@ def test_build_provenance_has_no_raw_floats(tmp_path):
         "tolerance": "1.0000000000000001e-09",
         "tuple_budget": 2_000_000,
     }
-
-
-def test_stamp_flag_breaks_byte_identity_only_when_used(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    main(["build", "--s", "2", "--n-min", "8", "--n-max", "9", "--out", str(a)])
-    main(["build", "--s", "2", "--n-min", "8", "--n-max", "9", "--out", str(b), "--stamp"])
-    assert read_json(a)["provenance"]["timestamp"] is None
-    assert read_json(b)["provenance"]["timestamp"] is not None
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -523,6 +528,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["verify", "qi", "{family}", "--budget-tuples", "10"],
         ["verify", "zs", "{family}", "--strat", "naive"],
         ["build", "--prof", "tiny"],
+        ["build", "--stamp"],
         ["report", "{family}", "--st"],
         ["norms", "--tolerance", "1"],
     ],
