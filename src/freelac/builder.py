@@ -201,23 +201,20 @@ class BuildResult:
     """One built factor set, with how it was chosen and how far the search went.
 
     ``subset`` holds the kept exponents sorted; ``chosen`` holds the same
-    exponents in admission order, and ``forbidden_trace`` the number of
-    forbidden residues (summed over the strata) seen before each admission.
-    Infeasible runs keep the deepest prefix reached, so ``feasible`` compares
-    the kept size with ``target_size``.  The factor index and order come from
-    ``subset``.
+    exponents in admission order.  Infeasible runs keep the deepest prefix
+    reached, so ``feasible`` compares the kept size with ``target_size``.  The
+    factor index and order come from ``subset``.
 
     ``nodes_searched`` counts admission steps and ``search_exhausted`` says the
     search stopped before its node budget: a deterministic search then visited
-    its whole tree, a seeded walk reached a dead end.  Family certificates do
-    not store either, so a family read back from a file has both as None.
+    its whole tree, a seeded walk reached a dead end.  A family read back from
+    a format-1 file, which stored neither, has both as None.
     """
 
     subset: FactorSubset
     chosen: tuple[int, ...]
     pool_bound: int
     target_size: int
-    forbidden_trace: tuple[int, ...]
     nodes_searched: Optional[int] = None
     search_exhausted: Optional[bool] = None
 
@@ -227,8 +224,6 @@ class BuildResult:
         for g in self.chosen:
             if not 1 <= g <= self.pool_bound:
                 raise ValueError(f"chosen exponent {g} outside pool [1, {self.pool_bound}]")
-        if len(self.forbidden_trace) != len(self.chosen):
-            raise ValueError("forbidden-count trace must have one entry per chosen exponent")
 
     @property
     def n(self) -> int:
@@ -304,14 +299,8 @@ def build_factor_set(
         return False
 
     dfs(ForbiddenStrata.empty(p, s), (), 1)
-
-    # only the kept path's forbidden counts are recorded, so replay that path once
-    strata, trace = ForbiddenStrata.empty(p, s), []
-    for g in best_chosen:
-        trace.append(strata.count)
-        strata = strata_extend(strata, g)
     subset = FactorSubset(factor=n, order=p, exponents=tuple(sorted(best_chosen)))
-    return BuildResult(subset, best_chosen, pool_bound, target_size, tuple(trace), nodes, exhausted)
+    return BuildResult(subset, best_chosen, pool_bound, target_size, nodes, exhausted)
 
 
 class CountBound(NamedTuple):

@@ -13,12 +13,13 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from .builder import BuildResult, FactorSubset, LacunaryFamily, check_even_s
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 KINDS = ("family", "pn", "zs", "leinert", "qi", "spectrum", "report")
 
 TOOL_NAME = "freelac"
@@ -68,15 +69,10 @@ class CertificateFile:
             raise CertificateFormatError(f"unknown certificate kind {self.kind!r}")
 
 
-def make_provenance(version: str, parameters: dict, seed: Optional[int] = None) -> dict:
-    """Provenance block.  It records no wall-clock time, so identical runs write
-    identical bytes; the ``timestamp`` key stays, always null, for format 1."""
-    return {
-        "parameters": parameters,
-        "seed": seed,
-        "timestamp": None,
-        "tool": f"{TOOL_NAME} {version}",
-    }
+def make_provenance(version: str, parameters: dict) -> dict:
+    """Provenance block: the parameters a run read and the tool that ran it.  It
+    records no wall-clock time, so identical runs write identical bytes."""
+    return {"parameters": parameters, "tool": f"{TOOL_NAME} {version}"}
 
 
 def serialize(cert: CertificateFile) -> str:
@@ -98,9 +94,9 @@ def parse(text: str) -> CertificateFile:
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in READABLE_VERSIONS:
         raise CertificateFormatError(
-            f"unsupported format_version {version!r}; expected {FORMAT_VERSION}"
+            f"unsupported format_version {version!r}; expected the integer 1 or 2"
         )
     for key in ("kind", "payload", "provenance"):
         if key not in doc:
@@ -134,6 +130,7 @@ def read_certificate(path: str) -> CertificateFile:
 
 
 def family_to_payload(family: LacunaryFamily) -> dict:
+    """The format-2 payload of a built family, search record included."""
     factors = []
     for result in family.results:
         factors.append(
@@ -141,10 +138,11 @@ def family_to_payload(family: LacunaryFamily) -> dict:
                 "chosen": list(result.chosen),
                 "exponents": list(result.subset.exponents),
                 "feasible": result.feasible,
-                "forbidden_trace": list(result.forbidden_trace),
                 "n": result.n,
+                "nodes_searched": result.nodes_searched,
                 "p": result.p,
                 "pool_bound": result.pool_bound,
+                "search_exhausted": result.search_exhausted,
                 "target_size": result.target_size,
             }
         )
@@ -159,31 +157,47 @@ def family_to_payload(family: LacunaryFamily) -> dict:
     }
 
 
-def family_from_payload(payload: dict) -> LacunaryFamily:
-    """Rebuild the family view of a payload; cached fields may be absent.
+def _field(record: Any, key: str, where: str, kind: type, nullable: bool = False) -> Any:
+    """``record[key]`` if it is a JSON value of exactly type ``kind``, or null when
+    ``nullable``: ``1.0``, ``"1"`` and ``true`` are no integers, ``1`` is no flag."""
+    if not isinstance(record, dict) or key not in record:
+        raise CertificateFormatError(f"{where}: missing field {key!r}")
+    value = record[key]
+    if type(value) is not kind and not (nullable and value is None):
+        raise CertificateFormatError(f"{where}: {key} must be {kind.__name__}, got {value!r}")
+    return value
 
-    ``chosen`` and ``forbidden_trace`` are construction caches: when deleted
-    from a file the family still parses (chosen falls back to the sorted
-    exponents with a zero trace) and every verification verdict is unchanged,
-    since verifiers recompute from the exponents alone; a stored ``chosen``
-    must be the exponents in admission order.  The ``feasible`` flags and
-    ``n_feasible`` are derived, so a stored value that disagrees with the
+
+def _integers(record: Any, key: str, where: str) -> tuple[int, ...]:
+    values = tuple(_field(record, key, where, list))
+    for value in values:
+        if type(value) is not int:
+            raise CertificateFormatError(f"{where}: {key} must hold integers, got {value!r}")
+    return values
+
+
+def family_from_payload(payload: dict, format_version: int = FORMAT_VERSION) -> LacunaryFamily:
+    """Rebuild the family of a payload written in ``format_version``.
+
+    Integers must be JSON integers and flags JSON booleans; nothing is coerced.
+    Factors must ascend strictly in ``n``, as ``build`` writes them.  ``chosen``
+    may be deleted (it falls back to the sorted exponents; verifiers read the
+    exponents alone), but a stored one must be the exponents in admission
+    order.  A ``feasible`` flag or ``n_feasible`` that disagrees with the
     exponents and targets is a format error, as are an ``s`` that is not an
-    even integer >= 2, a payload with no factors and a factor with no
-    exponents (``build`` always admits exponent 1).  The payload holds no
-    search record, so every result has ``nodes_searched`` and
-    ``search_exhausted`` None.
+    even integer >= 2, a payload with no factors and a factor with no exponents
+    (``build`` always admits exponent 1).  Format 1 stored no search record, so
+    its results have ``nodes_searched`` and ``search_exhausted`` None, and its
+    ``forbidden_trace`` is not read.
     """
-    try:
-        rule = payload["prime_rule"]
-        orders = tuple(int(p) for p in payload["orders"])
-        s = payload["s"]
-        profile = payload["profile"]
-        seed = payload["seed"]
-        raw_factors = payload["factors"]
-        n_feasible = payload["n_feasible"]
-    except (KeyError, TypeError) as exc:
-        raise CertificateFormatError(f"family payload missing field: {exc}") from exc
+    where = "family payload"
+    rule = _field(payload, "prime_rule", where, str)
+    orders = _integers(payload, "orders", where)
+    s = _field(payload, "s", where, int)
+    profile = _field(payload, "profile", where, str)
+    seed = _field(payload, "seed", where, int, nullable=True)
+    raw_factors = _field(payload, "factors", where, list)
+    n_feasible = _field(payload, "n_feasible", where, int, nullable=True)
     try:
         check_even_s(s)
     except ValueError as exc:
@@ -199,31 +213,34 @@ def family_from_payload(payload: dict) -> LacunaryFamily:
 
     results = []
     for raw in raw_factors:
-        try:
-            n = int(raw["n"])
-            p = int(raw["p"])
-            pool_bound = int(raw["pool_bound"])
-            target_size = int(raw["target_size"])
-            feasible = bool(raw["feasible"])
-            exponents = tuple(int(e) for e in raw["exponents"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CertificateFormatError(f"malformed factor record: {exc}") from exc
+        n = _field(raw, "n", "factor record", int)
+        where = f"factor {n}"
+        if results and n <= results[-1].n:
+            raise CertificateFormatError(f"{where} follows factor {results[-1].n}; n must ascend")
+        p = _field(raw, "p", where, int)
+        pool_bound = _field(raw, "pool_bound", where, int)
+        target_size = _field(raw, "target_size", where, int)
+        feasible = _field(raw, "feasible", where, bool)
+        exponents = _integers(raw, "exponents", where)
+        chosen = _integers(raw, "chosen", where) if "chosen" in raw else exponents
+        nodes = exhausted = None
+        if format_version >= 2:
+            nodes = _field(raw, "nodes_searched", where, int)
+            exhausted = _field(raw, "search_exhausted", where, bool)
         if not exponents:
-            raise CertificateFormatError(f"factor {n} holds no exponents")
+            raise CertificateFormatError(f"{where} holds no exponents")
         if table.order(n) != p:
             raise CertificateFormatError(
-                f"factor {n}: stored order {p} contradicts the table order {table.order(n)}"
+                f"{where}: stored order {p} contradicts the table order {table.order(n)}"
             )
-        chosen = tuple(int(g) for g in raw.get("chosen", exponents))
-        trace = tuple(int(t) for t in raw.get("forbidden_trace", (0,) * len(chosen)))
         try:
             subset = FactorSubset(factor=n, order=p, exponents=exponents)
-            result = BuildResult(subset, chosen, pool_bound, target_size, trace)
+            result = BuildResult(subset, chosen, pool_bound, target_size, nodes, exhausted)
         except ValueError as exc:
-            raise CertificateFormatError(f"factor {n}: {exc}") from exc
+            raise CertificateFormatError(f"{where}: {exc}") from exc
         if feasible != result.feasible:
             raise CertificateFormatError(
-                f"factor {n}: stored feasible={feasible} contradicts its {len(subset)} of "
+                f"{where}: stored feasible={feasible} contradicts its {len(subset)} of "
                 f"{target_size} target exponents"
             )
         results.append(result)

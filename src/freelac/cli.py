@@ -45,7 +45,6 @@ from .counting import (
 from .errors import BudgetExceeded
 from .primes import FactorTable, smallest_admissible_prime
 from .spectral import (
-    DEFAULT_SPECTRAL_BUDGET,
     DEFAULT_TOLERANCE,
     density_lower_bound,
     fejer_coefficient,
@@ -84,9 +83,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, kind: str, payload: dict, parameters: dict, seed=None, out=None) -> None:
+def _emit(args, kind: str, payload: dict, parameters: dict, out=None) -> None:
     """Write the certificate to ``out`` (or ``--out``, if given) and say where."""
-    provenance = make_provenance(__version__, parameters, seed=seed)
+    provenance = make_provenance(__version__, parameters)
     out = out or args.out
     if out:
         write_certificate(out, CertificateFile(kind=kind, payload=payload, provenance=provenance))
@@ -106,7 +105,18 @@ def _load_family(path: str):
     cert = read_certificate(path)
     if cert.kind != "family":
         raise CertificateFormatError(f"expected a family certificate, got kind {cert.kind!r}")
-    return family_from_payload(cert.payload)
+    return family_from_payload(cert.payload, cert.format_version)
+
+
+def _search_label(result, seeded: bool) -> str:
+    """Why a factor met its target or not, read from its search record."""
+    if result.feasible:
+        return "ok"
+    if result.search_exhausted is None:
+        return "search not recorded"
+    if not result.search_exhausted:
+        return f"search budget: {result.nodes_searched} nodes"
+    return "seeded walk: dead end" if seeded else "exhausted"
 
 
 def _zs_claim(family, strategy: str, budget: int) -> dict:
@@ -159,14 +169,9 @@ def cmd_build(args) -> int:
     family = build_family(args.s, (n_min, n_max), args.profile, seed=args.seed)
     feasible = [r for r in family.results if r.feasible]
     for result in family.results:
-        if result.feasible:
-            status = "ok"
-        elif family.seed is not None:
-            status = "INFEASIBLE (seeded walk: dead end)"
-        elif result.search_exhausted:
-            status = "INFEASIBLE (exhausted)"
-        else:
-            status = f"INFEASIBLE (search budget: {result.nodes_searched} nodes)"
+        status = _search_label(result, family.seed is not None)
+        if not result.feasible:
+            status = f"INFEASIBLE ({status})"
         print(
             f"n={result.n:>3} p={result.p:>8} target={result.target_size:>3} "
             f"achieved={len(result.subset):>3} pool=[1,{result.pool_bound}] {status}"
@@ -175,24 +180,8 @@ def cmd_build(args) -> int:
         f"built {len(feasible)}/{len(family.results)} targets; "
         f"n_feasible={family.n_feasible}"
     )
-    parameters = {
-        "n_max": n_max,
-        "n_min": n_min,
-        "profile": args.profile,
-        "s": args.s,
-        "spectral_budget": DEFAULT_SPECTRAL_BUDGET,
-        "subset_budget_bits": DEFAULT_SUBSET_BUDGET_BITS,
-        "tolerance": fmt_float(DEFAULT_TOLERANCE),
-        "tuple_budget": DEFAULT_TUPLE_BUDGET,
-    }
-    _emit(
-        args,
-        "family",
-        family_to_payload(family),
-        parameters,
-        seed=args.seed,
-        out=args.out or "family.json",
-    )
+    parameters = {"n_max": n_max, "n_min": n_min, "profile": args.profile, "s": args.s}
+    _emit(args, "family", family_to_payload(family), parameters, out=args.out or "family.json")
     return EXIT_OK if len(feasible) == len(family.results) else EXIT_VIOLATION
 
 
@@ -296,15 +285,11 @@ def _verify_qi(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    with _budget_flag("--budget-subsets" if args.kind == "qi" else "--budget-tuples"):
+    budget = "budget_subsets" if args.kind == "qi" else "budget_tuples"  # the one its kind reads
+    with _budget_flag("--" + budget.replace("_", "-")):
         payload = args.verify(args)
-    # each kind reads one budget; the certificate records the other at its default
-    parameters = {
-        "budget_subsets": getattr(args, "budget_subsets", DEFAULT_SUBSET_BUDGET_BITS),
-        "budget_tuples": getattr(args, "budget_tuples", DEFAULT_TUPLE_BUDGET),
-        "kind": args.kind,
-        "source": args.family or "adhoc",
-    }
+    source = args.family or "adhoc"
+    parameters = {budget: getattr(args, budget), "kind": args.kind, "source": source}
     _emit(args, args.kind, payload, parameters)
     return EXIT_OK if payload["holds"] else EXIT_VIOLATION
 
@@ -385,18 +370,21 @@ def cmd_report(args) -> int:
 
     rows = []
     for result in family.results:
+        status = _search_label(result, family.seed is not None)
+        label = status if result.feasible else f"infeasible ({status})"
         rows.append(
             {
                 "achieved": len(result.subset),
                 "feasible": result.feasible,
                 "n": result.n,
                 "p": result.p,
+                "status": status,
                 "target": result.target_size,
             }
         )
         print(
             f"  n={result.n:>3} p={result.p:>8} |E_n|={len(result.subset):>3}"
-            f"/{result.target_size:<3} {'ok' if result.feasible else 'infeasible'}"
+            f"/{result.target_size:<3} {label}"
         )
     sections["construction"] = {"n_feasible": family.n_feasible, "rows": rows, "status": "recorded"}
 

@@ -292,10 +292,9 @@ def leinert_lower_bound(subset: FactorSubset) -> float:
 
     Operator norms computed inside the cyclic factor coincide with those in
     the ambient free product, so the ratio bounds the constant from below.
-    As ||1_F||_VN = |F| (see ``sidon_qi_check``), this is the quotient
-    |F| / sqrt(|F|), which reports store and which may differ from sqrt(|F|) in the last bit.
+    As ||1_F||_VN = |F| (see ``sidon_qi_check``), the ratio is sqrt(|F|).
     """
     m = len(subset.exponents)
     if m == 0:
         raise ValueError("lower bound needs a nonempty set")
-    return m / math.sqrt(m)
+    return math.sqrt(m)

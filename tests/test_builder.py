@@ -168,8 +168,13 @@ def test_build_two_elements():
     assert result.feasible
     assert result.subset.exponents == (1, 3)
     assert result.chosen == (1, 3)
-    # forbidden residues seen at each step: {0}, then {0, +-1, +-2}
-    assert result.forbidden_trace == (1, 5)
+    # forbidden residues seen before each admission, replayed over chosen:
+    # {0}, then {0, +-1, +-2}
+    strata, trace = ForbiddenStrata.empty(result.p, 2), []
+    for g in result.chosen:
+        trace.append(strata.count)
+        strata = strata_extend(strata, g)
+    assert trace == [1, 5]
 
 
 def test_build_target_exceeding_pool_is_infeasible_with_partial():

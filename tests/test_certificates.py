@@ -26,7 +26,7 @@ def sample_cert(kind="family", payload=None) -> CertificateFile:
     return CertificateFile(
         kind=kind,
         payload=payload or {"x": 1, "names": ["b", "a"], "flag": True, "none": None},
-        provenance=make_provenance("0.1.0", {"s": 2}, seed=3),
+        provenance=make_provenance("0.1.0", {"s": 2}),
     )
 
 
@@ -72,6 +72,15 @@ def test_parse_rejects_bad_documents():
         parse('{"format_version": 1, "kind": "family", "payload": {}}')
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", "2.0", "3", "0", '"1"', "null"])
+def test_parse_takes_only_the_integer_version_1_or_2(version):
+    doc = '{"format_version": %s, "kind": "family", "payload": {}, "provenance": {}}'
+    for readable in (1, 2):
+        assert parse(doc % readable).format_version == readable
+    with pytest.raises(CertificateFormatError, match="format_version"):
+        parse(doc % version)
+
+
 def test_write_and_read_atomic(tmp_path):
     cert = sample_cert()
     path = tmp_path / "cert.json"
@@ -84,28 +93,22 @@ def test_write_and_read_atomic(tmp_path):
 def test_family_payload_round_trip():
     family = build_family(2, (8, 10), "desk")
     payload = family_to_payload(family)
-    again = family_from_payload(payload)
-    assert again.s == family.s
-    assert again.profile == family.profile
-    assert again.table == family.table
-    # the file keeps every field of each result except the search record
-    unsearched = [replace(r, nodes_searched=None, search_exhausted=None) for r in family.results]
-    assert list(again.results) == unsearched
-    assert family_to_payload(again) == payload
+    # the file keeps every field of each result, the search record included
+    assert family_from_payload(payload) == family
+    assert family_to_payload(family_from_payload(payload)) == payload
 
 
 def test_loaded_family_does_not_claim_an_exhausted_search():
-    # the n=8 factor stops on its node budget; the family file does not
-    # record that, so the loaded result must not read as exhausted
+    # the n=8 factor stops on its node budget, and the family file records that
     family = build_family(4, (8, 8), "desk")
     (built,) = family.results
     assert (built.nodes_searched, built.search_exhausted) == (5000, False)
     payload = family_to_payload(family)
     (loaded,) = family_from_payload(payload).results
-    assert loaded.search_exhausted is None and loaded.nodes_searched is None
-    assert loaded == replace(built, nodes_searched=None, search_exhausted=None)
-    assert not loaded.feasible
-    assert family_to_payload(family_from_payload(payload)) == payload
+    assert loaded == built and not loaded.feasible
+    # format 1 stored no search record, so the same factor read as format 1 has none
+    (unrecorded,) = family_from_payload(payload, format_version=1).results
+    assert unrecorded == replace(built, nodes_searched=None, search_exhausted=None)
 
 
 def test_family_payload_survives_cache_deletion():
@@ -113,7 +116,6 @@ def test_family_payload_survives_cache_deletion():
     payload = family_to_payload(family)
     for factor in payload["factors"]:
         del factor["chosen"]
-        del factor["forbidden_trace"]
     again = family_from_payload(payload)
     assert [r.subset for r in again.results] == [r.subset for r in family.results]
 

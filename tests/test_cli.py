@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,33 +27,44 @@ def read_json(path):
 # sha256 of the desk s=2 certificates; changing their bytes needs a
 # format_version bump
 DESK2_CERT_SHA256 = {
-    "family": "ca698569ef0cda21c06db74ec2416660deebc86eba84dececbc5e8edb061fcce",
-    "pn": "29dcc3df8480b46fbe25506fc87b9aace8895778bb687b29652f5aa6cb5139f3",
-    "zs": "48cce58eb273ff33d45cf6559caf89da8d6855ef1e2c5233a66539c3a5c9cb5a",
-    "leinert": "0f70bd8f4f2d753991ec996e5c37213d8d1e74396f9b62fbdf6a50295642d9f9",
-    "qi": "c568514ffbed58496fbadf79d39fa3e3bcb570cc6f5896766615e401061d7a9a",
-    "report": "d9fdeb1bab7a53e05eaafc9068ad0e201f68d349997ff668d39c83ec923d135b",
+    "family": "fce8ebf0b8efa6f799952b9473f4f140f95f5b1ee05cb7c931b3c474c3e86517",
+    "pn": "77f2d134cc781697e3bfd26aaf7fbc518ba9f68e2175f3d740752be71143ea0e",
+    "zs": "bc03bd47766a51ef39357f32da15c4e798a7e186349827f86fce1c9e96cd1f6f",
+    "leinert": "a634de105aeaa8d51fb664a27a987ecd267d7c8311778ae02eb08844b5d00a1d",
+    "qi": "4bf9ed42b626c87e8d39e797f4151f62ce5473a89bf6397305ee88a458a2ebc1",
+    "report": "10dcd535a849571d5a79f51163b58f72b8cdf34c0b29724123435d20e0ebef93",
 }
 
 # Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
 # --n-max 10 is where the least witness among several maxima is chosen.
 DESK4_N10_CERT_SHA256 = {
-    "family": "11ce337590d717b79ad6b5cf1eead317d5afd8ccd8c63a1ab1bb65f5316d8363",
-    "zs": "6336eabec0eec6203fe368cb0306e827f6ac6214524f5c5d0168687e1d36d58c",
-    "zs-mitm": "07b85ad814807bd8124557f144a5b8125ca795475f1a3589ae3ec1aa6e353043",
-    "leinert": "e8b5e10b8296376120cda5d331c6b478654959fc2e5be92b78a4d7a472fce99b",
-    "report": "cdf8c35bc1ec5df33a7eec0e2edeb58fa61157fbcb4dc66918766fa75eae5488",
+    "family": "7cf27dc8d33e495b874c085ddb135904e366ea34c3ba32ceb7a04999d045453f",
+    "zs": "8c1b0a958756048ca1ad1164cdfb7ac40f812d9639623a5a9a3bed3e2e3f3554",
+    "zs-mitm": "41dd10aac8bbfc6844688251470e5ff0315bd37fdd72ec60f0f0304934878b79",
+    "leinert": "6d0c2811ec1dae199118cf5c4277891bb9841a1c7ef657626946bd2e10609db5",
+    "report": "3050c33306c0575d0370375f9025487c2ff4e198a63f253720eb10abc40ca8f8",
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
-SEEDED_PAPER2_FAMILY_SHA256 = "c63d903fec20ee7b3e9b89a632567d61703d55f4c4e91e82c659ffa481aba516"
+SEEDED_PAPER2_FAMILY_SHA256 = "57cc077e4a5354d541239eccdfc14860531d32f22aef5d8a18ffad748fbfa72e"
 # the families of build --s 2|4 --profile paper: their factors n >= 6 stop on
 # the 5,000-node search budget, so these bytes pin the order the search visits
 PAPER_FAMILY_SHA256 = {
-    "2": "b0fb6cb3c5ece6aa1ae873fed93192cfd60f1c5f7859f1eb9a6f3deeb0d2e1dd",
-    "4": "5aff592251ca65151bb3d5d441fa0d0135b640b2346fe22c459d013bc011a9f2",
+    "2": "f64d511a081ab1eadf17af260265b6ff76b6a72d0673ce40426e6e263d83bc7d",
+    "4": "7503588116df0a4ca94ba2003d061f4b7ebcd60bbf63c4607cc8a2920b1ed2a0",
 }
+# format-1 families committed under tests/data: build --s 2, and build --s 4 --n-max 10
+DATA = Path(__file__).parent / "data"
+V1_FAMILY_SHA256 = {
+    "desk2-v1.json": "ca698569ef0cda21c06db74ec2416660deebc86eba84dececbc5e8edb061fcce",
+    "desk4-n10-v1.json": "11ce337590d717b79ad6b5cf1eead317d5afd8ccd8c63a1ab1bb65f5316d8363",
+}
+FAMILY_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [["verify", "pn"], ["verify", "zs"], ["verify", "leinert"], ["verify", "qi"], ["report"]],
+    ids=" ".join,
+)
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
-ADHOC_LEINERT_CERT_SHA256 = "0073f2f52ad851e9da3ff2bb33f2a74090d8a6b55454fcf431a966b51982e1aa"
+ADHOC_LEINERT_CERT_SHA256 = "6b6b5805e59cd61c0cf034a6fc51bbe5c7ab104599eb70d3fc94238366ac7aaf"
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -136,6 +148,13 @@ def test_build_says_why_a_factor_is_infeasible(tmp_path, capsys, build, label):
     assert main(["build", *build, "--out", str(out)]) == EXIT_VIOLATION
     (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n=")]
     assert line.endswith(label)
+    # the family file keeps the search record, so report gives the same reason
+    report = tmp_path / "report.json"
+    assert main(["report", str(out), "--out", str(report)]) == EXIT_OK
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  n=")]
+    assert line.endswith(label.replace("INFEASIBLE", "infeasible"))
+    (row,) = read_json(report)["payload"]["sections"]["construction"]["rows"]
+    assert f"INFEASIBLE ({row['status']})" == label
 
 
 def test_paper_family_bytes_are_pinned(tmp_path, monkeypatch, capsys):
@@ -182,45 +201,100 @@ def test_tampered_feasible_flag_is_format_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def _tampered_tiny_family(tmp_path, tamper):
+    """A tiny s=2 family file (first factor n=4, exponents [1, 3, 9]) edited by ``tamper``."""
+    family = tmp_path / "family.json"
+    assert main(["build", "--s", "2", "--profile", "tiny", "--out", str(family)]) == EXIT_OK
+    doc = read_json(family)
+    assert _first_factor(doc)["exponents"] == [1, 3, 9]
+    tamper(doc)
+    family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return family
+
+
+def _first_factor(doc):
+    return doc["payload"]["factors"][0]
+
+
+def _refused(tmp_path, capsys, command, family, message):
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main([*command, str(family), "--out", str(out)]) == EXIT_IO
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s", [1, 3])
-@pytest.mark.parametrize(
-    "command",
-    [["verify", "pn"], ["verify", "zs"], ["verify", "leinert"], ["verify", "qi"], ["report"]],
-    ids=" ".join,
-)
+@FAMILY_COMMANDS
 def test_family_with_odd_s_is_format_error(tmp_path, capsys, command, s):
     # a family file's s is read back as an even integer >= 2 before any check runs
-    family = tmp_path / "family.json"
-    assert main(["build", "--s", "2", "--profile", "tiny", "--out", str(family)]) == EXIT_OK
-    doc = read_json(family)
-    doc["payload"]["s"] = s
-    family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    out = tmp_path / "out.json"
-    capsys.readouterr()
-    assert main([*command, str(family), "--out", str(out)]) == EXIT_IO
-    assert f"s must be an even integer >= 2, got {s}" in capsys.readouterr().err
-    assert not out.exists()
+    family = _tampered_tiny_family(tmp_path, lambda doc: doc["payload"].update(s=s))
+    _refused(tmp_path, capsys, command, family, f"s must be an even integer >= 2, got {s}")
+
+
+@FAMILY_COMMANDS
+def test_family_with_foreign_chosen_is_format_error(tmp_path, capsys, command):
+    # a stored chosen must be its factor's exponents in admission order
+    family = _tampered_tiny_family(tmp_path, lambda doc: _first_factor(doc).update(chosen=[7, 8]))
+    _refused(tmp_path, capsys, command, family, "factor 4: chosen exponents [7, 8]")
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["verify", "pn"], ["verify", "zs"], ["verify", "leinert"], ["verify", "qi"], ["report"]],
-    ids=" ".join,
+    "tamper, message",
+    [
+        (lambda doc: _first_factor(doc).update(exponents=[1, 3.5, 9], chosen=[1, 3.5, 9]),
+         "factor 4: exponents must hold integers, got 3.5"),
+        (lambda doc: _first_factor(doc).update(n="4"), "factor record: n must be int, got '4'"),
+        (lambda doc: _first_factor(doc).update(feasible=1),
+         "factor 4: feasible must be bool, got 1"),
+        (lambda doc: doc["payload"]["orders"].__setitem__(3, 37.0),
+         "family payload: orders must hold integers, got 37.0"),
+        (lambda doc: doc.update(format_version=True), "unsupported format_version True"),
+        (lambda doc: doc.update(format_version=1.0), "unsupported format_version 1.0"),
+        (lambda doc: doc["payload"]["factors"].insert(0, _first_factor(doc)),
+         "factor 4 follows factor 4; n must ascend"),
+        (lambda doc: doc["payload"]["factors"].reverse(),
+         "factor 7 follows factor 8; n must ascend"),
+    ],
+    ids=["exponent-3.5", "n-string", "feasible-1", "order-37.0", "version-true", "version-1.0",
+         "factor-repeated", "factors-reversed"],
 )
-def test_family_with_foreign_chosen_is_format_error(tmp_path, capsys, command):
-    # a stored chosen must be its factor's exponents in admission order
-    family = tmp_path / "family.json"
-    assert main(["build", "--s", "2", "--profile", "tiny", "--out", str(family)]) == EXIT_OK
-    doc = read_json(family)
-    factor = doc["payload"]["factors"][0]
-    assert factor["exponents"] == [1, 3, 9]
-    factor.update(chosen=[7, 8], forbidden_trace=factor["forbidden_trace"][:2])
-    family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    out = tmp_path / "out.json"
+@FAMILY_COMMANDS
+def test_family_file_is_read_strictly(tmp_path, capsys, command, tamper, message):
+    # integers are JSON integers, flags JSON booleans, and factors ascend in n,
+    # as build writes them; the refusal names the field or the factor
+    _refused(tmp_path, capsys, command, _tampered_tiny_family(tmp_path, tamper), message)
+
+
+@pytest.mark.parametrize(
+    "name, build, leinert_exit, unrecorded",
+    [
+        ("desk2-v1.json", ["--s", "2"], EXIT_OK, []),
+        ("desk4-n10-v1.json", ["--s", "4", "--n-max", "10"], EXIT_VIOLATION, [8]),
+    ],
+)
+def test_format_1_family_reads_as_before(
+    tmp_path, monkeypatch, capsys, name, build, leinert_exit, unrecorded
+):
+    # a family written in format 1 verifies as the same family built today in
+    # format 2; only its search record is missing
+    monkeypatch.chdir(tmp_path)
+    v1 = DATA / name
+    assert hashlib.sha256(v1.read_bytes()).hexdigest() == V1_FAMILY_SHA256[name]
+    built = main(["build", *build, "--out", "v2.json"])
+    assert built == (EXIT_VIOLATION if unrecorded else EXIT_OK)
+    for kind in ("pn", "zs", "leinert", "qi"):
+        expected = leinert_exit if kind == "leinert" else EXIT_OK
+        assert main(["verify", kind, str(v1), "--out", f"{kind}-v1.json"]) == expected
+        assert main(["verify", kind, "v2.json", "--out", f"{kind}-v2.json"]) == expected
+        assert read_json(f"{kind}-v1.json")["payload"] == read_json(f"{kind}-v2.json")["payload"]
     capsys.readouterr()
-    assert main([*command, str(family), "--out", str(out)]) == EXIT_IO
-    assert f"factor {factor['n']}: chosen exponents [7, 8]" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["report", str(v1), "--out", "report.json"]) == EXIT_OK
+    rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
+    assert [r["n"] for r in rows if r["status"] == "search not recorded"] == unrecorded
+    assert all(r["status"] == "ok" for r in rows if r["n"] not in unrecorded)
+    printed = capsys.readouterr().out.count("infeasible (search not recorded)")
+    assert printed == len(unrecorded)
 
 
 def test_verify_ignores_cached_fields(tmp_path):
@@ -228,7 +302,6 @@ def test_verify_ignores_cached_fields(tmp_path):
     doc = read_json(family)
     for factor in doc["payload"]["factors"]:
         del factor["chosen"]
-        del factor["forbidden_trace"]
     stripped = tmp_path / "stripped.json"
     stripped.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     assert main(["verify", "pn", str(stripped)]) == EXIT_OK
@@ -434,7 +507,7 @@ def test_report_empty_family(tmp_path, capsys):
 
     def no_exponents(payload):
         for factor in payload["factors"]:
-            factor.update(chosen=[], exponents=[], feasible=False, forbidden_trace=[])
+            factor.update(chosen=[], exponents=[], feasible=False)
         payload.update(n_feasible=None)
 
     first_n = built["payload"]["factors"][0]["n"]
@@ -464,15 +537,10 @@ def test_build_provenance_has_no_raw_floats(tmp_path):
     out = tmp_path / "family.json"
     build = ["build", "--s", "2", "--n-max", "9", "--out", str(out)]
     assert main(build) == EXIT_OK  # writing rejects raw floats, so this alone checks it
-    assert read_json(out)["provenance"]["parameters"] == {
-        "n_max": 9,
-        "n_min": 8,
-        "profile": "desk",
-        "s": 2,
-        "spectral_budget": 1_048_576,
-        "subset_budget_bits": 22,
-        "tolerance": "1.0000000000000001e-09",
-        "tuple_budget": 2_000_000,
+    # provenance holds what build read and the tool, no budget it does not read
+    assert read_json(out)["provenance"] == {
+        "parameters": {"n_max": 9, "n_min": 8, "profile": "desk", "s": 2},
+        "tool": "freelac 0.1.0",
     }
 
 

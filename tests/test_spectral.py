@@ -300,7 +300,7 @@ def test_closed_forms_make_no_transform(monkeypatch):
     monkeypatch.setattr(spectral, "transform", refuse)
     subset = FactorSubset(1, 10007, (1, 3, 9, 27, 81))
     assert sidon_qi_check(subset).norm_vn == 5.0
-    assert leinert_lower_bound(subset) == 5 / math.sqrt(5)
+    assert leinert_lower_bound(subset) == math.sqrt(5)
 
 
 def test_singleton_leinert_bound_is_exactly_one():
