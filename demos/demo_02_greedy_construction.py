@@ -14,7 +14,7 @@ from freelac import (
     build_factor_set,
     build_family,
     choose_next,
-    paper_count_bound,
+    epsilon_vector_count,
     strata_extend,
     verify_pn_bruteforce,
 )
@@ -32,7 +32,7 @@ def main():
     print(f"{'step':>4} {'picked':>7} {'forbidden residues':>19} {'upper bound':>12}")
     for step in range(1, 11):
         g = choose_next(strata, 1024, frozenset(chosen))
-        bound = paper_count_bound(len(chosen), s).enumerated
+        bound = 1 + epsilon_vector_count(len(chosen), s)  # stratum 0, one residue per vector
         print(f"{step:>4} {g:>7} {strata.count:>19} {bound:>12}")
         chosen.append(g)
         strata = strata_extend(strata, g)

@@ -23,7 +23,6 @@ from .builder import (
     build_family,
     choose_next,
     epsilon_vector_count,
-    paper_count_bound,
     strata_extend,
     verify_pn_bruteforce,
 )

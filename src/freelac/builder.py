@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, compress, product
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded
 from .primes import FactorTable, is_prime
@@ -303,24 +303,6 @@ def build_factor_set(
     return BuildResult(subset, best_chosen, pool_bound, target_size, nodes, exhausted)
 
 
-class CountBound(NamedTuple):
-    """Enumerated vector count next to the cruder closed-form bound."""
-
-    enumerated: int
-    paper: int
-
-
-def paper_count_bound(n_elements: int, s: int) -> CountBound:
-    """Upper bounds on the residues one avoidance condition can forbid.
-
-    ``enumerated`` counts all vectors with at most 2s nonzero entries from
-    {+-1, +-2}: sum over k of C(N, k) * 4^k.  ``paper`` is the cruder
-    C(N, 2s) * 5^(2s), degenerate (zero) when N < 2s.
-    """
-    enumerated = sum(math.comb(n_elements, k) * 4**k for k in range(0, 2 * s + 1))
-    return CountBound(enumerated, math.comb(n_elements, 2 * s) * 5 ** (2 * s))
-
-
 def epsilon_vector_count(n_elements: int, s: int) -> int:
     """Exact number of nonzero vectors over {0, +-1, +-2}^N with weight <= 2s."""
     total = 0
@@ -434,24 +416,20 @@ class LacunaryFamily:
 def build_family(
     s: int,
     n_range: tuple[int, int],
-    profile: BuildProfile | str = "desk",
+    profile: str = "desk",
     seed: Optional[int] = None,
 ) -> LacunaryFamily:
     """Build each factor set in the range independently; failures are recorded,
     never fatal.  An empty range is refused: a family holds at least one factor."""
     check_even_s(s)
-    if isinstance(profile, str):
-        profile = PROFILES[profile]
+    rules = PROFILES[profile]
     n_min, n_max = n_range
     if n_min > n_max:
         raise ValueError(f"empty factor range: n_min={n_min} exceeds n_max={n_max}")
     table = FactorTable.paper_default(n_max)
     rng = random.Random(seed) if seed is not None else None
-    built = []
-    for n in range(n_min, n_max + 1):
-        built.append(
-            build_factor_set(
-                n, s, profile.target_size(n, s), profile.pool_bound(n), table, rng
-            )
-        )
-    return LacunaryFamily(s, table, profile.name, seed, tuple(built))
+    built = tuple(
+        build_factor_set(n, s, rules.target_size(n, s), rules.pool_bound(n), table, rng)
+        for n in range(n_min, n_max + 1)
+    )
+    return LacunaryFamily(s, table, profile, seed, built)

@@ -15,11 +15,11 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any
 
-from .builder import BuildResult, FactorSubset, LacunaryFamily, check_even_s
+from .builder import PROFILES, BuildResult, FactorSubset, LacunaryFamily, check_even_s
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
 
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 KINDS = ("family", "pn", "zs", "leinert", "qi", "spectrum", "report")
 
 TOOL_NAME = "freelac"
@@ -96,7 +96,7 @@ def parse(text: str) -> CertificateFile:
     version = doc.get("format_version")
     if type(version) is not int or version not in READABLE_VERSIONS:
         raise CertificateFormatError(
-            f"unsupported format_version {version!r}; expected the integer 1 or 2"
+            f"unsupported format_version {version!r}; expected the integer 1, 2 or 3"
         )
     for key in ("kind", "payload", "provenance"):
         if key not in doc:
@@ -130,7 +130,7 @@ def read_certificate(path: str) -> CertificateFile:
 
 
 def family_to_payload(family: LacunaryFamily) -> dict:
-    """The format-2 payload of a built family, search record included."""
+    """The payload of a built family, search record included; formats 2 and 3 share it."""
     factors = []
     for result in family.results:
         factors.append(
@@ -186,15 +186,21 @@ def family_from_payload(payload: dict, format_version: int = FORMAT_VERSION) -> 
     order.  A ``feasible`` flag or ``n_feasible`` that disagrees with the
     exponents and targets is a format error, as are an ``s`` that is not an
     even integer >= 2, a payload with no factors and a factor with no exponents
-    (``build`` always admits exponent 1).  Format 1 stored no search record, so
-    its results have ``nodes_searched`` and ``search_exhausted`` None, and its
-    ``forbidden_trace`` is not read.
+    (``build`` always admits exponent 1).  The profile fixes each factor's
+    ``target_size`` and ``pool_bound``, so an unknown profile, or a stored value
+    that differs from the profile's, is a format error too.  Format 1 stored no
+    search record, so its results have ``nodes_searched`` and
+    ``search_exhausted`` None, and its ``forbidden_trace`` is not read; a later
+    file stores both, or both as null when re-saved from a format-1 family.
     """
     where = "family payload"
     rule = _field(payload, "prime_rule", where, str)
     orders = _integers(payload, "orders", where)
     s = _field(payload, "s", where, int)
     profile = _field(payload, "profile", where, str)
+    rules = PROFILES.get(profile)
+    if rules is None:
+        raise CertificateFormatError(f"{where}: unknown build profile {profile!r}")
     seed = _field(payload, "seed", where, int, nullable=True)
     raw_factors = _field(payload, "factors", where, list)
     n_feasible = _field(payload, "n_feasible", where, int, nullable=True)
@@ -225,10 +231,18 @@ def family_from_payload(payload: dict, format_version: int = FORMAT_VERSION) -> 
         chosen = _integers(raw, "chosen", where) if "chosen" in raw else exponents
         nodes = exhausted = None
         if format_version >= 2:
-            nodes = _field(raw, "nodes_searched", where, int)
-            exhausted = _field(raw, "search_exhausted", where, bool)
+            nodes = _field(raw, "nodes_searched", where, int, nullable=True)
+            exhausted = _field(raw, "search_exhausted", where, bool, nullable=True)
+            if (nodes is None) != (exhausted is None):
+                raise CertificateFormatError(f"{where}: search record is half null")
         if not exponents:
             raise CertificateFormatError(f"{where} holds no exponents")
+        derived = (rules.target_size(n, s), rules.pool_bound(n))
+        if (target_size, pool_bound) != derived:
+            raise CertificateFormatError(
+                f"{where}: stored target_size {target_size} and pool_bound {pool_bound} "
+                f"contradict the {profile} profile's {derived[0]} and {derived[1]}"
+            )
         if table.order(n) != p:
             raise CertificateFormatError(
                 f"{where}: stored order {p} contradicts the table order {table.order(n)}"

@@ -5,8 +5,11 @@ norm carries the 1/p factor (mean of |f_hat|), the operator norm is the max,
 and the normalized q-norms are ((1/p) sum |f_hat|^q)^(1/q).  A point mass at 0
 then has algebra norm = operator norm = 1.
 
-Each function is transformed once: its SpectrumReport keeps the spectrum, and
-every check reads that report, computing a q-norm from it on demand.
+Each function is transformed once, by numpy's FFT: its SpectrumReport keeps
+the spectrum and its magnitudes, and every check reads that report, computing
+a q-norm from it on demand.  The norms use libm alone (``math.hypot``,
+``math.pow``, ``math.fsum``), so their digits do not depend on which SIMD
+kernels numpy dispatches on the host CPU.
 """
 
 from __future__ import annotations
@@ -66,37 +69,42 @@ class CyclicFunction:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Full spectrum of a cyclic function with its normalized norms."""
+    """Full spectrum of a cyclic function with its normalized norms.
+
+    ``magnitudes`` holds |f_hat(k)| as ``math.hypot`` of each coefficient.
+    """
 
     p: int
     spectrum: np.ndarray
+    magnitudes: tuple[float, ...]
     norm_a: float
     norm_vn: float
 
     def norm_lq(self, q: float) -> float:
         """Normalized q-norm ((1/p) sum |f_hat|^q)^(1/q) of the stored spectrum."""
-        return float(np.mean(np.abs(self.spectrum) ** float(q)) ** (1.0 / float(q)))
+        q = float(q)
+        total = math.fsum(math.pow(m, q) for m in self.magnitudes)
+        return math.pow(total / self.p, 1.0 / q)
 
 
 def transform(f: CyclicFunction) -> SpectrumReport:
-    """Exact-definition DFT, evaluated directly in O(p * support).
+    """The spectrum of ``f`` by one FFT of its dense length-p array, O(p log p).
 
-    Root-of-unity arguments are reduced mod p in exact integer arithmetic
-    before exponentiation, so phases never lose precision to large j*k.
-    Transform a function once and read every norm from the returned report;
-    q-norms are computed on demand by ``SpectrumReport.norm_lq``.  Refuses an
-    order above ``DEFAULT_SPECTRAL_BUDGET``.
+    numpy's sign convention is the module's, f_hat(k) = sum_j f(j) exp(-2 pi i
+    j k / p).  Transform a function once and read every norm from the returned
+    report; q-norms are computed on demand by ``SpectrumReport.norm_lq``.
+    Refuses an order above ``DEFAULT_SPECTRAL_BUDGET``, which also bounds the
+    dense array's memory.
     """
     p = f.p
     if p > DEFAULT_SPECTRAL_BUDGET:
         raise BudgetExceeded(f"order {p} exceeds the spectral budget {DEFAULT_SPECTRAL_BUDGET}")
-    roots = np.exp(-2j * np.pi * np.arange(p) / p)
-    k = np.arange(p, dtype=np.int64)
-    spectrum = np.zeros(p, dtype=np.complex128)
+    dense = np.zeros(p, dtype=np.complex128)
     for j, v in f.values:
-        spectrum += v * roots[(j * k) % p]
-    mag = np.abs(spectrum)
-    return SpectrumReport(p, spectrum, norm_a=float(np.mean(mag)), norm_vn=float(np.max(mag)))
+        dense[j] = v
+    spectrum = np.fft.fft(dense)  # numpy.fft loads on first use, not with the CLI
+    mag = tuple(math.hypot(z.real, z.imag) for z in spectrum.tolist())
+    return SpectrumReport(p, spectrum, mag, norm_a=math.fsum(mag) / p, norm_vn=max(mag))
 
 
 def fejer_coefficient(n: int, j: int) -> Fraction:

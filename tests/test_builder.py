@@ -20,7 +20,6 @@ from freelac import (
     build_family,
     choose_next,
     epsilon_vector_count,
-    paper_count_bound,
     strata_extend,
     verify_pn_bruteforce,
 )
@@ -130,7 +129,8 @@ def test_strata_negation_closure_and_count_bounds(desk2_family):
             for stratum in strata.strata:
                 assert stratum == {(-r) % p for r in stratum}
             assert strata.count >= previous_count
-            assert strata.count <= min(p * 5, paper_count_bound(i + 1, 2).enumerated)
+            # stratum 0, plus at most one residue per nonzero vector of weight <= 2s
+            assert strata.count <= min(p * 5, 1 + epsilon_vector_count(i + 1, 2))
             previous_count = strata.count
 
 
@@ -292,17 +292,6 @@ def test_epsilon_vector_count_matches_enumeration():
             if 0 < sum(abs(e) for e in eps) <= 2 * s
         )
         assert epsilon_vector_count(n, s) == oracle
-
-
-def test_paper_count_bound_examples():
-    assert paper_count_bound(0, 2).enumerated == 1
-    bound = paper_count_bound(2, 2)
-    assert bound.enumerated == 25  # 1 + 2*4 + 1*16
-    assert bound.paper == 0  # C(2,4) vanishes
-    bound = paper_count_bound(10, 2)
-    import math
-
-    assert bound.paper == math.comb(10, 4) * 5**4
 
 
 def test_family_desk_all_feasible(desk2_family):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from freelac import (
     write_certificate,
 )
 from freelac.certificates import fmt_float, make_provenance, parse_float
+
+DATA = Path(__file__).parent / "data"
 
 
 def sample_cert(kind="family", payload=None) -> CertificateFile:
@@ -72,10 +75,11 @@ def test_parse_rejects_bad_documents():
         parse('{"format_version": 1, "kind": "family", "payload": {}}')
 
 
-@pytest.mark.parametrize("version", ["true", "1.0", "2.0", "3", "0", '"1"', "null"])
+# the name predates format 3: the readable versions are now the integers 1, 2 and 3
+@pytest.mark.parametrize("version", ["true", "1.0", "2.0", "4", "0", '"1"', "null"])
 def test_parse_takes_only_the_integer_version_1_or_2(version):
     doc = '{"format_version": %s, "kind": "family", "payload": {}, "provenance": {}}'
-    for readable in (1, 2):
+    for readable in (1, 2, 3):
         assert parse(doc % readable).format_version == readable
     with pytest.raises(CertificateFormatError, match="format_version"):
         parse(doc % version)
@@ -109,6 +113,22 @@ def test_loaded_family_does_not_claim_an_exhausted_search():
     # format 1 stored no search record, so the same factor read as format 1 has none
     (unrecorded,) = family_from_payload(payload, format_version=1).results
     assert unrecorded == replace(built, nodes_searched=None, search_exhausted=None)
+
+
+@pytest.mark.parametrize("name", ["desk2-v1.json", "desk4-n10-v1.json"])
+def test_format_1_family_round_trips(name):
+    # re-saved, a format-1 family keeps its unrecorded search as two nulls
+    cert = read_certificate(str(DATA / name))
+    family = family_from_payload(cert.payload, cert.format_version)
+    assert family_from_payload(family_to_payload(family)) == family
+
+
+@pytest.mark.parametrize("field", ["nodes_searched", "search_exhausted"])
+def test_half_null_search_record_is_format_error(field):
+    payload = family_to_payload(build_family(2, (8, 8), "desk"))
+    payload["factors"][0][field] = None
+    with pytest.raises(CertificateFormatError, match="factor 8: search record is half null"):
+        family_from_payload(payload)
 
 
 def test_family_payload_survives_cache_deletion():

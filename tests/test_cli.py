@@ -9,6 +9,13 @@ from pathlib import Path
 import pytest
 
 from freelac import cli, spectral
+from freelac.certificates import (
+    CertificateFile,
+    family_from_payload,
+    family_to_payload,
+    read_certificate,
+    write_certificate,
+)
 from freelac.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -27,30 +34,30 @@ def read_json(path):
 # sha256 of the desk s=2 certificates; changing their bytes needs a
 # format_version bump
 DESK2_CERT_SHA256 = {
-    "family": "fce8ebf0b8efa6f799952b9473f4f140f95f5b1ee05cb7c931b3c474c3e86517",
-    "pn": "77f2d134cc781697e3bfd26aaf7fbc518ba9f68e2175f3d740752be71143ea0e",
-    "zs": "bc03bd47766a51ef39357f32da15c4e798a7e186349827f86fce1c9e96cd1f6f",
-    "leinert": "a634de105aeaa8d51fb664a27a987ecd267d7c8311778ae02eb08844b5d00a1d",
-    "qi": "4bf9ed42b626c87e8d39e797f4151f62ce5473a89bf6397305ee88a458a2ebc1",
-    "report": "10dcd535a849571d5a79f51163b58f72b8cdf34c0b29724123435d20e0ebef93",
+    "family": "53bcb597d41542061de0348f271ebe91d5d84de6aec80be8b66169ed9fbc78b7",
+    "pn": "449bcdfd7333d71a836585a5b74ec4647c2e2828da75fe80bc4c0e116fd10921",
+    "zs": "c15eaca0b30a648b2bd49ccb20f5fdf654a140187686d97ca2728f76615ef294",
+    "leinert": "69c80600663d652be1b57c37ade3c1446d5d6f6acb8453a6e63aab7713bd76f0",
+    "qi": "6a495d923dd8863e916a1438dce215b1584d7a5ec23a2c643c5fdfa5db459a2e",
+    "report": "c4e19535865b018ab288ee5bb377b6b2983cca9c50cc3faef810230aa91c7c66",
 }
 
 # Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
 # --n-max 10 is where the least witness among several maxima is chosen.
 DESK4_N10_CERT_SHA256 = {
-    "family": "7cf27dc8d33e495b874c085ddb135904e366ea34c3ba32ceb7a04999d045453f",
-    "zs": "8c1b0a958756048ca1ad1164cdfb7ac40f812d9639623a5a9a3bed3e2e3f3554",
-    "zs-mitm": "41dd10aac8bbfc6844688251470e5ff0315bd37fdd72ec60f0f0304934878b79",
-    "leinert": "6d0c2811ec1dae199118cf5c4277891bb9841a1c7ef657626946bd2e10609db5",
-    "report": "3050c33306c0575d0370375f9025487c2ff4e198a63f253720eb10abc40ca8f8",
+    "family": "f822826b94b9b5643543552afeb75498849ee7b7cb0b8eb1ab7d65079ab9ffc2",
+    "zs": "7b39faee4f989f32e001eea0def96de72212e817d3b7ab5d2689efdb39ed9416",
+    "zs-mitm": "11efc0c35e1890e120ae27352337171319d985a0a6064cfd41f3474686b385c7",
+    "leinert": "03e3aeb9de4b6e40a4d607560ffe9276f29f726a2c8c376beefb6af51aa3914e",
+    "report": "6efa9bf24cb102fe5673618dea83c66d1b56d0dd83cd57a85ee00a704ba02269",
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
-SEEDED_PAPER2_FAMILY_SHA256 = "57cc077e4a5354d541239eccdfc14860531d32f22aef5d8a18ffad748fbfa72e"
+SEEDED_PAPER2_FAMILY_SHA256 = "9cd394e1fd108ab2091fe1076f1b202c3d5b4414a728f1add92f415956879a90"
 # the families of build --s 2|4 --profile paper: their factors n >= 6 stop on
 # the 5,000-node search budget, so these bytes pin the order the search visits
 PAPER_FAMILY_SHA256 = {
-    "2": "f64d511a081ab1eadf17af260265b6ff76b6a72d0673ce40426e6e263d83bc7d",
-    "4": "7503588116df0a4ca94ba2003d061f4b7ebcd60bbf63c4607cc8a2920b1ed2a0",
+    "2": "c6b643c2188f42a84a636aff13ea88403cc9a980480e87a7426e133d7825369e",
+    "4": "429da741de83621420d6cff149f06e10daa0f835164b4a8db44f214a8ecf05e9",
 }
 # format-1 families committed under tests/data: build --s 2, and build --s 4 --n-max 10
 DATA = Path(__file__).parent / "data"
@@ -64,7 +71,7 @@ FAMILY_COMMANDS = pytest.mark.parametrize(
     ids=" ".join,
 )
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
-ADHOC_LEINERT_CERT_SHA256 = "6b6b5805e59cd61c0cf034a6fc51bbe5c7ab104599eb70d3fc94238366ac7aaf"
+ADHOC_LEINERT_CERT_SHA256 = "6b7f6667f340757693224388513606dc1febb9de6c8a91c0c1c57b5c18f70806"
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -295,6 +302,53 @@ def test_format_1_family_reads_as_before(
     assert all(r["status"] == "ok" for r in rows if r["n"] not in unrecorded)
     printed = capsys.readouterr().out.count("infeasible (search not recorded)")
     assert printed == len(unrecorded)
+
+
+def test_resaved_format_1_family_reports_search_not_recorded(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    v1 = read_certificate(str(DATA / "desk4-n10-v1.json"))
+    family = family_from_payload(v1.payload, v1.format_version)
+    write_certificate("resaved.json", CertificateFile("family", family_to_payload(family), {}))
+    assert read_json("resaved.json")["format_version"] == 3
+    assert main(["report", "resaved.json", "--out", "report.json"]) == EXIT_OK
+    rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
+    assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [8]
+
+
+@pytest.fixture(scope="module")
+def desk4_n10_doc(tmp_path_factory):
+    """The family document of build --s 4 --n-max 10; n=8 keeps 5 of its 6 elements."""
+    out = tmp_path_factory.mktemp("desk4") / "family.json"
+    assert main(["build", "--s", "4", "--n-max", "10", "--out", str(out)]) == EXIT_VIOLATION
+    return read_json(out)
+
+
+def _claim_n8_target_5(payload):
+    payload["factors"][0].update(target_size=5, feasible=True)
+    payload.update(n_feasible=8)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_claim_n8_target_5,
+         "factor 8: stored target_size 5 and pool_bound 256 contradict the desk profile's 6 and "
+         "256"),
+        (lambda payload: payload.update(profile="nonsense"),
+         "family payload: unknown build profile 'nonsense'"),
+        (lambda payload: payload["factors"][0].update(pool_bound=512),
+         "factor 8: stored target_size 6 and pool_bound 512 contradict"),
+    ],
+    ids=["target-5", "profile-nonsense", "pool-512"],
+)
+@FAMILY_COMMANDS
+def test_family_must_match_its_profile(tmp_path, capsys, desk4_n10_doc, command, tamper, message):
+    # the profile derives each factor's target and pool from n and s
+    doc = json.loads(json.dumps(desk4_n10_doc))
+    tamper(doc["payload"])
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    _refused(tmp_path, capsys, command, family, message)
 
 
 def test_verify_ignores_cached_fields(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freelac import spectral
+from freelac.cli import kernel_order
 from freelac import (
     BudgetExceeded,
     CyclicFunction,
@@ -34,8 +35,9 @@ TOL = 1e-9
 
 
 def dft_oracle(f: CyclicFunction, k: int) -> complex:
-    """Independent single-coefficient DFT, straight from the definition."""
-    return sum(v * cmath.exp(-2j * cmath.pi * j * k / f.p) for j, v in f.values)
+    """Independent single-coefficient DFT, straight from the definition; j*k is
+    reduced mod p in integers, so the phase loses no precision to its size."""
+    return sum(v * cmath.exp(-2j * cmath.pi * ((j * k) % f.p) / f.p) for j, v in f.values)
 
 
 def random_sparse(rng: random.Random, p: int) -> CyclicFunction:
@@ -59,13 +61,66 @@ def test_pair_indicator_in_z3():
     assert abs(report.norm_a - 4.0 / 3.0) < TOL
 
 
-def test_transform_matches_definition_oracle():
-    rng = random.Random(47)
-    for p in (5, 17, 101):
-        f = random_sparse(rng, p)
-        report = transform(f)
-        for k in (0, 1, p // 2, p - 1):
-            assert abs(report.spectrum[k] - dft_oracle(f, k)) < 1e-10
+EPS = 2.0**-52
+FFT_PRIMES = [p for p in range(2, 4000) if is_prime(p)] + [8209]
+
+
+def fft_error_bound(p: int, l1: float) -> float:
+    """The error allowed at one coefficient between ``transform`` and ``dft_oracle``
+    for a function whose values have sum |v_j| = l1.
+
+    Higham (2002), ch. 24: in a radix-2 FFT of length m each input reaches each
+    output along one path of log2(m) butterflies, and each butterfly, with
+    twiddles accurate to mu, adds relative error at most eta = mu + gamma_4 (sqrt
+    2 + mu), about (1 + 4 sqrt 2) u with u = eps / 2.  A large prime length
+    goes through Bluestein's algorithm, three transforms of a length m < 4p, so
+    the bound charges 3 (log2 p + 2) butterflies per input.  The oracle adds,
+    per term, a phase 2 pi r / p below 2 pi with three roundings, one exp and
+    one complex product, and eleven additions: under 35 u per unit of l1.
+    Carried to numpy's prime-length code this is a model, not a proof; random
+    inputs stay below a tenth of it.
+    """
+    u = EPS / 2
+    return (3 * (math.log2(p) + 2) * (1 + 4 * math.sqrt(2)) + 35) * u * l1
+
+
+@st.composite
+def sparse_functions(draw):
+    """A prime p < 4,000 or 8,209 and 1..12 support points with values in [-2, 2]^2.
+
+    A nonzero real or imaginary part is at least 2^-100 in size, so no step of
+    the transform underflows, as the error model assumes.
+    """
+    p = draw(st.sampled_from(FFT_PRIMES))
+    support = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(12, p), unique=True))
+    part = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 2.0**-100)
+    values = [draw(st.builds(complex, part, part)) for _ in support]
+    return CyclicFunction.from_values(p, dict(zip(support, values)))
+
+
+@settings(deadline=None)
+@given(sparse_functions())
+def test_transform_matches_definition_oracle(f):
+    # every coefficient, within the bound stated from the float format
+    spectrum = transform(f).spectrum.tolist()
+    bound = fft_error_bound(f.p, sum(abs(v) for _, v in f.values))
+    worst = max(abs(spectrum[k] - dft_oracle(f, k)) for k in range(f.p))
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 300])
+def test_norms_equal_a_libm_reference_exactly(n):
+    # numpy's vectorized abs and power may differ from libm in the last bit,
+    # depending on the SIMD kernels the host CPU gets; the norms use libm alone
+    p = kernel_order(n)
+    report = transform(fejer_kernel(n, p))
+    magnitudes = [math.hypot(z.real, z.imag) for z in report.spectrum.tolist()]
+    assert report.norm_a == math.fsum(magnitudes) / p
+    assert report.norm_vn == max(magnitudes)
+    for q in (3.0, 4.0, 6.0, 10.0, 2.0 * n):
+        q_prime = q / (q - 1.0)
+        powers = [math.pow(m, q_prime) for m in magnitudes]
+        assert report.norm_lq(q_prime) == math.pow(math.fsum(powers) / p, 1.0 / q_prime)
 
 
 def test_parseval_on_random_sparse_functions():
