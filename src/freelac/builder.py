@@ -313,27 +313,29 @@ def epsilon_vector_count(n_elements: int, s: int) -> int:
     return total
 
 
-def verify_pn_bruteforce(
-    subset: FactorSubset,
-    s: int,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> tuple[bool, Optional[EpsilonVector]]:
-    """Exhaustively check the avoidance property over all weight <= 2s vectors.
+def _signed_sums_distinct(exps: tuple[int, ...], p: int, s: int) -> bool:
+    """Whether the signed sums of at most s exponents are pairwise distinct mod p.
 
-    Returns (True, None) or (False, first violating vector) in the fixed
-    enumeration order: support sets by size then lexicographically, values per
-    support in (1, -1, 2, -2) product order.  Refuses when the enumeration
-    would exceed ``budget``.
+    The half table holds sum(sigma_j * g_j) over every support S with |S| <= s
+    and every sign vector sigma in {+-1}^S, the empty sum 0 included: that is
+    sum_{k<=s} C(N, k) * 2^k residues.  ``sums[k]`` lists the sums of k signed
+    terms over the exponents taken so far; descending k extends each level
+    from the previous one before that one grows.
     """
-    check_even_s(s)
-    n_elements = len(subset.exponents)
-    count = epsilon_vector_count(n_elements, s)
-    if count > budget:
-        raise BudgetExceeded(
-            f"avoidance check needs {count} vectors, budget is {budget}"
-        )
-    p = subset.order
-    exps = subset.exponents
+    sums: list[list[int]] = [[0]] + [[] for _ in range(s)]
+    for g in exps:
+        for k in range(s, 0, -1):
+            sums[k] += [(r + t) % p for r in sums[k - 1] for t in (g, -g)]
+    residues = [r for level in sums for r in level]
+    return len(set(residues)) == len(residues)
+
+
+def _first_vanishing_vector(
+    exps: tuple[int, ...], p: int, s: int
+) -> Optional[EpsilonVector]:
+    """The first vector of weight <= 2s whose sum vanishes mod p, in
+    ``verify_pn_bruteforce``'s enumeration order, or None."""
+    n_elements = len(exps)
     for k in range(1, min(2 * s, n_elements) + 1):
         # the weight of a pattern depends on k alone; filtering keeps product order
         patterns = [
@@ -346,8 +348,38 @@ def verify_pn_bruteforce(
                     entries = [0] * n_elements
                     for i, v in zip(support, values):
                         entries[i] = v
-                    return False, EpsilonVector(tuple(entries))
-    return True, None
+                    return EpsilonVector(tuple(entries))
+    return None
+
+
+def verify_pn_bruteforce(
+    subset: FactorSubset,
+    s: int,
+    budget: int = DEFAULT_TUPLE_BUDGET,
+) -> tuple[bool, Optional[EpsilonVector]]:
+    """Exactly check the avoidance property over all weight <= 2s vectors.
+
+    A vanishing vector eps exists exactly when two signed sums of at most s
+    exponents collide: two such sign vectors u != w give eps = u - w, and any
+    eps splits into two halves of weight <= s, each +-2 entry as +-1 in one
+    half and -+1 in the other, the +-1 entries shared out between them.  So
+    the check builds that half table, and only when it collides enumerates
+    the vectors for the first violating one.
+
+    Returns (True, None) or (False, first violating vector) in the fixed
+    enumeration order: support sets by size then lexicographically, values per
+    support in (1, -1, 2, -2) product order.  Refuses when the enumeration
+    would exceed ``budget``.
+    """
+    check_even_s(s)
+    count = epsilon_vector_count(len(subset.exponents), s)
+    if count > budget:
+        raise BudgetExceeded(
+            f"avoidance check needs {count} vectors, budget is {budget}"
+        )
+    if _signed_sums_distinct(subset.exponents, subset.order, s):
+        return True, None
+    return False, _first_vanishing_vector(subset.exponents, subset.order, s)
 
 
 @dataclass(frozen=True)

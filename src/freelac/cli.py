@@ -46,6 +46,7 @@ from .errors import BudgetExceeded
 from .primes import FactorTable, smallest_admissible_prime
 from .spectral import (
     DEFAULT_TOLERANCE,
+    check_spectral_budget,
     density_lower_bound,
     fejer_coefficient,
     fejer_kernel,
@@ -310,10 +311,12 @@ def kernel_order(scale: int) -> int:
 def cmd_norms(args) -> int:
     q_grid = [float(q) for q in args.q.split(",")]
     scales = [args.scale] if args.scale is not None else list(range(1, args.n_max + 1))
+    orders = [kernel_order(n) for n in scales]
+    for p in orders:  # refuse before building any kernel's 4n - 1 exact coefficients
+        check_spectral_budget(p)
     all_ok = True
     kernels = []
-    for n in scales:
-        p = kernel_order(n)
+    for n, p in zip(scales, orders):
         report = transform(fejer_kernel(n, p))
         qs = sorted(set(q_grid + [float(2 * n)]))
         checks = [kernel_norm_check(n, report, q) for q in qs]

@@ -87,6 +87,12 @@ class SpectrumReport:
         return math.pow(total / self.p, 1.0 / q)
 
 
+def check_spectral_budget(p: int) -> None:
+    """Refuse an order above ``DEFAULT_SPECTRAL_BUDGET``."""
+    if p > DEFAULT_SPECTRAL_BUDGET:
+        raise BudgetExceeded(f"order {p} exceeds the spectral budget {DEFAULT_SPECTRAL_BUDGET}")
+
+
 def transform(f: CyclicFunction) -> SpectrumReport:
     """The spectrum of ``f`` by one FFT of its dense length-p array, O(p log p).
 
@@ -97,8 +103,7 @@ def transform(f: CyclicFunction) -> SpectrumReport:
     dense array's memory.
     """
     p = f.p
-    if p > DEFAULT_SPECTRAL_BUDGET:
-        raise BudgetExceeded(f"order {p} exceeds the spectral budget {DEFAULT_SPECTRAL_BUDGET}")
+    check_spectral_budget(p)
     dense = np.zeros(p, dtype=np.complex128)
     for j, v in f.values:
         dense[j] = v

@@ -3,13 +3,16 @@ choice, certificates, and family construction."""
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelac import builder
 from freelac import (
     BudgetExceeded,
     FactorSubset,
@@ -241,41 +244,66 @@ def test_verify_pn_examples():
 ODD_PRIMES_BELOW_400 = [
     p for p in range(3, 400, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2))
 ]
+# the desk s=2 orders of factors 10 and 12
+DESK_PRIMES = [2053, 8209]
 
 
 @st.composite
-def small_sets(draw):
-    """An odd prime p < 400 and 1 to 6 distinct exponents mod p, sorted."""
-    p = draw(st.sampled_from(ODD_PRIMES_BELOW_400))
-    size = min(6, p - 1)
+def exponent_sets(draw):
+    """An odd prime p, either below 400 (where violations are common) or a desk
+    order, and 1 to 8 distinct exponents mod p, sorted."""
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_400) | st.sampled_from(DESK_PRIMES))
+    size = min(8, p - 1)
     exponents = draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=size, unique=True))
     return p, tuple(sorted(exponents))
 
 
-@settings(deadline=None)
-@given(small_sets(), st.sampled_from([2, 4]))
-def test_verify_pn_returns_the_first_vanishing_vector(small_set, s):
-    # oracle order: support size, then support indices, then values ranked 1, -1, 2, -2
-    p, exponents = small_set
+def cube(n, values):
+    """Every vector of length n with entries from ``values``, one per row."""
+    grids = np.meshgrid(*[np.array(values, dtype=np.int64)] * n, indexing="ij")
+    return np.stack([grid.ravel() for grid in grids], axis=1)
+
+
+def first_vanishing_oracle(exponents, p, s):
+    """The first nonzero vector in {0, +-1, +-2}^N of weight <= 2s whose sum
+    vanishes mod p, or None.  Order: support size, then support indices, then
+    values ranked 1, -1, 2, -2."""
     rank = {1: 0, -1: 1, 2: 2, -2: 3}
 
     def order(eps):
         support = tuple(i for i, e in enumerate(eps) if e)
         return len(support), support, tuple(rank[eps[i]] for i in support)
 
-    vectors = sorted(
-        (
-            eps
-            for eps in product((-2, -1, 0, 1, 2), repeat=len(exponents))
-            if 0 < sum(abs(e) for e in eps) <= 2 * s
-        ),
-        key=order,
-    )
-    vanishing = (eps for eps in vectors if sum(e * g for e, g in zip(eps, exponents)) % p == 0)
-    first = next(vanishing, None)
+    vectors = cube(len(exponents), (-2, -1, 0, 1, 2))
+    weight = np.abs(vectors).sum(axis=1)
+    vanishing = (vectors @ np.array(exponents, dtype=np.int64)) % p == 0
+    rows = vectors[(weight > 0) & (weight <= 2 * s) & vanishing]
+    return min((tuple(int(e) for e in row) for row in rows), key=order, default=None)
+
+
+@settings(deadline=None)
+@given(exponent_sets(), st.sampled_from([2, 4, 6]))
+def test_verify_pn_returns_the_first_vanishing_vector(exponent_set, s):
+    p, exponents = exponent_set
+    first = first_vanishing_oracle(exponents, p, s)
     ok, witness = verify_pn_bruteforce(FactorSubset(1, p, exponents), s)
     assert ok == (first is None)
     assert (None if witness is None else witness.entries) == first
+
+
+@settings(deadline=None)
+@given(exponent_sets(), st.sampled_from([2, 4, 6]))
+def test_half_table_is_distinct_exactly_when_nothing_vanishes(exponent_set, s):
+    # the signed sums of at most s exponents, the empty sum included, collide
+    # exactly when some weight <= 2s vector vanishes
+    p, exponents = exponent_set
+    halves = cube(len(exponents), (-1, 0, 1))
+    halves = halves[np.abs(halves).sum(axis=1) <= s]
+    residues = (halves @ np.array(exponents, dtype=np.int64)) % p
+    assert len(residues) == sum(math.comb(len(exponents), k) * 2**k for k in range(s + 1))
+    distinct = len(np.unique(residues)) == len(residues)
+    assert distinct == (first_vanishing_oracle(exponents, p, s) is None)
+    assert builder._signed_sums_distinct(exponents, p, s) == distinct
 
 
 def test_verify_pn_budget_refusal():

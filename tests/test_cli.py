@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from freelac import cli, spectral
+from freelac import builder, cli, spectral
 from freelac.certificates import (
     CertificateFile,
     family_from_payload,
@@ -186,6 +186,20 @@ def test_tampered_family_fails_pn_with_witness(tmp_path):
     claims = read_json(out)["payload"]["claims"]
     bad = [c for c in claims if not c["holds"]]
     assert bad and bad[0]["violating_epsilon"] == [2, -1, 0, 0, 0, 0, 0, 0]
+
+
+def test_clean_family_never_enumerates_for_pn(tmp_path, monkeypatch, capsys):
+    # a family whose half tables do not collide is verified without the
+    # enumeration, and its pn certificate keeps its pinned bytes
+    def enumerate_vectors(*args, **kwargs):
+        raise AssertionError("enumerated the vectors of a clean set")
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--s", "2", "--out", "family.json"]) == EXIT_OK
+    monkeypatch.setattr(builder, "_first_vanishing_vector", enumerate_vectors)
+    assert main(["verify", "pn", "family.json", "--out", "pn.json"]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "pn.json").read_bytes()).hexdigest()
+    assert digest == DESK2_CERT_SHA256["pn"]
 
 
 def test_tampered_feasible_flag_is_format_error(tmp_path, capsys):
@@ -460,6 +474,26 @@ def test_norms_transforms_each_kernel_once(monkeypatch, capsys):
         monkeypatch.setattr(cli, name, wrapped)
     assert main(["norms", "--n-max", "3"]) == EXIT_OK
     assert calls == {"transform": 3, "fejer_kernel": 3}
+
+
+def test_norms_refuses_an_order_over_budget_before_building_the_kernel(
+    tmp_path, monkeypatch, capsys
+):
+    # kernel_order(262144) = 1,048,583 exceeds the spectral budget 2^20
+    calls = []
+    kernel = spectral.fejer_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fejer_kernel", counting)
+    out = tmp_path / "norms.json"
+    assert main(["norms", "--scale", "262144", "--out", str(out)]) == EXIT_BUDGET
+    assert calls == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "budget refusal: order 1048583 exceeds the spectral budget 1048576\n"
 
 
 def test_norms_single_scale_includes_spectrum(tmp_path):
