@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, compress, product
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded
@@ -313,42 +313,45 @@ def epsilon_vector_count(n_elements: int, s: int) -> int:
     return total
 
 
-def _signed_sums_distinct(exps: tuple[int, ...], p: int, s: int) -> bool:
-    """Whether the signed sums of at most s exponents are pairwise distinct mod p.
+def _vanishing_difference(exps: tuple[int, ...], p: int, s: int) -> Optional[EpsilonVector]:
+    """The difference of the first two signed sums of at most s exponents that
+    collide mod p, or None when all of them are distinct.
 
     The half table holds sum(sigma_j * g_j) over every support S with |S| <= s
     and every sign vector sigma in {+-1}^S, the empty sum 0 included: that is
-    sum_{k<=s} C(N, k) * 2^k residues.  ``sums[k]`` lists the sums of k signed
-    terms over the exponents taken so far; descending k extends each level
-    from the previous one before that one grows.
+    sum_{k<=s} C(N, k) * 2^k residues.  ``levels[k]`` lists the sums of k signed
+    terms over the exponents taken so far; descending k extends each level from
+    the previous one before that one grows.  Until the first collision a residue
+    names one sum, so ``last`` maps it to that sum's last term (j, sign), None
+    for the empty sum, and the rest of the sum sits at the residue minus that
+    term.  The first sum whose residue is already in the table gives u - w,
+    signed so that its first nonzero entry is positive.
     """
-    sums: list[list[int]] = [[0]] + [[] for _ in range(s)]
-    for g in exps:
+    last: dict[int, Optional[tuple[int, int]]] = {0: None}
+    levels: list[list[int]] = [[0]] + [[] for _ in range(s)]
+
+    def signs(residue: int) -> list[int]:
+        entries = [0] * len(exps)
+        while last[residue] is not None:
+            j, sign = last[residue]
+            entries[j] = sign
+            residue = (residue - sign * exps[j]) % p
+        return entries
+
+    for j, g in enumerate(exps):
+        steps = ((g, (j, 1)), (p - g, (j, -1)))
         for k in range(s, 0, -1):
-            sums[k] += [(r + t) % p for r in sums[k - 1] for t in (g, -g)]
-    residues = [r for level in sums for r in level]
-    return len(set(residues)) == len(residues)
-
-
-def _first_vanishing_vector(
-    exps: tuple[int, ...], p: int, s: int
-) -> Optional[EpsilonVector]:
-    """The first vector of weight <= 2s whose sum vanishes mod p, in
-    ``verify_pn_bruteforce``'s enumeration order, or None."""
-    n_elements = len(exps)
-    for k in range(1, min(2 * s, n_elements) + 1):
-        # the weight of a pattern depends on k alone; filtering keeps product order
-        patterns = [
-            v for v in product((1, -1, 2, -2), repeat=k) if k + v.count(2) + v.count(-2) <= 2 * s
-        ]
-        for support in combinations(range(n_elements), k):
-            support_exps = tuple(exps[i] for i in support)
-            for values in patterns:
-                if sum(v * g for v, g in zip(values, support_exps)) % p == 0:
-                    entries = [0] * n_elements
-                    for i, v in zip(support, values):
-                        entries[i] = v
-                    return EpsilonVector(tuple(entries))
+            for r in levels[k - 1]:
+                for t, term in steps:
+                    residue = (r + t) % p
+                    if residue in last:
+                        u = signs(r)
+                        u[j] = term[1]
+                        diff = [a - b for a, b in zip(u, signs(residue))]
+                        lead = next(e for e in diff if e)
+                        return EpsilonVector(tuple(e if lead > 0 else -e for e in diff))
+                    last[residue] = term
+                    levels[k].append(residue)
     return None
 
 
@@ -363,23 +366,19 @@ def verify_pn_bruteforce(
     exponents collide: two such sign vectors u != w give eps = u - w, and any
     eps splits into two halves of weight <= s, each +-2 entry as +-1 in one
     half and -+1 in the other, the +-1 entries shared out between them.  So
-    the check builds that half table, and only when it collides enumerates
-    the vectors for the first violating one.
+    the check fills that half table once and stops at its first collision.
 
-    Returns (True, None) or (False, first violating vector) in the fixed
-    enumeration order: support sets by size then lexicographically, values per
-    support in (1, -1, 2, -2) product order.  Refuses when the enumeration
-    would exceed ``budget``.
+    Returns (True, None), or (False, u - w) for the first colliding pair in
+    fill order: a nonzero vector in {0, +-1, +-2}^N of weight <= 2s whose first
+    nonzero entry is positive.  Refuses, before filling, when the table's
+    sum_{k<=s} C(N, k) * 2^k signed sums would exceed ``budget``.
     """
     check_even_s(s)
-    count = epsilon_vector_count(len(subset.exponents), s)
+    count = sum(math.comb(len(subset.exponents), k) * 2**k for k in range(s + 1))
     if count > budget:
-        raise BudgetExceeded(
-            f"avoidance check needs {count} vectors, budget is {budget}"
-        )
-    if _signed_sums_distinct(subset.exponents, subset.order, s):
-        return True, None
-    return False, _first_vanishing_vector(subset.exponents, subset.order, s)
+        raise BudgetExceeded(f"avoidance check needs {count} signed sums, budget is {budget}")
+    witness = _vanishing_difference(subset.exponents, subset.order, s)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from typing import Any
 from .builder import PROFILES, BuildResult, FactorSubset, LacunaryFamily, check_even_s
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
 
-FORMAT_VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+READABLE_VERSIONS = (1, 2, 3, 4)
 KINDS = ("family", "pn", "zs", "leinert", "qi", "spectrum", "report")
 
 TOOL_NAME = "freelac"
@@ -95,8 +95,10 @@ def parse(text: str) -> CertificateFile:
         raise CertificateFormatError("certificate document must be a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version not in READABLE_VERSIONS:
+        *first, last = READABLE_VERSIONS
         raise CertificateFormatError(
-            f"unsupported format_version {version!r}; expected the integer 1, 2 or 3"
+            f"unsupported format_version {version!r}; "
+            f"expected the integer {', '.join(map(str, first))} or {last}"
         )
     for key in ("kind", "payload", "provenance"):
         if key not in doc:
@@ -130,7 +132,7 @@ def read_certificate(path: str) -> CertificateFile:
 
 
 def family_to_payload(family: LacunaryFamily) -> dict:
-    """The payload of a built family, search record included; formats 2 and 3 share it."""
+    """The payload of a built family, search record included; formats 2 to 4 share it."""
     factors = []
     for result in family.results:
         factors.append(

@@ -284,11 +284,21 @@ def first_vanishing_oracle(exponents, p, s):
 @settings(deadline=None)
 @given(exponent_sets(), st.sampled_from([2, 4, 6]))
 def test_verify_pn_returns_the_first_vanishing_vector(exponent_set, s):
+    # the cube oracle decides the verdict; the half table's witness is any
+    # nonzero vector in {0, +-1, +-2}^N of weight <= 2s, first nonzero entry
+    # positive, that vanishes mod p, not necessarily the oracle's first
     p, exponents = exponent_set
     first = first_vanishing_oracle(exponents, p, s)
     ok, witness = verify_pn_bruteforce(FactorSubset(1, p, exponents), s)
     assert ok == (first is None)
-    assert (None if witness is None else witness.entries) == first
+    if ok:
+        assert witness is None
+        return
+    entries = witness.entries
+    assert len(entries) == len(exponents) and set(entries) <= {-2, -1, 0, 1, 2}
+    assert 0 < sum(abs(e) for e in entries) <= 2 * s
+    assert next(e for e in entries if e) > 0
+    assert sum(e * g for e, g in zip(entries, exponents)) % p == 0
 
 
 @settings(deadline=None)
@@ -303,13 +313,23 @@ def test_half_table_is_distinct_exactly_when_nothing_vanishes(exponent_set, s):
     assert len(residues) == sum(math.comb(len(exponents), k) * 2**k for k in range(s + 1))
     distinct = len(np.unique(residues)) == len(residues)
     assert distinct == (first_vanishing_oracle(exponents, p, s) is None)
-    assert builder._signed_sums_distinct(exponents, p, s) == distinct
+    assert (builder._vanishing_difference(exponents, p, s) is None) == distinct
 
 
 def test_verify_pn_budget_refusal():
+    # the budget counts the half table: 1 + 15 * 2 + C(15, 2) * 4 signed sums
     subset = FactorSubset(10, 2053, tuple(range(1, 16)))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="needs 451 signed sums, budget is 10"):
         verify_pn_bruteforce(subset, 2, budget=10)
+
+
+def test_verify_pn_decides_a_clean_set_its_vectors_would_exceed():
+    # 12 powers of 5 at s=4: 9,969 signed sums, though 3,039,568 vectors of
+    # weight <= 8 exceed the default budget
+    p = 244_140_683
+    exponents = tuple(sorted(pow(5, j, p) for j in range(12)))
+    assert epsilon_vector_count(len(exponents), 4) == 3_039_568
+    assert verify_pn_bruteforce(FactorSubset(1, p, exponents), 4) == (True, None)
 
 
 def test_epsilon_vector_count_matches_enumeration():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from freelac import builder, cli, spectral
+from freelac import cli, spectral
 from freelac.certificates import (
     CertificateFile,
     family_from_payload,
@@ -34,30 +34,30 @@ def read_json(path):
 # sha256 of the desk s=2 certificates; changing their bytes needs a
 # format_version bump
 DESK2_CERT_SHA256 = {
-    "family": "53bcb597d41542061de0348f271ebe91d5d84de6aec80be8b66169ed9fbc78b7",
-    "pn": "449bcdfd7333d71a836585a5b74ec4647c2e2828da75fe80bc4c0e116fd10921",
-    "zs": "c15eaca0b30a648b2bd49ccb20f5fdf654a140187686d97ca2728f76615ef294",
-    "leinert": "69c80600663d652be1b57c37ade3c1446d5d6f6acb8453a6e63aab7713bd76f0",
-    "qi": "6a495d923dd8863e916a1438dce215b1584d7a5ec23a2c643c5fdfa5db459a2e",
-    "report": "c4e19535865b018ab288ee5bb377b6b2983cca9c50cc3faef810230aa91c7c66",
+    "family": "a6b4f16fe91c26ebdbd3b095027d724896cc14650519f57e00912305be454c4b",
+    "pn": "d14f5b7514a0fc17002dd902e720e4ad9b9fc03f07acb1b6c4b79dfec0c77081",
+    "zs": "d4e06494f72712d9adb683cc90436d37165370ab0b5ede544e817cde2f2d7344",
+    "leinert": "0aafae5a28b0fd426731e08db502b8bdd8f5468daf99ce1490b046a6e6c35940",
+    "qi": "71acf71074bb6c1f19d7fa7d4b92b619d1db19e63f7cfebc3fa7dfb64074e32a",
+    "report": "ebbc15efbae94d8911e303e79182a14bdd3aca97d8e13acc19033de8f8349bf9",
 }
 
 # Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
 # --n-max 10 is where the least witness among several maxima is chosen.
 DESK4_N10_CERT_SHA256 = {
-    "family": "f822826b94b9b5643543552afeb75498849ee7b7cb0b8eb1ab7d65079ab9ffc2",
-    "zs": "7b39faee4f989f32e001eea0def96de72212e817d3b7ab5d2689efdb39ed9416",
-    "zs-mitm": "11efc0c35e1890e120ae27352337171319d985a0a6064cfd41f3474686b385c7",
-    "leinert": "03e3aeb9de4b6e40a4d607560ffe9276f29f726a2c8c376beefb6af51aa3914e",
-    "report": "6efa9bf24cb102fe5673618dea83c66d1b56d0dd83cd57a85ee00a704ba02269",
+    "family": "26fdb533741a71b73c076276a2a55b31c50fd7f1910c1b04b39bd71a1e1d5d8a",
+    "zs": "e67614b7ee6b220116e6d5dbf171a83132af8fe283331187d4915188364c9efe",
+    "zs-mitm": "d0cb73f75ad9b5817abfa6faf46f5f9de5f293b76cf8f0ffa9dbadcd6413b729",
+    "leinert": "4c9205f85343bbf707b3f2d1e7fc806aa191b4ff703d92d2d8ffd24eb8be1ad1",
+    "report": "fc4f618f06bfc56cf2eba2bf70d217970f66979c19767946b9344613a6ce7d53",
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
-SEEDED_PAPER2_FAMILY_SHA256 = "9cd394e1fd108ab2091fe1076f1b202c3d5b4414a728f1add92f415956879a90"
+SEEDED_PAPER2_FAMILY_SHA256 = "ae6f5c2219444b931aee04429566417654b86a77ebd5cf78e3790429bc648fb9"
 # the families of build --s 2|4 --profile paper: their factors n >= 6 stop on
 # the 5,000-node search budget, so these bytes pin the order the search visits
 PAPER_FAMILY_SHA256 = {
-    "2": "c6b643c2188f42a84a636aff13ea88403cc9a980480e87a7426e133d7825369e",
-    "4": "429da741de83621420d6cff149f06e10daa0f835164b4a8db44f214a8ecf05e9",
+    "2": "ffc867a38ee48c0e94d36ae175b55b447c17ffda03be3176fafa2dcb7ed7e8cb",
+    "4": "a9ff28567eb6ef8a15279b54ca1cc64106eb77d06114ce4912b53a0dccebb18e",
 }
 # format-1 families committed under tests/data: build --s 2, and build --s 4 --n-max 10
 DATA = Path(__file__).parent / "data"
@@ -71,7 +71,7 @@ FAMILY_COMMANDS = pytest.mark.parametrize(
     ids=" ".join,
 )
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
-ADHOC_LEINERT_CERT_SHA256 = "6b7f6667f340757693224388513606dc1febb9de6c8a91c0c1c57b5c18f70806"
+ADHOC_LEINERT_CERT_SHA256 = "860c908711d79d176d5468bafd8c8e9b87725de6850833dbfe86b2dd8811192b"
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -186,20 +186,6 @@ def test_tampered_family_fails_pn_with_witness(tmp_path):
     claims = read_json(out)["payload"]["claims"]
     bad = [c for c in claims if not c["holds"]]
     assert bad and bad[0]["violating_epsilon"] == [2, -1, 0, 0, 0, 0, 0, 0]
-
-
-def test_clean_family_never_enumerates_for_pn(tmp_path, monkeypatch, capsys):
-    # a family whose half tables do not collide is verified without the
-    # enumeration, and its pn certificate keeps its pinned bytes
-    def enumerate_vectors(*args, **kwargs):
-        raise AssertionError("enumerated the vectors of a clean set")
-
-    monkeypatch.chdir(tmp_path)
-    assert main(["build", "--s", "2", "--out", "family.json"]) == EXIT_OK
-    monkeypatch.setattr(builder, "_first_vanishing_vector", enumerate_vectors)
-    assert main(["verify", "pn", "family.json", "--out", "pn.json"]) == EXIT_OK
-    digest = hashlib.sha256((tmp_path / "pn.json").read_bytes()).hexdigest()
-    assert digest == DESK2_CERT_SHA256["pn"]
 
 
 def test_tampered_feasible_flag_is_format_error(tmp_path, capsys):
@@ -323,7 +309,7 @@ def test_resaved_format_1_family_reports_search_not_recorded(tmp_path, monkeypat
     v1 = read_certificate(str(DATA / "desk4-n10-v1.json"))
     family = family_from_payload(v1.payload, v1.format_version)
     write_certificate("resaved.json", CertificateFile("family", family_to_payload(family), {}))
-    assert read_json("resaved.json")["format_version"] == 3
+    assert read_json("resaved.json")["format_version"] == 4
     assert main(["report", "resaved.json", "--out", "report.json"]) == EXIT_OK
     rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
     assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [8]
@@ -397,6 +383,22 @@ def test_adhoc_leinert_certificate_bytes_are_pinned(tmp_path, capsys):
 def test_verify_budget_refusal(tmp_path):
     family = build_desk_family(tmp_path)
     assert main(["verify", "zs", str(family), "--budget-tuples", "10"]) == EXIT_BUDGET
+
+
+def test_zs_counts_naively_up_to_the_budget(tmp_path, monkeypatch, capsys):
+    # the 24-element s=4 union of n = 9..12 needs 255,024 naive tuples: the
+    # count runs under a budget of 260,000 in verify zs and in report alike
+    monkeypatch.chdir(tmp_path)
+    build = ["build", "--s", "4", "--n-min", "9", "--n-max", "12", "--out", "family.json"]
+    assert main(build) == EXIT_OK
+    budget = ["--budget-tuples", "260000"]
+    assert main(["verify", "zs", "family.json", *budget, "--out", "zs.json"]) == EXIT_OK
+    assert main(["report", "family.json", *budget, "--out", "report.json"]) == EXIT_OK
+    zs = read_json("zs.json")["payload"]
+    assert (zs["ground_size"], zs["strategy"], zs["tuples_examined"]) == (24, "naive", 255_024)
+    section = read_json("report.json")["payload"]["sections"]["zs"]
+    assert (section["strategy"], section["value"]) == ("naive", zs["value"])
+    assert "(naive, 255024 tuples examined)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -683,6 +685,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["verify", "qi", "{family}", "--strategy", "naive"],
         ["verify", "qi", "{family}", "--budget-tuples", "10"],
         ["verify", "zs", "{family}", "--strat", "naive"],
+        ["verify", "zs", "{family}", "--strategy", "auto"],
         ["build", "--prof", "tiny"],
         ["build", "--stamp"],
         ["report", "{family}", "--st"],
@@ -691,7 +694,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ids=lambda argv: " ".join(a for a in argv if a != "{family}"),
 )
 def test_flag_is_accepted_only_where_read(tmp_path, monkeypatch, capsys, argv):
-    # a flag its command does not read, or a prefix of a flag's name, is a usage error
+    # a flag its command does not read, a prefix of a flag's name, or a value
+    # the flag does not take, is a usage error and writes no file
     monkeypatch.chdir(tmp_path)
     family = tmp_path / "small.json"
     build = ["build", "--s", "2", "--n-min", "8", "--n-max", "8", "--out", str(family)]
@@ -699,5 +703,9 @@ def test_flag_is_accepted_only_where_read(tmp_path, monkeypatch, capsys, argv):
     capsys.readouterr()
     assert main([str(family) if a == "{family}" else a for a in argv]) == EXIT_IO
     flag = next(a for a in argv if a.startswith("--"))
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    assert not (tmp_path / "family.json").exists()
+    err = capsys.readouterr().err
+    if "auto" in argv:  # --strategy takes naive or meet-in-middle
+        assert "argument --strategy: invalid choice: 'auto'" in err
+    else:
+        assert f"unrecognized arguments: {flag}" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["small.json"]
