@@ -5,7 +5,7 @@ An exponent g may join the set when neither g nor 2g can be written as a
 combination sum(eps_j * g_j) mod p with eps_j in {0,+-1,+-2} of weight at
 most 2s.  The demo shows the forbidden-residue ledger growing step by step,
 the one spot where plain greedy strands itself and backtracking rescues the
-target, and the honest infeasibility records for targets that do not fit.
+target, and the infeasibility records for targets that a count rules out.
 """
 
 from freelac import (
@@ -15,6 +15,7 @@ from freelac import (
     build_family,
     choose_next,
     epsilon_vector_count,
+    half_table_size,
     strata_extend,
     verify_pn_bruteforce,
 )
@@ -58,11 +59,13 @@ def main():
     print("=" * 64)
     family = build_family(s, (3, 5), "paper")
     for r in family.results:
-        state = "ok" if r.feasible else "infeasible"
+        count = half_table_size(r.target_size, s)
+        state = "ok" if r.feasible else f"infeasible, C={count} > p={r.p}"
         print(f"n={r.n}: target {r.target_size} from pool [1,{r.pool_bound}] "
               f"-> kept {len(r.subset)} ({state})")
-    print("the paper-scale rule m_n = n^2 only fits once pools dwarf the target;")
-    print("desk scale records what it could build and says so")
+    print("a set with the property keeps its C = sum_{k<=s} C(N,k) 2^k signed sums")
+    print("distinct mod p, so C > p rules the n^2 target out before any search;")
+    print("the build walks the greedy path and records what it kept")
 
 
 if __name__ == "__main__":

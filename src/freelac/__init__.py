@@ -23,6 +23,7 @@ from .builder import (
     build_family,
     choose_next,
     epsilon_vector_count,
+    half_table_size,
     strata_extend,
     verify_pn_bruteforce,
 )

@@ -12,6 +12,16 @@ is forbidden).  Admitting g rotates the lower strata by +-g and +-2g and ORs
 them in, with no loop over residues; the scan for the next exponent reads the
 OR of all strata as a string of binary digits and skips forbidden residues
 in C.
+
+The builder is stricter than the property.  Admitting g keeps the property
+when g lies in no stratum below 2s and 2g in none below 2s - 1; the builder
+also forbids g in stratum 2s and 2g in strata 2s - 1 and 2s, whose vanishing
+combinations would weigh more than 2s.  Every set it builds has the
+property, so any bound on the sets with the property bounds the builder too,
+though not the other way round.  One such bound is a count: an N-set with the
+property has sum_{k<=s} C(N, k) * 2^k distinct signed sums of at most s terms
+(see ``verify_pn_bruteforce``), so none exists in Z_p once that count exceeds
+p, and the builder then walks instead of searching.
 """
 
 from __future__ import annotations
@@ -207,8 +217,9 @@ class BuildResult:
 
     ``nodes_searched`` counts admission steps and ``search_exhausted`` says the
     search stopped before its node budget: a deterministic search then visited
-    its whole tree, a seeded walk reached a dead end.  A family read back from
-    a format-1 file, which stored neither, has both as None.
+    its whole tree, a walk (seeded, or on a target the count rules out)
+    reached a dead end.  A family read back from a format-1 file, which stored
+    neither, has both as None.
     """
 
     subset: FactorSubset
@@ -262,6 +273,9 @@ def build_factor_set(
     same search keeps one uniform draw among each node's admissible pool
     exponents and never backtracks: a random greedy walk, reproducible from
     the seed.  A chosen exponent lies in stratum 1, so it is never drawn twice.
+    When ``half_table_size(target_size, s) > p`` no target-sized set exists,
+    so deterministic mode walks too, taking each node's smallest admissible
+    exponent: the plain greedy path, ending at a dead end.
 
     Every step avoids all residues reachable as weight <= 2s combinations of
     the prefix, for the candidate and for its double, so every prefix of the
@@ -274,6 +288,7 @@ def build_factor_set(
     best_chosen = ()
     nodes = 0
     exhausted = True
+    walk = rng is not None or half_table_size(target_size, s) > p
 
     def dfs(strata: ForbiddenStrata, chosen: tuple[int, ...], start: int) -> bool:
         nonlocal best_chosen, nodes, exhausted
@@ -294,13 +309,20 @@ def build_factor_set(
             next_start = g + 1 if rng is None else 1
             if dfs(strata_extend(strata, g), chosen + (g,), next_start):
                 return True
-            if not exhausted:
+            if walk or not exhausted:
                 return False
         return False
 
     dfs(ForbiddenStrata.empty(p, s), (), 1)
     subset = FactorSubset(factor=n, order=p, exponents=tuple(sorted(best_chosen)))
     return BuildResult(subset, best_chosen, pool_bound, target_size, nodes, exhausted)
+
+
+def half_table_size(n_elements: int, s: int) -> int:
+    """Signed sums of at most s of N exponents, the empty sum included:
+    sum_{k<=s} C(N, k) * 2^k.  An N-set with the avoidance property keeps
+    them all distinct mod p, so none exists once this exceeds p."""
+    return sum(math.comb(n_elements, k) * 2**k for k in range(s + 1))
 
 
 def epsilon_vector_count(n_elements: int, s: int) -> int:
@@ -374,7 +396,7 @@ def verify_pn_bruteforce(
     sum_{k<=s} C(N, k) * 2^k signed sums would exceed ``budget``.
     """
     check_even_s(s)
-    count = sum(math.comb(len(subset.exponents), k) * 2**k for k in range(s + 1))
+    count = half_table_size(len(subset.exponents), s)
     if count > budget:
         raise BudgetExceeded(f"avoidance check needs {count} signed sums, budget is {budget}")
     witness = _vanishing_difference(subset.exponents, subset.order, s)

@@ -20,6 +20,7 @@ from .builder import (
     FactorSubset,
     PROFILES,
     build_family,
+    half_table_size,
     verify_pn_bruteforce,
 )
 from .certificates import (
@@ -109,15 +110,19 @@ def _load_family(path: str):
     return family_from_payload(cert.payload, cert.format_version)
 
 
-def _search_label(result, seeded: bool) -> str:
-    """Why a factor met its target or not, read from its search record."""
+def _search_label(result, family) -> str:
+    """Why a factor of ``family`` met its target or not: the half-table count
+    when it rules the target out, else the factor's search record."""
     if result.feasible:
         return "ok"
+    count = half_table_size(result.target_size, family.s)
+    if count > result.p:
+        return f"count: C={count} > p={result.p}"
     if result.search_exhausted is None:
         return "search not recorded"
     if not result.search_exhausted:
         return f"search budget: {result.nodes_searched} nodes"
-    return "seeded walk: dead end" if seeded else "exhausted"
+    return "seeded walk: dead end" if family.seed is not None else "exhausted"
 
 
 def _zs_claim(family, strategy: str, budget: int) -> dict:
@@ -166,7 +171,7 @@ def cmd_build(args) -> int:
     family = build_family(args.s, (n_min, n_max), args.profile, seed=args.seed)
     feasible = [r for r in family.results if r.feasible]
     for result in family.results:
-        status = _search_label(result, family.seed is not None)
+        status = _search_label(result, family)
         if not result.feasible:
             status = f"INFEASIBLE ({status})"
         print(
@@ -369,7 +374,7 @@ def cmd_report(args) -> int:
 
     rows = []
     for result in family.results:
-        status = _search_label(result, family.seed is not None)
+        status = _search_label(result, family)
         label = status if result.feasible else f"infeasible ({status})"
         rows.append(
             {
@@ -391,7 +396,9 @@ def cmd_report(args) -> int:
     with _budget_flag("--budget-tuples"):
         claim = _zs_claim(family, STRATEGY_NAIVE, args.budget_tuples)
     violated = violated or not claim["holds"]
-    keys = ("bound_factorial", "bound_half_square", "holds", "strategy", "value")
+    keys = (
+        "bound_factorial", "bound_half_square", "holds", "strategy", "tuples_examined", "value"
+    )
     sections["zs"] = {"status": "verified", **{key: claim[key] for key in keys}}
     print(
         f"  zs: Z_{family.s} = {claim['value']} <= {claim['bound_half_square']} "

@@ -9,7 +9,8 @@ Each function is transformed once, by numpy's FFT: its SpectrumReport keeps
 the spectrum and its magnitudes, and every check reads that report, computing
 a q-norm from it on demand.  The norms use libm alone (``math.hypot``,
 ``math.pow``, ``math.fsum``), so their digits do not depend on which SIMD
-kernels numpy dispatches on the host CPU.
+kernels numpy dispatches on the host CPU.  numpy is imported inside the two
+functions that take an FFT, so importing the module, or the CLI, loads none.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-import numpy as np
 
 from .builder import FactorSubset
 from .counting import is_quasi_independent
@@ -75,7 +74,7 @@ class SpectrumReport:
     """
 
     p: int
-    spectrum: np.ndarray
+    spectrum: "np.ndarray"
     magnitudes: tuple[float, ...]
     norm_a: float
     norm_vn: float
@@ -102,12 +101,14 @@ def transform(f: CyclicFunction) -> SpectrumReport:
     Refuses an order above ``DEFAULT_SPECTRAL_BUDGET``, which also bounds the
     dense array's memory.
     """
+    import numpy as np
+
     p = f.p
     check_spectral_budget(p)
     dense = np.zeros(p, dtype=np.complex128)
     for j, v in f.values:
         dense[j] = v
-    spectrum = np.fft.fft(dense)  # numpy.fft loads on first use, not with the CLI
+    spectrum = np.fft.fft(dense)
     mag = tuple(math.hypot(z.real, z.imag) for z in spectrum.tolist())
     return SpectrumReport(p, spectrum, mag, norm_a=math.fsum(mag) / p, norm_vn=max(mag))
 
@@ -204,6 +205,8 @@ def holder_check(f: CyclicFunction, g: CyclicFunction, q: float) -> HolderCheck:
     The pairing is computed in the spectral form (1/p) sum_k f_hat conj(g_hat)
     and cross-checked against the direct sum (Plancherel identity).
     """
+    import numpy as np
+
     if f.p != g.p:
         raise ValueError(f"orders differ: {f.p} vs {g.p}")
     q = float(q)

@@ -3,6 +3,8 @@ choice, certificates, and family construction."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from itertools import product
@@ -203,18 +205,61 @@ def test_budget_bound_search_is_pinned():
     result = build_factor_set(8, 4, 6, 256, TABLE)
     assert (result.nodes_searched, result.search_exhausted) == (5000, False)
     assert result.chosen == (1, 3, 9, 27, 81)
-    family = build_family(4, (3, 8), "paper")
+    # the desk s=2 targets 4..7 fit under the count, so these pools are
+    # searched: the same trees the paper builds searched before the count
+    family = build_family(2, (4, 7), "desk")
     assert [(r.n, r.nodes_searched, r.search_exhausted) for r in family.results] == [
-        (3, 28, True),
         (4, 212, True),
         (5, 2807, True),
         (6, 5000, False),
         (7, 5000, False),
-        (8, 5000, False),
     ]
     assert [r.chosen for r in family.results] == [
-        (1, 3), (1, 3, 9), (1, 3, 9), (1, 3, 9, 27), (1, 3, 9, 27, 81), (1, 3, 9, 27, 81)
+        (1, 3, 9), (1, 3, 9), (1, 3, 9, 23, 39), (1, 3, 9, 23, 39, 67)
     ]
+
+
+@pytest.mark.parametrize(
+    "s, chosen",
+    [
+        (2, [(1, 3), (1, 3, 9), (1, 3, 9), (1, 3, 9, 23, 39), (1, 3, 9, 23, 39, 67),
+             (1, 3, 9, 23, 39, 67, 117)]),
+        (4, [(1, 3), (1, 3, 9), (1, 3, 9), (1, 3, 9, 27), (1, 3, 9, 27, 81),
+             (1, 3, 9, 27, 81)]),
+    ],
+)
+def test_paper_targets_the_count_rules_out_walk_the_greedy_path(s, chosen):
+    # every n^2 target has C > p, so each factor takes its smallest admissible
+    # exponent until none is left: one node per admission, ending at a dead end
+    family = build_family(s, (3, 8), "paper")
+    for result in family.results:
+        assert builder.half_table_size(result.target_size, s) > result.p
+        assert (result.nodes_searched, result.search_exhausted) == (len(result.chosen), True)
+        assert result.chosen == tuple(sorted(result.chosen))
+    assert [r.chosen for r in family.results] == chosen
+
+
+# sha256 of json.dumps([[n, nodes_searched, search_exhausted, list(chosen)], ...])
+# over each family's factors, as the search wrote them before the count rule:
+# the count rules out none of the unseeded targets, and a seeded build walked
+# already, so the rule must leave every record as it was
+SEARCH_RECORD_SHA256 = {
+    (2, "desk", None): "7107993283f7051e0c8debf619442e9dc61857dd8b637af757d36921c747c756",
+    (4, "desk", None): "66ed739f77a87d515da56f5b305417c8a9649d16476a925e1f5dfb4bee7e81f9",
+    (2, "tiny", None): "f83e6b774634e11998687656751bf01ff7b880489f70e17ab9ef9459316e2dbd",
+    (4, "tiny", None): "f83e6b774634e11998687656751bf01ff7b880489f70e17ab9ef9459316e2dbd",
+    (2, "paper", 7): "5c08693c7c45fdb0b44d204818c73629763b627fb5cfed12b117f4c566204c67",
+}
+
+
+@pytest.mark.parametrize("s, profile, seed", list(SEARCH_RECORD_SHA256))
+def test_searches_the_count_does_not_settle_are_unchanged(s, profile, seed):
+    family = build_family(s, PROFILES[profile].n_range(s), profile, seed=seed)
+    if seed is None:
+        assert all(builder.half_table_size(r.target_size, s) <= r.p for r in family.results)
+    records = [[r.n, r.nodes_searched, r.search_exhausted, list(r.chosen)] for r in family.results]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == SEARCH_RECORD_SHA256[s, profile, seed]
 
 
 def test_build_pool_larger_than_order_rejected():
@@ -310,10 +355,32 @@ def test_half_table_is_distinct_exactly_when_nothing_vanishes(exponent_set, s):
     halves = cube(len(exponents), (-1, 0, 1))
     halves = halves[np.abs(halves).sum(axis=1) <= s]
     residues = (halves @ np.array(exponents, dtype=np.int64)) % p
-    assert len(residues) == sum(math.comb(len(exponents), k) * 2**k for k in range(s + 1))
+    assert len(residues) == builder.half_table_size(len(exponents), s)
     distinct = len(np.unique(residues)) == len(residues)
     assert distinct == (first_vanishing_oracle(exponents, p, s) is None)
     assert (builder._vanishing_difference(exponents, p, s) is None) == distinct
+
+
+@st.composite
+def counted_out_sets(draw):
+    """An odd prime p below 400, s in {2, 4}, and N distinct exponents mod p
+    with half_table_size(N, s) > p: N is the least such size or up to 3 more."""
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_400))
+    s = draw(st.sampled_from([2, 4]))
+    least = next(n for n in range(1, p) if builder.half_table_size(n, s) > p)
+    size = draw(st.integers(least, min(least + 3, p - 1)))
+    exponents = draw(st.lists(st.integers(1, p - 1), min_size=size, max_size=size, unique=True))
+    return p, s, tuple(sorted(exponents))
+
+
+@settings(deadline=None)
+@given(counted_out_sets())
+def test_a_set_the_count_rules_out_has_a_witness(case):
+    # more signed sums than residues: two collide, so some vector vanishes
+    p, s, exponents = case
+    ok, witness = verify_pn_bruteforce(FactorSubset(1, p, exponents), s)
+    assert not ok
+    assert sum(e * g for e, g in zip(witness.entries, exponents)) % p == 0
 
 
 def test_verify_pn_budget_refusal():
@@ -362,7 +429,8 @@ def test_family_paper_profile_records_infeasible():
     assert not result.feasible
     assert result.target_size == 9
     assert result.pool_bound == 8
-    assert result.search_exhausted  # the whole tree fits under the budget
+    # C = 163 > p = 17 rules out 9 elements, so the build walks to a dead end
+    assert (result.nodes_searched, result.search_exhausted) == (len(result.chosen), True)
 
 
 def test_family_empty_range():

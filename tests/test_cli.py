@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from freelac import cli, spectral
+from freelac import builder, cli, spectral
 from freelac.certificates import (
     CertificateFile,
     family_from_payload,
@@ -34,30 +37,30 @@ def read_json(path):
 # sha256 of the desk s=2 certificates; changing their bytes needs a
 # format_version bump
 DESK2_CERT_SHA256 = {
-    "family": "a6b4f16fe91c26ebdbd3b095027d724896cc14650519f57e00912305be454c4b",
-    "pn": "d14f5b7514a0fc17002dd902e720e4ad9b9fc03f07acb1b6c4b79dfec0c77081",
-    "zs": "d4e06494f72712d9adb683cc90436d37165370ab0b5ede544e817cde2f2d7344",
-    "leinert": "0aafae5a28b0fd426731e08db502b8bdd8f5468daf99ce1490b046a6e6c35940",
-    "qi": "71acf71074bb6c1f19d7fa7d4b92b619d1db19e63f7cfebc3fa7dfb64074e32a",
-    "report": "ebbc15efbae94d8911e303e79182a14bdd3aca97d8e13acc19033de8f8349bf9",
+    "family": "56176720174195d004077363ecc3d40caec1dbaf2c74d079b7c5cb75bcdd576c",
+    "pn": "000ceeb7f1d2d300b403d8842c210a411821a85c26a306cfec0031ae1d55b9ed",
+    "zs": "a12fc9ca52f8ee23d3d2d9f9cd07672e106f526bfa2f0296f5397e5b715e873f",
+    "leinert": "508013e6a25d0a88c5f27ff36a376c8289e00316f865e3e2583d80eb64b0d722",
+    "qi": "418659e2eba555fbba5d0d6845a592e03284ff0539a8b7b08e4be08d7be65e2e",
+    "report": "847d03d12ab0df15cc63e89b9890c53b661078f8125337805324cf1be2dcad26",
 }
 
 # Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
 # --n-max 10 is where the least witness among several maxima is chosen.
 DESK4_N10_CERT_SHA256 = {
-    "family": "26fdb533741a71b73c076276a2a55b31c50fd7f1910c1b04b39bd71a1e1d5d8a",
-    "zs": "e67614b7ee6b220116e6d5dbf171a83132af8fe283331187d4915188364c9efe",
-    "zs-mitm": "d0cb73f75ad9b5817abfa6faf46f5f9de5f293b76cf8f0ffa9dbadcd6413b729",
-    "leinert": "4c9205f85343bbf707b3f2d1e7fc806aa191b4ff703d92d2d8ffd24eb8be1ad1",
-    "report": "fc4f618f06bfc56cf2eba2bf70d217970f66979c19767946b9344613a6ce7d53",
+    "family": "a0c2e2bc015e7f831420778721de8ecb5b4a4469b3f9846fecfe912739fd881a",
+    "zs": "325b6d4640a85bf395c416d81883f8445b0bc928e20ca3a57c2f110d3b8acad3",
+    "zs-mitm": "8e0a44d06dc3176b99e359c14c3c65b3b57a950f19e7d523e1c6baae8085c5d3",
+    "leinert": "b829eeced1188f571fe7e329a75312b7aabeafd32b75af8e5c5aac749523105c",
+    "report": "f08e6312ae5724dc5b0a68279d14d99358dce0719abe1f44afe9cab0b7d26ca0",
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
-SEEDED_PAPER2_FAMILY_SHA256 = "ae6f5c2219444b931aee04429566417654b86a77ebd5cf78e3790429bc648fb9"
-# the families of build --s 2|4 --profile paper: their factors n >= 6 stop on
-# the 5,000-node search budget, so these bytes pin the order the search visits
+SEEDED_PAPER2_FAMILY_SHA256 = "350c9b5628e15650add19da035685b0465db163ca5eef8ecc220734b7d454196"
+# the families of build --s 2|4 --profile paper: the half-table count rules
+# out every n^2 target, so these bytes pin the greedy walk each factor takes
 PAPER_FAMILY_SHA256 = {
-    "2": "ffc867a38ee48c0e94d36ae175b55b447c17ffda03be3176fafa2dcb7ed7e8cb",
-    "4": "a9ff28567eb6ef8a15279b54ca1cc64106eb77d06114ce4912b53a0dccebb18e",
+    "2": "5d000a907bd2316190887692a769c30ed66248b2af5651685f8e41114cba6094",
+    "4": "a95b62b9c2e5ca62a8ea76eea7e9a0e54b194dbcf16bb99d7da8d69c51f9bb07",
 }
 # format-1 families committed under tests/data: build --s 2, and build --s 4 --n-max 10
 DATA = Path(__file__).parent / "data"
@@ -71,7 +74,7 @@ FAMILY_COMMANDS = pytest.mark.parametrize(
     ids=" ".join,
 )
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
-ADHOC_LEINERT_CERT_SHA256 = "860c908711d79d176d5468bafd8c8e9b87725de6850833dbfe86b2dd8811192b"
+ADHOC_LEINERT_CERT_SHA256 = "4233c4b95ddef335d4c702820079935cb11a901305d743234aac612c74cd37fe"
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -144,10 +147,12 @@ def test_build_s4_desk_records_partial_n8(tmp_path):
     [
         (["--s", "4", "--profile", "desk", "--n-min", "8", "--n-max", "8"],
          "INFEASIBLE (search budget: 5000 nodes)"),
-        (["--s", "2", "--profile", "paper", "--n-min", "3", "--n-max", "3"],
+        (["--s", "2", "--profile", "desk", "--n-min", "4", "--n-max", "4"],
          "INFEASIBLE (exhausted)"),
         (["--s", "4", "--n-min", "8", "--n-max", "8", "--seed", "3"],
          "INFEASIBLE (seeded walk: dead end)"),
+        (["--s", "2", "--profile", "paper", "--n-min", "3", "--n-max", "3"],
+         "INFEASIBLE (count: C=163 > p=17)"),
     ],
 )
 def test_build_says_why_a_factor_is_infeasible(tmp_path, capsys, build, label):
@@ -170,6 +175,35 @@ def test_paper_family_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         build = ["build", "--s", s, "--profile", "paper", "--out", f"paper{s}.json"]
         assert main(build) == EXIT_VIOLATION  # no factor reaches its n^2 target
         assert hashlib.sha256((tmp_path / f"paper{s}.json").read_bytes()).hexdigest() == expected
+
+
+def test_paper_build_settles_every_factor_by_the_count(monkeypatch, tmp_path, capsys):
+    # each n^2 target at s=4 has C > p, so no factor is searched: every factor
+    # walks the greedy path once, one strata extension per admitted exponent
+    calls = []
+    extend = builder.strata_extend
+
+    def counted(strata, g):
+        calls.append(g)
+        return extend(strata, g)
+
+    monkeypatch.setattr(builder, "strata_extend", counted)
+    out = tmp_path / "paper4.json"
+    assert main(["build", "--s", "4", "--profile", "paper", "--out", str(out)]) == EXIT_VIOLATION
+    factors = read_json(out)["payload"]["factors"]
+    assert len(calls) <= sum(len(f["exponents"]) for f in factors)
+    labels = [line for line in capsys.readouterr().out.splitlines() if "(count: C=" in line]
+    assert len(labels) == len(factors) == 6
+    assert labels[3].endswith("INFEASIBLE (count: C=1002193 > p=131)")
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is imported where an FFT is taken, not by the command line
+    code = "import sys, freelac.cli; sys.exit('numpy loaded' if 'numpy' in sys.modules else 0)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_tampered_family_fails_pn_with_witness(tmp_path):
@@ -309,7 +343,7 @@ def test_resaved_format_1_family_reports_search_not_recorded(tmp_path, monkeypat
     v1 = read_certificate(str(DATA / "desk4-n10-v1.json"))
     family = family_from_payload(v1.payload, v1.format_version)
     write_certificate("resaved.json", CertificateFile("family", family_to_payload(family), {}))
-    assert read_json("resaved.json")["format_version"] == 4
+    assert read_json("resaved.json")["format_version"] == 5
     assert main(["report", "resaved.json", "--out", "report.json"]) == EXIT_OK
     rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
     assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [8]
@@ -573,7 +607,9 @@ def test_report_agrees_with_verify(tmp_path, capsys):
     sections = read_json(report_out)["payload"]["sections"]
     zs = read_json(zs_out)["payload"]
     shared = sections["zs"].keys() & zs.keys()
-    assert shared == {"bound_factorial", "bound_half_square", "holds", "strategy", "value"}
+    assert shared == {
+        "bound_factorial", "bound_half_square", "holds", "strategy", "tuples_examined", "value"
+    }
     assert all(sections["zs"][key] == zs[key] for key in shared)
     qi_rows = read_json(qi_out)["payload"]["factors"]
     assert [r["n"] for r in sections["qi"]["rows"]] == [r["n"] for r in qi_rows]
