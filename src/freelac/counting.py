@@ -12,18 +12,21 @@ Three independent engines over the group core:
   sums inside one cyclic factor.
 
 The Z_s and Leinert engines take and return ``Word`` values and loop over
-their (factor, exp) pair tuples, reduced by ``words.reduce_pairs`` and
-inverted by ``words.inverse_pairs``.
+their (factor, exp) pair tuples.  Each element's pairs and the reduced pairs
+of its inverse are prepared once; a depth-first walk then extends a reduced
+prefix by one element at a time with ``words.join_pairs``, which touches only
+the junction.  Z_s keeps the indices used as an integer bitmask and counts
+the last position in bulk, one key list per prefix; meet-in-the-middle walks
+each half the same way and joins the halves whose bitmasks are disjoint.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .builder import DEFAULT_TUPLE_BUDGET, FactorSubset, check_even_s
 from .errors import BudgetExceeded
@@ -37,6 +40,7 @@ from .words import (
     canonical_key,
     inverse_pairs,
     is_identity,
+    join_pairs,
     multiply,
     reduce_pairs,
 )
@@ -79,20 +83,53 @@ def _check_ground_set(elements: Sequence[Word]) -> None:
         raise ValueError("ground set elements must share one factor table")
 
 
-def _signed_pairs(elements: Sequence[Word]) -> list[tuple[Pairs, Pairs]]:
-    """Per element, its (factor, exp) pairs and those of its inverse (unreduced)."""
-    return [(w.pairs, inverse_pairs(w.pairs)) for w in elements]
+def _plain_and_inverse(
+    orders: Sequence[int], elements: Sequence[Word]
+) -> list[tuple[Pairs, Pairs]]:
+    """Per element, its (factor, exp) pairs and the reduced pairs of its inverse."""
+    return [(w.pairs, reduce_pairs(orders, inverse_pairs(w.pairs))) for w in elements]
 
 
-def _product(
-    orders: Sequence[int], signed: Sequence[tuple[Pairs, Pairs]], indices: tuple[int, ...], offset: int
-) -> Pairs:
-    """Reduced product of the selected elements with start-inverse signs from ``offset``."""
-    raw: list[tuple[int, int]] = []
-    for position, i in enumerate(indices, offset):
-        # position even (0-based) -> inverse, matching x_1^-1 x_2 x_3^-1 ...
-        raw.extend(signed[i][1 - position % 2])
-    return reduce_pairs(orders, raw)
+# one entry per element at one tuple position: (index bit, first factor or 0, signed pairs)
+Level = list[tuple[int, int, Pairs]]
+
+
+def _levels(signed: Sequence[tuple[Pairs, Pairs]], start: int, count: int) -> list[Level]:
+    """Entries for positions start .. start+count-1; an even position takes the inverse."""
+    levels = []
+    for position in range(start, start + count):
+        pieces = [pair[1 - position % 2] for pair in signed]
+        levels.append(
+            [(1 << i, piece[0][0] if piece else 0, piece) for i, piece in enumerate(pieces)]
+        )
+    return levels
+
+
+def _prefixes(
+    orders: Sequence[int], levels: Sequence[Level], pos: int = 0, prod: Pairs = (), mask: int = 0
+) -> Iterator[tuple[Pairs, int]]:
+    """(reduced product, index bitmask) of every pairwise-distinct choice, one entry per level."""
+    if pos == len(levels):
+        yield prod, mask
+        return
+    for bit, _, piece in levels[pos]:
+        if not mask & bit:
+            prefix = join_pairs(orders, prod, piece)
+            yield from _prefixes(orders, levels, pos + 1, prefix, mask | bit)
+
+
+def _junction_keys(orders: Sequence[int], prod: Pairs, mask: int, level: Level) -> list[Pairs]:
+    """Reduced products of ``prod`` with every entry of ``level`` outside ``mask``.
+
+    A piece whose first factor differs from the prefix's last letter only
+    concatenates; the identity piece (first factor 0) always does.
+    """
+    last = prod[-1][0] if prod else -1
+    return [
+        prod + piece if first != last else join_pairs(orders, prod, piece)
+        for bit, first, piece in level
+        if not mask & bit
+    ]
 
 
 def _z_result(
@@ -117,8 +154,10 @@ def _z_naive(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
     if total > budget:
         raise BudgetExceeded(f"naive enumeration needs {total} tuples, budget is {budget}")
     orders = elements[0].table.orders
-    signed = _signed_pairs(elements)
-    counts = Counter(_product(orders, signed, t, 0) for t in permutations(range(n), s))
+    *levels, last = _levels(_plain_and_inverse(orders, elements), 0, s)
+    counts: Counter[Pairs] = Counter()
+    for prod, mask in _prefixes(orders, levels):
+        counts.update(_junction_keys(orders, prod, mask, last))
     return _z_result(elements, s, counts, STRATEGY_NAIVE, total)
 
 
@@ -132,21 +171,15 @@ def _z_meet_in_middle(elements: Sequence[Word], s: int, budget: int) -> ZsCertif
             f"budget is {budget}"
         )
     orders = elements[0].table.orders
-    signed = _signed_pairs(elements)
-
-    def group_halves(offset: int) -> Counter[tuple[Pairs, frozenset[int]]]:
-        return Counter(
-            (_product(orders, signed, t, offset), frozenset(t)) for t in permutations(range(n), h)
-        )
-
-    left = group_halves(0)
-    right = group_halves(h)
-    counts: dict[Pairs, int] = defaultdict(int)
-    for (lpairs, lset), lcount in left.items():
-        for (rpairs, rset), rcount in right.items():
-            if lset.isdisjoint(rset):
-                counts[reduce_pairs(orders, lpairs + rpairs)] += lcount * rcount
-    return _z_result(elements, s, counts, STRATEGY_MITM, len(left) * len(right))
+    signed = _plain_and_inverse(orders, elements)
+    left = Counter(_prefixes(orders, _levels(signed, 0, h)))
+    right = list(_prefixes(orders, _levels(signed, h, h)))
+    # the right halves join as one level; a half reached by c orderings stands in it c times
+    level = [(mask, prod[0][0] if prod else 0, prod) for prod, mask in right]
+    counts: Counter[Pairs] = Counter()
+    for (lprod, lmask), lcount in left.items():
+        counts.update(_junction_keys(orders, lprod, lmask, level) * lcount)
+    return _z_result(elements, s, counts, STRATEGY_MITM, len(left) * len(set(right)))
 
 
 def z_value(
@@ -216,7 +249,7 @@ def leinert_violation(
     if space == 0:
         return None
     orders = elements[0].table.orders
-    signed = _signed_pairs(elements)
+    signed = _plain_and_inverse(orders, elements)
     closing = {w.pairs: i for i, w in enumerate(elements)}
 
     def dfs(pos: int, prev: Optional[int], prod: Pairs, chosen: tuple[int, ...]):
@@ -227,7 +260,7 @@ def leinert_violation(
         for i in range(m):
             if i == prev:
                 continue
-            found = dfs(pos + 1, i, reduce_pairs(orders, prod + signed[i][inverted]), chosen + (i,))
+            found = dfs(pos + 1, i, join_pairs(orders, prod, signed[i][inverted]), chosen + (i,))
             if found is not None:
                 return found
         return None

@@ -8,6 +8,8 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freelac import (
     BudgetExceeded,
@@ -19,6 +21,7 @@ from freelac import (
     alternating_product,
     canonical_key,
     extract_quasi_independent,
+    identity,
     is_identity,
     is_quasi_independent,
     letter_word,
@@ -64,6 +67,36 @@ def z_oracle(elements, s) -> tuple:
     )
     value = max(counts.values())
     return value, min(k for k, c in counts.items() if c == value)
+
+
+LETTER = st.integers(1, len(TABLE)).flatmap(
+    lambda f: st.integers(1, TABLE.order(f) - 1).map(lambda e: letter_word(TABLE, f, e))
+)
+
+
+@st.composite
+def mixed_ground_sets(draw, min_size: int, max_size: int) -> list:
+    """Distinct single-letter and multi-letter words, the identity among them or not."""
+    words = draw(
+        st.lists(
+            st.one_of(LETTER, st.randoms(use_true_random=False).map(multi_letter_word)),
+            min_size=min_size,
+            max_size=max_size,
+            unique_by=lambda w: w.pairs,
+        )
+    )
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), identity(TABLE))
+    return words
+
+
+def half_count(elements, h, offset) -> int:
+    """Distinct (product, index set) over the ordered h-tuples at positions offset.."""
+    convention = START_INVERSE if offset % 2 == 0 else START_PLAIN
+    return len({
+        (canonical_key(alternating_product([elements[i] for i in t], convention)), frozenset(t))
+        for t in permutations(range(len(elements)), h)
+    })
 
 
 def leinert_oracle(words, s):
@@ -131,6 +164,33 @@ def test_z_value_strategies_agree_on_random_ground_sets():
         for strategy in ("naive", "meet-in-middle"):
             cert = z_value(elements, s, strategy=strategy)
             assert (cert.value, canonical_key(cert.witness)) == expected, (trial, strategy)
+    # s=6 inside one cyclic factor: -a+b-c = -c+b-a and a-b+c = c-b+a, so
+    # every half on either side is reached by two orderings
+    for trial in range(4):
+        elements = words_in(5, rng.sample(range(1, TABLE.order(5)), 7))
+        expected = z_oracle(elements, 6)
+        for strategy in ("naive", "meet-in-middle"):
+            cert = z_value(elements, 6, strategy=strategy)
+            assert (cert.value, canonical_key(cert.witness)) == expected, (trial, strategy)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from(
+        [(2, "naive"), (2, "meet-in-middle"), (3, "naive"), (4, "naive"), (4, "meet-in-middle")]
+    ),
+    st.data(),
+)
+def test_z_value_matches_oracle_on_mixed_ground_sets(case, data):
+    s, strategy = case
+    elements = data.draw(mixed_ground_sets(s, 7))
+    cert = z_value(elements, s, strategy=strategy)
+    assert (cert.value, canonical_key(cert.witness)) == z_oracle(elements, s)
+    n, h = len(elements), s // 2
+    if strategy == "naive":
+        assert cert.tuples_examined == math.perm(n, s)
+    else:
+        assert cert.tuples_examined == half_count(elements, h, 0) * half_count(elements, h, h)
 
 
 def test_z_value_translation_invariance_within_one_factor():
@@ -215,6 +275,16 @@ def test_leinert_matches_slow_enumerator_on_tiny_sets():
                 assert [canonical_key(w) for w in fast.elements] == [
                     canonical_key(words[i]) for i in slow_hit
                 ]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from((1, 2)), mixed_ground_sets(1, 6))
+def test_leinert_matches_oracle_on_mixed_ground_sets(s, words):
+    hit = leinert_oracle(words, s)
+    fast = leinert_violation(words, s)
+    assert (fast is None) == (hit is None)
+    if fast is not None:
+        assert [canonical_key(w) for w in fast.elements] == [canonical_key(words[i]) for i in hit]
 
 
 def test_leinert_budget_refusal_before_truncation():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freelac import (
@@ -22,7 +22,7 @@ from freelac import (
     multiply,
     reduce_raw,
 )
-from freelac.words import reduce_pairs
+from freelac.words import inverse_pairs, join_pairs, reduce_pairs
 
 TABLE = FactorTable.paper_default(5)
 
@@ -125,6 +125,36 @@ def test_reduce_pairs_matches_reduce_raw_and_slow_fixpoint(raw):
     pairs = reduce_pairs(TABLE.orders, raw)
     assert pairs == reduce_raw(TABLE, raw).pairs
     assert pairs == slow_reduce(raw)
+
+
+# raw letters and reduced pair tuples over the factors of order 5 and 11
+RAW_LETTER = st.tuples(st.integers(1, 2), st.integers(-20, 20))
+REDUCED = st.lists(RAW_LETTER, max_size=8).map(lambda raw: reduce_pairs(TABLE.orders, raw))
+
+
+@st.composite
+def junctions(draw) -> tuple:
+    """Reduced (a, b) where b starts with the inverse of a suffix of a, any
+    length from none to all, then goes on with a raw tail, so the junction
+    cancels through several letters and may merge where the cascade stops."""
+    a = draw(REDUCED)
+    k = draw(st.integers(0, len(a)))
+    tail = draw(st.lists(RAW_LETTER, max_size=4))
+    return a, reduce_pairs(TABLE.orders, inverse_pairs(a[len(a) - k :]) + tuple(tail))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.tuples(REDUCED, REDUCED), junctions()))
+@example(((), ()))
+@example((((1, 2), (2, 3)), ()))
+@example(((), ((2, 3), (1, 2))))
+# full cancellation
+@example((((1, 1), (2, 3), (1, 4)), ((1, 1), (2, 8), (1, 4))))
+# two letters cancel, then 2 + 1 merges to 3 mod 5
+@example((((1, 2), (2, 3), (1, 4)), ((1, 1), (2, 8), (1, 1))))
+def test_join_pairs_matches_reduce_pairs(operands):
+    a, b = operands
+    assert join_pairs(TABLE.orders, a, b) == reduce_pairs(TABLE.orders, a + b)
 
 
 @settings(deadline=None)
