@@ -245,7 +245,7 @@ def _verify_leinert(args) -> dict:
     first_witness = None
     for n, subset, table in targets:
         first_witness = leinert_violation(subset.words(table), s, budget=args.budget_tuples)
-        searched.append({"exponents": list(subset.exponents), "n": n})
+        searched.append({"exponents": list(subset.exponents), "n": n, "p": subset.order})
         if first_witness is not None:
             break
     holds = first_witness is None
@@ -276,7 +276,6 @@ def _verify_qi(args) -> dict:
                 "n": result.n,
                 "ok": ok,
                 "parent_size": len(witness.parent),
-                "table_digest": witness.table_digest,
             }
         )
         print(

@@ -4,8 +4,7 @@ Three independent engines over the group core:
 
 * ``z_value`` — the exact supremum, over group elements x, of the number of
   pairwise-distinct s-tuples whose alternating product x_1^-1 x_2 x_3^-1 ...
-  equals x, by full enumeration or a meet-in-the-middle split; both keep a
-  count per product and nothing else;
+  equals x, keeping a count per product and nothing else;
 * ``leinert_violation`` — exhaustive search for adjacent-distinct 2s-tuples
   whose start-plain alternating product is the identity;
 * quasi-independence testing and greedy maximal extraction via exact subset
@@ -15,18 +14,18 @@ The Z_s and Leinert engines take and return ``Word`` values and loop over
 their (factor, exp) pair tuples.  Each element's pairs and the reduced pairs
 of its inverse are prepared once; a depth-first walk then extends a reduced
 prefix by one element at a time with ``words.join_pairs``, which touches only
-the junction.  Z_s keeps the indices used as an integer bitmask and counts
-the last position in bulk, one key list per prefix; meet-in-the-middle walks
-each half the same way and joins the halves whose bitmasks are disjoint.
+the junction, and keeps the indices used as an integer bitmask.  Z_s splits
+each tuple in two, walks both parts and joins each left part with the right
+parts of disjoint bitmask; naive enumeration splits at s - 1 and
+meet-in-the-middle at s/2, and nothing else tells the two apart.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .builder import DEFAULT_TUPLE_BUDGET, FactorSubset, check_even_s
 from .errors import BudgetExceeded
@@ -64,8 +63,9 @@ class ZsCertificate:
 
     ``value`` is the largest number of pairwise-distinct s-tuples sharing one
     start-inverse alternating product; ``witness`` is the least such product
-    by canonical key (None when no s-tuple exists).  ``tuples_examined``
-    counts naive tuples or meet-in-the-middle half-pairs.
+    by canonical key (None when no s-tuple exists).  ``tuples_examined`` is
+    N!/(N-s)! for naive enumeration; for meet-in-the-middle it is the distinct
+    left halves times the distinct right halves, each a (product, index set).
     """
 
     s: int
@@ -90,19 +90,16 @@ def _plain_and_inverse(
     return [(w.pairs, reduce_pairs(orders, inverse_pairs(w.pairs))) for w in elements]
 
 
-# one entry per element at one tuple position: (index bit, first factor or 0, signed pairs)
-Level = list[tuple[int, int, Pairs]]
+# one entry per element at one tuple position: (index bit, signed pairs)
+Level = list[tuple[int, Pairs]]
 
 
-def _levels(signed: Sequence[tuple[Pairs, Pairs]], start: int, count: int) -> list[Level]:
-    """Entries for positions start .. start+count-1; an even position takes the inverse."""
-    levels = []
-    for position in range(start, start + count):
-        pieces = [pair[1 - position % 2] for pair in signed]
-        levels.append(
-            [(1 << i, piece[0][0] if piece else 0, piece) for i, piece in enumerate(pieces)]
-        )
-    return levels
+def _levels(signed: Sequence[tuple[Pairs, Pairs]], s: int) -> list[Level]:
+    """Entries for positions 0 .. s-1; an even position takes the inverse."""
+    return [
+        [(1 << i, pair[1 - position % 2]) for i, pair in enumerate(signed)]
+        for position in range(s)
+    ]
 
 
 def _prefixes(
@@ -112,74 +109,35 @@ def _prefixes(
     if pos == len(levels):
         yield prod, mask
         return
-    for bit, _, piece in levels[pos]:
+    for bit, piece in levels[pos]:
         if not mask & bit:
             prefix = join_pairs(orders, prod, piece)
             yield from _prefixes(orders, levels, pos + 1, prefix, mask | bit)
 
 
-def _junction_keys(orders: Sequence[int], prod: Pairs, mask: int, level: Level) -> list[Pairs]:
-    """Reduced products of ``prod`` with every entry of ``level`` outside ``mask``.
+def _z_join(
+    orders: Sequence[int],
+    left: Iterable[tuple[tuple[Pairs, int], int]],
+    right: Sequence[tuple[Pairs, int]],
+) -> Counter[Pairs]:
+    """Reduced products of each left part with every right part of disjoint mask.
 
-    A piece whose first factor differs from the prefix's last letter only
-    concatenates; the identity piece (first factor 0) always does.
+    ``left`` yields ((product, mask), multiplicity); ``right`` lists
+    (product, mask), a part reached by c orderings standing in it c times.  A
+    right part whose first factor differs from the left part's last letter
+    only concatenates; the identity part (first factor 0) always does.
     """
-    last = prod[-1][0] if prod else -1
-    return [
-        prod + piece if first != last else join_pairs(orders, prod, piece)
-        for bit, first, piece in level
-        if not mask & bit
-    ]
-
-
-def _z_result(
-    elements: Sequence[Word],
-    s: int,
-    counts: dict[Pairs, int],
-    strategy: str,
-    examined: int,
-) -> ZsCertificate:
-    """The maximal count and its least-key witness; the keys are already reduced."""
-    n = len(elements)
-    if not counts:
-        return ZsCertificate(s, n, 0, None, strategy, examined)
-    value = max(counts.values())
-    witness_key = min(k for k, c in counts.items() if c == value)
-    return ZsCertificate(s, n, value, Word(elements[0].table, witness_key), strategy, examined)
-
-
-def _z_naive(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
-    n = len(elements)
-    total = math.perm(n, s)
-    if total > budget:
-        raise BudgetExceeded(f"naive enumeration needs {total} tuples, budget is {budget}")
-    orders = elements[0].table.orders
-    *levels, last = _levels(_plain_and_inverse(orders, elements), 0, s)
+    parts = [(mask, prod[0][0] if prod else 0, prod) for prod, mask in right]
     counts: Counter[Pairs] = Counter()
-    for prod, mask in _prefixes(orders, levels):
-        counts.update(_junction_keys(orders, prod, mask, last))
-    return _z_result(elements, s, counts, STRATEGY_NAIVE, total)
-
-
-def _z_meet_in_middle(elements: Sequence[Word], s: int, budget: int) -> ZsCertificate:
-    n = len(elements)
-    h = s // 2
-    half_total = math.perm(n, h)
-    if half_total * half_total > budget:
-        raise BudgetExceeded(
-            f"meet-in-the-middle join needs {half_total * half_total} pairs, "
-            f"budget is {budget}"
-        )
-    orders = elements[0].table.orders
-    signed = _plain_and_inverse(orders, elements)
-    left = Counter(_prefixes(orders, _levels(signed, 0, h)))
-    right = list(_prefixes(orders, _levels(signed, h, h)))
-    # the right halves join as one level; a half reached by c orderings stands in it c times
-    level = [(mask, prod[0][0] if prod else 0, prod) for prod, mask in right]
-    counts: Counter[Pairs] = Counter()
-    for (lprod, lmask), lcount in left.items():
-        counts.update(_junction_keys(orders, lprod, lmask, level) * lcount)
-    return _z_result(elements, s, counts, STRATEGY_MITM, len(left) * len(set(right)))
+    for (prod, mask), multiplicity in left:
+        last = prod[-1][0] if prod else -1
+        keys = [
+            prod + piece if first != last else join_pairs(orders, prod, piece)
+            for bit, first, piece in parts
+            if not mask & bit
+        ]
+        counts.update(keys * multiplicity)
+    return counts
 
 
 def z_value(
@@ -190,9 +148,10 @@ def z_value(
 ) -> ZsCertificate:
     """Exact sup over x of the number of pairwise-distinct s-tuples mapping to x.
 
-    The tuple product uses the start-inverse convention.  Both strategies are
-    exact and must agree; ``meet-in-middle`` splits tuples at s/2, groups the
-    half-products by reduced form, and joins disjoint halves.
+    The tuple product uses the start-inverse convention.  Naive enumeration
+    joins the first s - 1 positions with the last; ``meet-in-middle`` groups
+    equal halves and joins at s/2.  Both are exact and must agree.  The budget
+    is checked before any part is walked.
     """
     if s < 2:
         raise ValueError(f"s must be >= 2, got {s}")
@@ -201,10 +160,32 @@ def z_value(
     if strategy == STRATEGY_MITM and s % 2 != 0:
         raise ValueError("meet-in-the-middle split requires even s")
     _check_ground_set(elements)
-    if len(elements) < s:
-        return ZsCertificate(s, len(elements), 0, None, strategy, 0)
-    engine = _z_naive if strategy == STRATEGY_NAIVE else _z_meet_in_middle
-    return engine(elements, s, budget)
+    n = len(elements)
+    if n < s:
+        return ZsCertificate(s, n, 0, None, strategy, 0)
+    naive = strategy == STRATEGY_NAIVE
+    split = s - 1 if naive else s // 2
+    needed = math.perm(n, s) if naive else math.perm(n, split) ** 2
+    if needed > budget:
+        work = (
+            f"naive enumeration needs {needed} tuples" if naive
+            else f"meet-in-the-middle join needs {needed} pairs"
+        )
+        raise BudgetExceeded(f"{work}, budget is {budget}")
+    orders = elements[0].table.orders
+    levels = _levels(_plain_and_inverse(orders, elements), s)
+    right = list(_prefixes(orders, levels[split:]))
+    if naive:
+        # streamed one by one: grouping would hold all perm(n, s - 1) left parts at once
+        left = ((part, 1) for part in _prefixes(orders, levels[:split]))
+        examined = needed
+    else:
+        halves = Counter(_prefixes(orders, levels[:split]))
+        left, examined = halves.items(), len(halves) * len(set(right))
+    counts = _z_join(orders, left, right)
+    value = max(counts.values())
+    witness = min(k for k, c in counts.items() if c == value)
+    return ZsCertificate(s, n, value, Word(elements[0].table, witness), strategy, examined)
 
 
 @dataclass(frozen=True)
@@ -310,12 +291,11 @@ def is_quasi_independent(
 
 @dataclass(frozen=True)
 class QIWitness:
-    """A greedily extracted quasi-independent subset with its sum-table digest."""
+    """A greedily extracted quasi-independent subset and whether it is maximal."""
 
     order: int
     parent: tuple[int, ...]
     subset: tuple[int, ...]
-    table_digest: str
     maximal: bool
 
 
@@ -355,11 +335,9 @@ def extract_quasi_independent(
         if all(v not in sums_set for v in shifted):
             maximal = False
             break
-    digest = hashlib.sha256(b"".join(v.to_bytes(8, "big") for v in sums)).hexdigest()
     return QIWitness(
         order=p,
         parent=subset.exponents,
         subset=tuple(chosen),
-        table_digest=digest,
         maximal=maximal,
     )

@@ -37,30 +37,30 @@ def read_json(path):
 # sha256 of the desk s=2 certificates; changing their bytes needs a
 # format_version bump
 DESK2_CERT_SHA256 = {
-    "family": "56176720174195d004077363ecc3d40caec1dbaf2c74d079b7c5cb75bcdd576c",
-    "pn": "000ceeb7f1d2d300b403d8842c210a411821a85c26a306cfec0031ae1d55b9ed",
-    "zs": "a12fc9ca52f8ee23d3d2d9f9cd07672e106f526bfa2f0296f5397e5b715e873f",
-    "leinert": "508013e6a25d0a88c5f27ff36a376c8289e00316f865e3e2583d80eb64b0d722",
-    "qi": "418659e2eba555fbba5d0d6845a592e03284ff0539a8b7b08e4be08d7be65e2e",
-    "report": "847d03d12ab0df15cc63e89b9890c53b661078f8125337805324cf1be2dcad26",
+    "family": "77d73dba067cedc1924f6818a6ff60553606fa12b4e60e87bb38376144b3482e",
+    "pn": "c5f3b3964db0b2254c72a795bca54369d136f8404eda07cb003acf16046b8aba",
+    "zs": "7eb054d43ccaeb73bdb75f67a9871cf4627ff15e7b5216292bc4dcd7aeceb551",
+    "leinert": "295bb6ddaf02d5bf2a4f10b703ab3922c3afcf71da4a221ebc611d0419c09235",
+    "qi": "c62ce99b3bc82cab78d79bcf515608a727b27a2430ea0f32ef753f2a9cba4263",
+    "report": "d9fe113c8f77efebb10650084f9d0870e4e5cdfac8f46a4bf2bbdda9fb44d90c",
 }
 
 # Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
 # --n-max 10 is where the least witness among several maxima is chosen.
 DESK4_N10_CERT_SHA256 = {
-    "family": "a0c2e2bc015e7f831420778721de8ecb5b4a4469b3f9846fecfe912739fd881a",
-    "zs": "325b6d4640a85bf395c416d81883f8445b0bc928e20ca3a57c2f110d3b8acad3",
-    "zs-mitm": "8e0a44d06dc3176b99e359c14c3c65b3b57a950f19e7d523e1c6baae8085c5d3",
-    "leinert": "b829eeced1188f571fe7e329a75312b7aabeafd32b75af8e5c5aac749523105c",
-    "report": "f08e6312ae5724dc5b0a68279d14d99358dce0719abe1f44afe9cab0b7d26ca0",
+    "family": "2f79d281ab558dc4e987545d2c1043b8e8583a882da16cc1f56ef75e8cd835fb",
+    "zs": "22a866870369404889dd2d6522f393116b987eedce80b2ca3bcaad9ad55380f2",
+    "zs-mitm": "f9d1259bf30a4045c808dd588e6f8d38c84ee1222d20eb859e04c2f6983c4f0e",
+    "leinert": "5eccf1b8d31aaad9802d613594fa0d932e1e5a94356f446b3ee6d6f006f8f90e",
+    "report": "85316a013d0f9389117655238e509d8e9a839327a0691a308237918750413431",
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
-SEEDED_PAPER2_FAMILY_SHA256 = "350c9b5628e15650add19da035685b0465db163ca5eef8ecc220734b7d454196"
+SEEDED_PAPER2_FAMILY_SHA256 = "51fe64bb4e68f68560fc3162347ac96878aa40abbece0ba1e2d36897a8d118b8"
 # the families of build --s 2|4 --profile paper: the half-table count rules
 # out every n^2 target, so these bytes pin the greedy walk each factor takes
 PAPER_FAMILY_SHA256 = {
-    "2": "5d000a907bd2316190887692a769c30ed66248b2af5651685f8e41114cba6094",
-    "4": "a95b62b9c2e5ca62a8ea76eea7e9a0e54b194dbcf16bb99d7da8d69c51f9bb07",
+    "2": "9b5bd9710e834f19e1c3b3051ce275037e55d11065d2b7b244cbd76eb682c2d1",
+    "4": "2313cd32207ffa53aa3b6706ed68c5cdddd99517c1ecc96c7c00979a9742f826",
 }
 # format-1 families committed under tests/data: build --s 2, and build --s 4 --n-max 10
 DATA = Path(__file__).parent / "data"
@@ -74,7 +74,7 @@ FAMILY_COMMANDS = pytest.mark.parametrize(
     ids=" ".join,
 )
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
-ADHOC_LEINERT_CERT_SHA256 = "4233c4b95ddef335d4c702820079935cb11a901305d743234aac612c74cd37fe"
+ADHOC_LEINERT_CERT_SHA256 = "2d886fb4424c37ce08abe19d0fd443f4be5ea89486e3ba57a0a9d581cabe38ba"
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -343,7 +343,7 @@ def test_resaved_format_1_family_reports_search_not_recorded(tmp_path, monkeypat
     v1 = read_certificate(str(DATA / "desk4-n10-v1.json"))
     family = family_from_payload(v1.payload, v1.format_version)
     write_certificate("resaved.json", CertificateFile("family", family_to_payload(family), {}))
-    assert read_json("resaved.json")["format_version"] == 5
+    assert read_json("resaved.json")["format_version"] == 6
     assert main(["report", "resaved.json", "--out", "report.json"]) == EXIT_OK
     rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
     assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [8]
@@ -412,6 +412,17 @@ def test_adhoc_leinert_certificate_bytes_are_pinned(tmp_path, capsys):
     adhoc = ["verify", "leinert", "--exponents", "1,2,3,4", "--order", "17", "--s", "2"]
     assert main(adhoc + ["--out", str(out)]) == EXIT_VIOLATION
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ADHOC_LEINERT_CERT_SHA256
+
+
+def test_adhoc_leinert_certificates_record_each_order(tmp_path, capsys):
+    adhoc = ["verify", "leinert", "--exponents", "1,3,9,27,81", "--order"]
+    certificates = {}
+    for p in (521, 1031):
+        out = tmp_path / f"leinert{p}.json"
+        assert main(adhoc + [str(p), "--out", str(out)]) == EXIT_OK
+        assert [entry["p"] for entry in read_json(out)["payload"]["searched"]] == [p]
+        certificates[p] = out.read_bytes()
+    assert certificates[521] != certificates[1031]
 
 
 def test_verify_budget_refusal(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freelac.counting as counting
 from freelac import (
     BudgetExceeded,
     FactorSubset,
@@ -165,13 +166,19 @@ def test_z_value_strategies_agree_on_random_ground_sets():
             cert = z_value(elements, s, strategy=strategy)
             assert (cert.value, canonical_key(cert.witness)) == expected, (trial, strategy)
     # s=6 inside one cyclic factor: -a+b-c = -c+b-a and a-b+c = c-b+a, so
-    # every half on either side is reached by two orderings
+    # every half on either side is reached by two orderings, and
+    # tuples_examined counts each merged half once
     for trial in range(4):
         elements = words_in(5, rng.sample(range(1, TABLE.order(5)), 7))
         expected = z_oracle(elements, 6)
+        examined = {
+            "naive": math.perm(7, 6),
+            "meet-in-middle": half_count(elements, 3, 0) * half_count(elements, 3, 3),
+        }
         for strategy in ("naive", "meet-in-middle"):
             cert = z_value(elements, 6, strategy=strategy)
             assert (cert.value, canonical_key(cert.witness)) == expected, (trial, strategy)
+            assert cert.tuples_examined == examined[strategy], (trial, strategy)
 
 
 @settings(deadline=None, max_examples=80)
@@ -191,6 +198,24 @@ def test_z_value_matches_oracle_on_mixed_ground_sets(case, data):
         assert cert.tuples_examined == math.perm(n, s)
     else:
         assert cert.tuples_examined == half_count(elements, h, 0) * half_count(elements, h, h)
+
+
+@pytest.mark.parametrize("strategy", ["naive", "meet-in-middle"])
+def test_z_value_budget_refusal_comes_before_any_walk(monkeypatch, strategy):
+    walks = []
+    walk = counting._prefixes
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_prefixes", counted)
+    elements = words_in(3, range(1, 9))
+    with pytest.raises(BudgetExceeded):
+        z_value(elements, 4, budget=10, strategy=strategy)
+    assert walks == []
+    z_value(elements, 4, strategy=strategy)  # the counter does see an allowed count's walks
+    assert walks
 
 
 def test_z_value_translation_invariance_within_one_factor():
@@ -343,14 +368,6 @@ def test_extract_maximal_and_log3_bound_on_random_sets():
                 continue
             grown = FactorSubset(1, p, tuple(sorted(witness.subset + (x,))))
             assert not is_quasi_independent(grown)[0]
-
-
-def test_extract_digest_is_deterministic():
-    subset = FactorSubset(1, 1009, tuple(range(1, 10)))
-    a = extract_quasi_independent(subset)
-    b = extract_quasi_independent(subset)
-    assert a.table_digest == b.table_digest
-    assert len(a.table_digest) == 64
 
 
 def test_extract_empty_rejected():
