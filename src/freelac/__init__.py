@@ -72,8 +72,6 @@ from .words import (
     Word,
     alternating_product,
     canonical_key,
-    identity,
-    invert,
     is_identity,
     letter_word,
     multiply,

@@ -223,6 +223,12 @@ def _verify_zs(args) -> dict:
 
 
 def _verify_leinert(args) -> dict:
+    """The Leinert condition on each factor's letters, stopping at the first violation.
+
+    The verdict is exact for each factor.  It is exact for a family's union only at
+    s = 2, where a run of at most two letters from one factor never cancels; from
+    s = 3 letters of two factors can close a tuple that neither factor closes alone.
+    """
     adhoc = args.exponents is not None or args.order is not None
     if adhoc == (args.family is not None):
         raise _UsageError("give exactly one input: a family file or --exponents/--order")
@@ -250,7 +256,7 @@ def _verify_leinert(args) -> dict:
             break
     holds = first_witness is None
     if holds:
-        print(f"leinert: no 2s={2 * s} violation found (exhaustive)")
+        print(f"leinert: no 2s={2 * s} violation found (exact)")
     else:
         exps = ["*".join(f"a_{f}^{e}" for f, e in w.pairs) for w in first_witness.elements]
         print(f"leinert: VIOLATION ({', '.join(exps)})")

@@ -5,19 +5,20 @@ Three independent engines over the group core:
 * ``z_value`` — the exact supremum, over group elements x, of the number of
   pairwise-distinct s-tuples whose alternating product x_1^-1 x_2 x_3^-1 ...
   equals x, keeping a count per product and nothing else;
-* ``leinert_violation`` — exhaustive search for adjacent-distinct 2s-tuples
-  whose start-plain alternating product is the identity;
+* ``leinert_violation`` — the exact Leinert verdict for letters of one cyclic
+  factor, decided from their exponents: a start-plain 2s-tuple multiplies to
+  the letter of exponent x_1 - x_2 + x_3 - ... - x_2s, so no tuple is walked;
 * quasi-independence testing and greedy maximal extraction via exact subset
   sums inside one cyclic factor.
 
-The Z_s and Leinert engines take and return ``Word`` values and loop over
-their (factor, exp) pair tuples.  Each element's pairs and the reduced pairs
-of its inverse are prepared once; a depth-first walk then extends a reduced
-prefix by one element at a time with ``words.join_pairs``, which touches only
-the junction, and keeps the indices used as an integer bitmask.  Z_s splits
-each tuple in two, walks both parts and joins each left part with the right
-parts of disjoint bitmask; naive enumeration splits at s - 1 and
-meet-in-the-middle at s/2, and nothing else tells the two apart.
+The Z_s engine takes and returns ``Word`` values and loops over their
+(factor, exp) pair tuples.  Each element's pairs and the reduced pairs of its
+inverse are prepared once; a depth-first walk then extends a reduced prefix by
+one element at a time with ``words.join_pairs``, which touches only the
+junction, and keeps the indices used as an integer bitmask.  Z_s splits each
+tuple in two, walks both parts and joins each left part with the right parts
+of disjoint bitmask; naive enumeration splits at s - 1 and meet-in-the-middle
+at s/2, and nothing else tells the two apart.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .builder import DEFAULT_TUPLE_BUDGET, FactorSubset, check_even_s
@@ -210,46 +212,45 @@ def leinert_violation(
     s: int,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> Optional[LeinertWitness]:
-    """Lexicographically first adjacent-distinct 2s-tuple multiplying to e, or None.
+    """An adjacent-distinct 2s-tuple of letters of one cyclic factor multiplying to e, or None.
 
-    None means the whole tuple space was searched; a budget refusal is raised
-    before any truncated search, so "none" is always exhaustive.  The search
-    runs depth-first in index order over the first 2s - 1 entries.  Start-plain
-    inverts the last entry, so the tuple closes exactly when the last entry is
-    the reduced product of the prefix: the elements are distinct, so one lookup
-    finds the only candidate, which is refused when it equals the entry before.
+    Start-plain, a tuple multiplies to the letter of exponent x_1 - x_2 + ... - x_2s
+    mod p, so the exponents decide: s = 1 or one element never closes, and two
+    elements close only alternating, when p | s.  At s = 2 the first tuple comes
+    from a table of differences, which the budget counts before it is filled.  From
+    s = 3 the first three elements close, each as often plain as inverted.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     _check_ground_set(elements)
-    m = len(elements)
-    length = 2 * s
-    space = m * (m - 1) ** (length - 1)
-    if space > budget:
-        raise BudgetExceeded(f"tuple space has {space} entries, budget is {budget}")
-    if space == 0:
+    if any(len(w.pairs) != 1 for w in elements) or len({w.pairs[0][0] for w in elements}) > 1:
+        raise ValueError("the Leinert check takes distinct single letters of one cyclic factor")
+    n = len(elements)
+    if s == 1 or n <= 1:
         return None
-    orders = elements[0].table.orders
-    signed = _plain_and_inverse(orders, elements)
-    closing = {w.pairs: i for i, w in enumerate(elements)}
-
-    def dfs(pos: int, prev: Optional[int], prod: Pairs, chosen: tuple[int, ...]):
-        if pos == length - 1:
-            last = closing.get(prod)
-            return None if last is None or last == prev else chosen + (last,)
-        inverted = pos % 2  # start-plain: even positions plain, odd positions inverted
-        for i in range(m):
-            if i == prev:
-                continue
-            found = dfs(pos + 1, i, join_pairs(orders, prod, signed[i][inverted]), chosen + (i,))
-            if found is not None:
-                return found
-        return None
-
-    found = dfs(0, None, (), ())
-    if found is None:
-        return None
-    return LeinertWitness(s, tuple(elements[i] for i in found))
+    xs = [w.pairs[0][1] for w in elements]
+    p = elements[0].table.order(elements[0].pairs[0][0])
+    if n == 2:
+        found = (0, 1) * s if s % p == 0 else None
+    elif s == 2:
+        if n * (n - 1) > budget:
+            raise BudgetExceeded(f"difference table has {n * (n - 1)} entries, budget is {budget}")
+        # (i1, i2, i3, i4) closes exactly when (i1, i2) and (i4, i3) are distinct ordered
+        # pairs of one difference; each difference lists (i3, i4) by ascending i3
+        by_difference: dict[int, list[tuple[int, int]]] = {}
+        for b, a in permutations(range(n), 2):
+            by_difference.setdefault((xs[a] - xs[b]) % p, []).append((b, a))
+        found = next(
+            ((i1, i2, i3, i4) for i1, i2 in permutations(range(n), 2)
+             for i3, i4 in by_difference[(xs[i1] - xs[i2]) % p] if i3 != i2),
+            None,
+        )
+    elif s % 2:
+        found = ((0, 1) * ((s - 1) // 2) + (2,)) * 2
+    else:
+        h = s // 2 - 1
+        found = (0, 1) * h + (0, 2) + (1, 0) * h + (2, 0)
+    return None if found is None else LeinertWitness(s, tuple(elements[i] for i in found))
 
 
 def _subset_sums(exponents: Sequence[int], p: int) -> list[int]:

@@ -50,10 +50,6 @@ class Word:
         return len(self.pairs)
 
 
-def identity(table: FactorTable) -> Word:
-    return Word(table, ())
-
-
 def letter_word(table: FactorTable, factor: int, exp: int) -> Word:
     """Single-letter word a_factor^exp; exponent reduced mod p, zero gives e."""
     e = exp % table.order(factor)
@@ -120,10 +116,6 @@ def multiply(a: Word, b: Word) -> Word:
     if a.table != b.table:
         raise ValueError("words from different factor tables cannot be combined")
     return reduce_raw(a.table, a.pairs + b.pairs)
-
-
-def invert(a: Word) -> Word:
-    return alternating_product([a], START_INVERSE)
 
 
 def is_identity(a: Word) -> bool:

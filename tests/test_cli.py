@@ -37,30 +37,30 @@ def read_json(path):
 # sha256 of the desk s=2 certificates; changing their bytes needs a
 # format_version bump
 DESK2_CERT_SHA256 = {
-    "family": "77d73dba067cedc1924f6818a6ff60553606fa12b4e60e87bb38376144b3482e",
-    "pn": "c5f3b3964db0b2254c72a795bca54369d136f8404eda07cb003acf16046b8aba",
-    "zs": "7eb054d43ccaeb73bdb75f67a9871cf4627ff15e7b5216292bc4dcd7aeceb551",
-    "leinert": "295bb6ddaf02d5bf2a4f10b703ab3922c3afcf71da4a221ebc611d0419c09235",
-    "qi": "c62ce99b3bc82cab78d79bcf515608a727b27a2430ea0f32ef753f2a9cba4263",
-    "report": "d9fe113c8f77efebb10650084f9d0870e4e5cdfac8f46a4bf2bbdda9fb44d90c",
+    "family": "4711390926f3da94db045e00b7f6c48fe4c38279eeecfdc291a9266907346d23",
+    "pn": "dc5484c0c92dd50220e6275c3ff3c8fa6b62d383a888baa114b65d716fd809a0",
+    "zs": "b51e71eb1f1422adcd4bd80d23bc9cb316839795d06df37bfd3d9c60fd9570ba",
+    "leinert": "ff98f9848ffa1656a2635a27e0664319add582c32f33019e58dcd07f17f341a6",
+    "qi": "57db8c856c0d594043986ad522d05d6767ce3c096c65462b74314e351baa5c59",
+    "report": "4d888dbe6b5f10a6e4b3e7e5ad37ff5732d884c7b3188946beaebb77ca952ed2",
 }
 
 # Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
 # --n-max 10 is where the least witness among several maxima is chosen.
 DESK4_N10_CERT_SHA256 = {
-    "family": "2f79d281ab558dc4e987545d2c1043b8e8583a882da16cc1f56ef75e8cd835fb",
-    "zs": "22a866870369404889dd2d6522f393116b987eedce80b2ca3bcaad9ad55380f2",
-    "zs-mitm": "f9d1259bf30a4045c808dd588e6f8d38c84ee1222d20eb859e04c2f6983c4f0e",
-    "leinert": "5eccf1b8d31aaad9802d613594fa0d932e1e5a94356f446b3ee6d6f006f8f90e",
-    "report": "85316a013d0f9389117655238e509d8e9a839327a0691a308237918750413431",
+    "family": "1ccbbec288219f2d472c02ba26af0bebaeabae440465a45024e7bca013a51608",
+    "zs": "66cafd889d07de3aaa38a5b240e8528d0644d53c23a805f9fa4e35d9a93f17f8",
+    "zs-mitm": "1e1bc0564e85a68087cf12898a5fc4f25f11114a13c7769ed6af75e394843ce2",
+    "leinert": "c993f0c0da8860c1dd96dd03721cba5bdd0a9b1be94c2bf81eb8477e400616b5",
+    "report": "ddbd11088223422dfbebb93455359bdf3f3a3b99fb6ec0637a7d2f79cbc5d6cc",
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
-SEEDED_PAPER2_FAMILY_SHA256 = "51fe64bb4e68f68560fc3162347ac96878aa40abbece0ba1e2d36897a8d118b8"
+SEEDED_PAPER2_FAMILY_SHA256 = "79e64a0461ced4346f23cb3184baa3fb8fd8531def846712ba4c9c7555553c73"
 # the families of build --s 2|4 --profile paper: the half-table count rules
 # out every n^2 target, so these bytes pin the greedy walk each factor takes
 PAPER_FAMILY_SHA256 = {
-    "2": "9b5bd9710e834f19e1c3b3051ce275037e55d11065d2b7b244cbd76eb682c2d1",
-    "4": "2313cd32207ffa53aa3b6706ed68c5cdddd99517c1ecc96c7c00979a9742f826",
+    "2": "7bd17dc7668d4d78e67fa3a3029badbd39c93f679afb422694271b2739220860",
+    "4": "c4a743fd2a080565e418552904c928daa2bc2c1107a2eaf655eca296f1432172",
 }
 # format-1 families committed under tests/data: build --s 2, and build --s 4 --n-max 10
 DATA = Path(__file__).parent / "data"
@@ -74,7 +74,7 @@ FAMILY_COMMANDS = pytest.mark.parametrize(
     ids=" ".join,
 )
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
-ADHOC_LEINERT_CERT_SHA256 = "2d886fb4424c37ce08abe19d0fd443f4be5ea89486e3ba57a0a9d581cabe38ba"
+ADHOC_LEINERT_CERT_SHA256 = "c2a3fb7345569411ebe985fbe0d7cf6aeca46cfe53c9b835231b89fcd070b26f"
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -343,7 +343,7 @@ def test_resaved_format_1_family_reports_search_not_recorded(tmp_path, monkeypat
     v1 = read_certificate(str(DATA / "desk4-n10-v1.json"))
     family = family_from_payload(v1.payload, v1.format_version)
     write_certificate("resaved.json", CertificateFile("family", family_to_payload(family), {}))
-    assert read_json("resaved.json")["format_version"] == 6
+    assert read_json("resaved.json")["format_version"] == 7
     assert main(["report", "resaved.json", "--out", "report.json"]) == EXIT_OK
     rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
     assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [8]
@@ -423,6 +423,15 @@ def test_adhoc_leinert_certificates_record_each_order(tmp_path, capsys):
         assert [entry["p"] for entry in read_json(out)["payload"]["searched"]] == [p]
         certificates[p] = out.read_bytes()
     assert certificates[521] != certificates[1031]
+
+
+def test_verify_leinert_decides_where_the_tuple_space_is_out_of_reach(tmp_path, capsys):
+    # 6 * 5^15 = 183,105,468,750 tuples of length 16: three letters close by cancellation
+    out = tmp_path / "leinert.json"
+    adhoc = ["verify", "leinert", "--exponents", "1,3,9,27,81,243", "--order", "1031", "--s", "8"]
+    assert main(adhoc + ["--out", str(out)]) == EXIT_VIOLATION
+    witness = read_json(out)["payload"]["witness"]
+    assert [letters[0][1] for letters in witness] == [1, 3, 1, 3, 1, 3, 1, 9, 3, 1, 3, 1, 3, 1, 9, 1]
 
 
 def test_verify_budget_refusal(tmp_path):

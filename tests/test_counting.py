@@ -8,7 +8,7 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freelac.counting as counting
@@ -19,10 +19,10 @@ from freelac import (
     LeinertWitness,
     START_INVERSE,
     START_PLAIN,
+    Word,
     alternating_product,
     canonical_key,
     extract_quasi_independent,
-    identity,
     is_identity,
     is_quasi_independent,
     letter_word,
@@ -87,7 +87,7 @@ def mixed_ground_sets(draw, min_size: int, max_size: int) -> list:
         )
     )
     if draw(st.booleans()):
-        words.insert(draw(st.integers(0, len(words))), identity(TABLE))
+        words.insert(draw(st.integers(0, len(words))), Word(TABLE, ()))
     return words
 
 
@@ -274,48 +274,69 @@ def test_leinert_none_for_distinct_pair():
     assert leinert_violation(words_in(1, (1, 2)), 1) is None
 
 
-def test_leinert_matches_slow_enumerator_on_tiny_sets():
-    rng = random.Random(41)
-    grounds = []
-    for _ in range(25):
-        factor = rng.choice([3, 4])
-        p = TABLE.order(factor)
-        size = rng.randrange(2, 6)
-        exponents = rng.sample(range(1, p), size)
-        grounds.append(words_in(factor, exponents))
-    # multi-letter elements, where an inverse reverses its letters
-    for _ in range(15):
-        grounds.append(distinct_words(rng.randrange(2, 6), lambda: multi_letter_word(rng)))
-    # random words rarely cancel; conjugates b a^e and b a^e b^5 of one factor do
-    for tail in ([], [(2, 5)]):
-        grounds.append([reduce_raw(TABLE, [(2, 3), (1, e)] + tail) for e in (1, 2, 3, 4)])
-    # length 6 is the first where a nonempty even prefix can cancel, so the
-    # entry that closes the tuple can equal the one before it and is refused
-    for words in grounds:
-        for s in (1, 2, 3):
-            slow_hit = leinert_oracle(words, s)
-            fast = leinert_violation(words, s)
-            assert (fast is None) == (slow_hit is None), (words, s)
-            if fast is not None:
-                assert [canonical_key(w) for w in fast.elements] == [
-                    canonical_key(words[i]) for i in slow_hit
-                ]
+def leinert_pattern(s):
+    """The first letter-by-letter cancelling tuple over indices 0, 1, 2, for s >= 3."""
+    if s % 2:
+        return ((0, 1) * ((s - 1) // 2) + (2,)) * 2
+    h = s // 2 - 1
+    return (0, 1) * h + (0, 2) + (1, 0) * h + (2, 0)
 
 
-@settings(deadline=None, max_examples=80)
-@given(st.sampled_from((1, 2)), mixed_ground_sets(1, 6))
-def test_leinert_matches_oracle_on_mixed_ground_sets(s, words):
+@st.composite
+def single_factor_sets(draw) -> tuple:
+    """(p, distinct exponents in Z_p); p = 3 divides s = 3."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17)))
+    exponents = draw(st.lists(st.integers(1, p - 1), max_size=6, unique=True))
+    return p, exponents
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 4), single_factor_sets())
+@example(3, (3, [1, 2]))  # two elements close alternating exactly when p | s
+def test_leinert_matches_oracle_on_single_factor_sets(s, case):
+    p, exponents = case
+    table = FactorTable.explicit([p])
+    words = [letter_word(table, 1, e) for e in exponents]
     hit = leinert_oracle(words, s)
     fast = leinert_violation(words, s)
     assert (fast is None) == (hit is None)
     if fast is not None:
-        assert [canonical_key(w) for w in fast.elements] == [canonical_key(words[i]) for i in hit]
+        expected = hit if s <= 2 or len(words) == 2 else leinert_pattern(s)
+        assert list(fast.elements) == [words[i] for i in expected]
+
+
+def test_leinert_rejects_all_but_single_letters_of_one_factor():
+    two_letters = reduce_raw(TABLE, [(1, 1), (2, 3)])
+    for words in (
+        [letter_word(TABLE, 1, 1), two_letters],
+        words_in(1, (1,)) + words_in(2, (1,)),
+        [Word(TABLE, ()), letter_word(TABLE, 1, 1)],
+    ):
+        with pytest.raises(ValueError, match="single letters of one cyclic factor"):
+            leinert_violation(words, 2)
+
+
+def test_leinert_verdict_is_per_factor_once_s_is_3():
+    # {a^4, a^8} in Z_11 and {b^9, b^11} in Z_13 are each clean at s=3, since
+    # two elements close only when p | s; across factors (a^4, a^8, a^4, b^11,
+    # b^9, b^11) multiplies to a^(4-8+4) b^(-11+9-11) = e
+    table = FactorTable.explicit([11, 13])
+    left = [letter_word(table, 1, e) for e in (4, 8)]
+    right = [letter_word(table, 2, e) for e in (9, 11)]
+    assert leinert_violation(left, 3) is None
+    assert leinert_violation(right, 3) is None
+    union = left + right
+    hit = leinert_oracle(union, 3)
+    assert hit is not None
+    assert [union[i] for i in (0, 1, 0, 3, 2, 3)] == [union[i] for i in hit]
 
 
 def test_leinert_budget_refusal_before_truncation():
+    # 8 elements at s=2: the table holds 8 * 7 = 56 differences
     words = words_in(3, range(1, 9))
-    with pytest.raises(BudgetExceeded):
-        leinert_violation(words, 4, budget=100)
+    with pytest.raises(BudgetExceeded, match="56 entries, budget is 55"):
+        leinert_violation(words, 2, budget=55)
+    assert leinert_violation(words, 2, budget=56) is not None
 
 
 def test_built_factor_sets_have_no_weight4_violation(desk2_family):
