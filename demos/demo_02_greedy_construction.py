@@ -34,7 +34,7 @@ def main():
     for step in range(1, 11):
         g = choose_next(strata, 1024, frozenset(chosen))
         bound = 1 + epsilon_vector_count(len(chosen), s)  # stratum 0, one residue per vector
-        print(f"{step:>4} {g:>7} {strata.count:>19} {bound:>12}")
+        print(f"{step:>4} {g:>7} {strata.forbidden.bit_count():>19} {bound:>12}")
         chosen.append(g)
         strata = strata_extend(strata, g)
     ok, _ = verify_pn_bruteforce(

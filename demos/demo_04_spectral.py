@@ -41,9 +41,10 @@ def main():
           f"{dual_header:>15} {'(4n+1)^(1/4)':>13}")
     for n in range(1, 9):
         p = kernel_order(n)
-        check = kernel_norm_check(n, transform(fejer_kernel(n, p)), 4.0)
+        report = transform(fejer_kernel(n, p))
+        check = kernel_norm_check(n, report, 4.0)
         flag = "ok" if check.passed else "FAIL"
-        print(f"{n:>3} {p:>5} {check.norm_a:>10.6f} {check.norm_vn:>10.4f} "
+        print(f"{n:>3} {p:>5} {report.norm_a:>10.6f} {report.norm_vn:>10.4f} "
               f"{check.norm_lq_prime:>15.10f} {check.kernel_bound:>13.10f} {flag}")
 
     family = build_family(2, (8, 16), "desk")

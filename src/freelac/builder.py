@@ -87,16 +87,6 @@ class EpsilonVector:
             if e not in (-2, -1, 0, 1, 2):
                 raise ValueError(f"entry {e} outside {{0, +-1, +-2}}")
 
-    @property
-    def weight(self) -> int:
-        return sum(abs(e) for e in self.entries)
-
-
-def _residues(bits: int) -> frozenset[int]:
-    """The residues r whose bit r is set in ``bits``."""
-    digits = bin(bits)[:1:-1]  # digits[r] is bit r
-    return frozenset(compress(range(len(digits)), map("1".__eq__, digits)))
-
 
 @dataclass(frozen=True)
 class ForbiddenStrata:
@@ -119,25 +109,12 @@ class ForbiddenStrata:
         return cls(p, s, (1,) + (0,) * (2 * s))
 
     @property
-    def strata(self) -> tuple[frozenset[int], ...]:
-        """The strata decoded to residue sets, stratum 0 first."""
-        return tuple(_residues(stratum) for stratum in self.bits)
-
-    @property
-    def count(self) -> int:
-        """Residues summed over the strata, with repeats across strata."""
-        return sum(stratum.bit_count() for stratum in self.bits)
-
-    @property
     def forbidden(self) -> int:
         """The union of all strata, as a p-bit integer."""
         out = 0
         for stratum in self.bits:
             out |= stratum
         return out
-
-    def union(self) -> set[int]:
-        return set(_residues(self.forbidden))
 
 
 def strata_extend(f: ForbiddenStrata, g: int) -> ForbiddenStrata:
@@ -250,6 +227,8 @@ class BuildResult:
         return len(self.subset) == self.target_size
 
 
+# Admission steps per deterministic search.  No flag changes it, so a factor's
+# search record depends only on (n, s, target, pool).
 DEFAULT_SEARCH_BUDGET = 5_000
 
 
@@ -260,19 +239,19 @@ def build_factor_set(
     pool_bound: int,
     table: FactorTable,
     rng: Optional[random.Random] = None,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> BuildResult:
     """Choose up to ``target_size`` exponents from [1, pool_bound] by avoidance.
 
     Deterministic mode runs a smallest-first depth-first search in ascending
     exponent order, backtracking when a branch exhausts the pool; it follows
     the plain greedy path whenever greedy succeeds, and otherwise still finds
-    a valid set if one is reachable within ``search_budget`` admission steps
-    (plain greedy can strand itself: at p=521 with pool [1, 256] it stalls at
-    7 of 8 elements although an 8-element set exists).  With ``rng`` set the
-    same search keeps one uniform draw among each node's admissible pool
-    exponents and never backtracks: a random greedy walk, reproducible from
-    the seed.  A chosen exponent lies in stratum 1, so it is never drawn twice.
+    a valid set if one is reachable within ``DEFAULT_SEARCH_BUDGET`` admission
+    steps (plain greedy can strand itself: at p=521 with pool [1, 256] it
+    stalls at 7 of 8 elements although an 8-element set exists).  With
+    ``rng`` set the same search keeps one uniform draw among each node's
+    admissible pool exponents and never backtracks: a random greedy walk,
+    reproducible from the seed.  A chosen exponent lies in stratum 1, so it
+    is never drawn twice.
     When ``half_table_size(target_size, s) > p`` no target-sized set exists,
     so deterministic mode walks too, taking each node's smallest admissible
     exponent: the plain greedy path, ending at a dead end.
@@ -302,7 +281,7 @@ def build_factor_set(
             pick = choose_next(strata, pool_bound, rng=rng)
             candidates = [] if pick is None else [pick]
         for g in candidates:
-            if nodes >= search_budget:
+            if nodes >= DEFAULT_SEARCH_BUDGET:
                 exhausted = False
                 return False
             nodes += 1
@@ -451,12 +430,6 @@ class LacunaryFamily:
             if result.feasible:
                 return result.n
         return None
-
-    def result_for(self, n: int) -> BuildResult:
-        for result in self.results:
-            if result.n == n:
-                return result
-        raise KeyError(f"factor {n} not present in family")
 
     def union_words(self) -> list[Word]:
         """All stored elements across factors, as words; partial sets included."""

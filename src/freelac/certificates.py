@@ -34,10 +34,6 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def parse_float(s: str) -> float:
-    return float(s)
-
-
 def fmt_complex(z: complex) -> list[str]:
     return [fmt_float(z.real), fmt_float(z.imag)]
 
@@ -132,7 +128,7 @@ def read_certificate(path: str) -> CertificateFile:
 
 
 def family_to_payload(family: LacunaryFamily) -> dict:
-    """The payload of a built family, search record included; formats 2 to 6 share it."""
+    """The payload of a built family, search record included; formats 2 to 7 share it."""
     factors = []
     for result in family.results:
         factors.append(

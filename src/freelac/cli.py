@@ -79,7 +79,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -518,9 +521,9 @@ def build_parser() -> _Parser:
     output = _Parser(add_help=False)
     output.add_argument("--out", default=None)
     tuples = _Parser(add_help=False)
-    tuples.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
+    tuples.add_argument("--budget-tuples", type=_positive_int, default=DEFAULT_TUPLE_BUDGET)
     subsets = _Parser(add_help=False)
-    subsets.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET_BITS)
+    subsets.add_argument("--budget-subsets", type=_positive_int, default=DEFAULT_SUBSET_BUDGET_BITS)
 
     p_primes = sub.add_parser("primes", help="print the factor-order prime table")
     p_primes.add_argument("n_max", type=int)

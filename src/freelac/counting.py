@@ -70,7 +70,6 @@ class ZsCertificate:
     left halves times the distinct right halves, each a (product, index set).
     """
 
-    s: int
     ground_size: int
     value: int
     witness: Optional[Word]
@@ -164,7 +163,7 @@ def z_value(
     _check_ground_set(elements)
     n = len(elements)
     if n < s:
-        return ZsCertificate(s, n, 0, None, strategy, 0)
+        return ZsCertificate(n, 0, None, strategy, 0)
     naive = strategy == STRATEGY_NAIVE
     split = s - 1 if naive else s // 2
     needed = math.perm(n, s) if naive else math.perm(n, split) ** 2
@@ -187,7 +186,7 @@ def z_value(
     counts = _z_join(orders, left, right)
     value = max(counts.values())
     witness = min(k for k, c in counts.items() if c == value)
-    return ZsCertificate(s, n, value, Word(elements[0].table, witness), strategy, examined)
+    return ZsCertificate(n, value, Word(elements[0].table, witness), strategy, examined)
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,6 @@ def is_quasi_independent(
 class QIWitness:
     """A greedily extracted quasi-independent subset and whether it is maximal."""
 
-    order: int
     parent: tuple[int, ...]
     subset: tuple[int, ...]
     maximal: bool
@@ -336,9 +334,4 @@ def extract_quasi_independent(
         if all(v not in sums_set for v in shifted):
             maximal = False
             break
-    return QIWitness(
-        order=p,
-        parent=subset.exponents,
-        subset=tuple(chosen),
-        maximal=maximal,
-    )
+    return QIWitness(parent=subset.exponents, subset=tuple(chosen), maximal=maximal)

@@ -58,10 +58,6 @@ class CyclicFunction:
         return cls(p, tuple(sorted((j, v) for j, v in merged.items() if v != 0)))
 
     @classmethod
-    def point_mass(cls, p: int, j: int) -> "CyclicFunction":
-        return cls.from_values(p, {j: 1.0})
-
-    @classmethod
     def indicator(cls, p: int, residues: Iterable[int]) -> "CyclicFunction":
         return cls.from_values(p, {j: 1.0 for j in residues})
 
@@ -144,12 +140,8 @@ def _dual_index(q: float) -> float:
 class KernelNormCheck:
     """Interpolation and peak bounds for a triangular kernel instance."""
 
-    n: int
-    p: int
     q: float
     q_prime: float
-    norm_a: float
-    norm_vn: float
     norm_lq_prime: float
     interpolation_bound: float
     kernel_bound: float
@@ -172,12 +164,8 @@ def kernel_norm_check(n: int, report: SpectrumReport, q: float) -> KernelNormChe
     interpolation_bound = report.norm_a ** (1.0 / q_prime) * report.norm_vn ** (1.0 / q)
     kernel_bound = (4 * n + 1) ** (1.0 / q)
     return KernelNormCheck(
-        n=n,
-        p=report.p,
         q=q,
         q_prime=q_prime,
-        norm_a=report.norm_a,
-        norm_vn=report.norm_vn,
         norm_lq_prime=norm_lq_prime,
         interpolation_bound=interpolation_bound,
         kernel_bound=kernel_bound,

@@ -28,6 +28,7 @@ from freelac import (
     strata_extend,
     verify_pn_bruteforce,
 )
+from ledger import residues
 
 TABLE = FactorTable.paper_default(10)
 
@@ -52,24 +53,24 @@ def strata_from(exponents, p, s):
 
 def test_strata_single_element():
     strata = strata_from([1], 17, 2)
-    assert strata.strata[0] == {0}
-    assert strata.strata[1] == {1, 16}
-    assert strata.strata[2] == {2, 15}
+    assert residues(strata.bits[0]) == {0}
+    assert residues(strata.bits[1]) == {1, 16}
+    assert residues(strata.bits[2]) == {2, 15}
     # one element admits no weight-3 or weight-4 combination
-    assert strata.strata[3] == set()
-    assert strata.strata[4] == set()
-    assert strata.union() == {0, 1, 2, 15, 16}
+    assert residues(strata.bits[3]) == set()
+    assert residues(strata.bits[4]) == set()
+    assert residues(strata.forbidden) == {0, 1, 2, 15, 16}
 
 
 def test_strata_two_elements_contains_mixed_sums():
     strata = strata_from([1, 2], 17, 2)
-    assert 3 in strata.strata[2]  # 1 + 2
-    assert 14 in strata.strata[2]  # -1 - 2
+    assert 3 in residues(strata.bits[2])  # 1 + 2
+    assert 14 in residues(strata.bits[2])  # -1 - 2
 
 
 def test_strata_duplicate_element_flags_degenerate_relation():
     strata = strata_from([5, 5], 17, 2)
-    assert 0 in strata.strata[2]  # +5 - 5
+    assert 0 in residues(strata.bits[2])  # +5 - 5
 
 
 def test_strata_match_enumeration_exactly():
@@ -82,7 +83,7 @@ def test_strata_match_enumeration_exactly():
         strata = strata_from(exponents, p, s)
         oracle = enumerate_sums_by_weight(exponents, p, s)
         for w in range(2 * s + 1):
-            assert strata.strata[w] == oracle[w], (exponents, p, s, w)
+            assert residues(strata.bits[w]) == oracle[w], (exponents, p, s, w)
 
 
 @st.composite
@@ -101,9 +102,9 @@ def test_bitset_strata_match_enumeration(chain, s):
     p, exponents = chain
     strata = strata_from(exponents, p, s)
     oracle = enumerate_sums_by_weight(exponents, p, s)
-    assert strata.strata == tuple(oracle[w] for w in range(2 * s + 1))
-    assert strata.count == sum(len(stratum) for stratum in oracle.values())
-    assert strata.union() == set().union(*oracle.values())
+    assert list(map(residues, strata.bits)) == [oracle[w] for w in range(2 * s + 1)]
+    assert sum(b.bit_count() for b in strata.bits) == sum(map(len, oracle.values()))
+    assert residues(strata.forbidden) == set().union(*oracle.values())
 
 
 @settings(deadline=None)
@@ -128,15 +129,17 @@ def test_strata_negation_closure_and_count_bounds(desk2_family):
     for result in desk2_family.results[:3]:
         p = result.p
         strata = ForbiddenStrata.empty(p, 2)
-        previous_count = strata.count
+        previous_count = 1
         for i, g in enumerate(result.chosen):
             strata = strata_extend(strata, g)
-            for stratum in strata.strata:
+            for stratum in map(residues, strata.bits):
                 assert stratum == {(-r) % p for r in stratum}
-            assert strata.count >= previous_count
+            # residues summed over the strata, with repeats across strata
+            count = sum(b.bit_count() for b in strata.bits)
+            assert count >= previous_count
             # stratum 0, plus at most one residue per nonzero vector of weight <= 2s
-            assert strata.count <= min(p * 5, 1 + epsilon_vector_count(i + 1, 2))
-            previous_count = strata.count
+            assert count <= min(p * 5, 1 + epsilon_vector_count(i + 1, 2))
+            previous_count = count
 
 
 def test_choose_next_from_empty():
@@ -157,7 +160,7 @@ def test_choose_next_exhausted():
 
 def test_choose_next_random_mode_is_admissible_and_seeded():
     strata = strata_extend(ForbiddenStrata.empty(17, 2), 1)
-    forbidden = strata.union()
+    forbidden = residues(strata.forbidden)
     picks = set()
     for seed in range(10):
         g = choose_next(strata, 16, rng=random.Random(seed))
@@ -177,7 +180,7 @@ def test_build_two_elements():
     # {0}, then {0, +-1, +-2}
     strata, trace = ForbiddenStrata.empty(result.p, 2), []
     for g in result.chosen:
-        trace.append(strata.count)
+        trace.append(sum(b.bit_count() for b in strata.bits))
         strata = strata_extend(strata, g)
     assert trace == [1, 5]
 
@@ -282,7 +285,7 @@ def test_verify_pn_examples():
     ok, witness = verify_pn_bruteforce(FactorSubset(3, 17, (1, 2)), 2)
     assert not ok
     assert witness.entries == (2, -1)  # 2*1 - 2 = 0
-    assert witness.weight == 3
+    assert sum(map(abs, witness.entries)) == 3
     assert verify_pn_bruteforce(FactorSubset(1, 5, (1,)), 2) == (True, None)
 
 
@@ -425,7 +428,7 @@ def test_family_every_built_set_passes_bruteforce(desk2_family):
 
 def test_family_paper_profile_records_infeasible():
     family = build_family(2, (3, 3), "paper")
-    result = family.result_for(3)
+    (result,) = family.results
     assert not result.feasible
     assert result.target_size == 9
     assert result.pool_bound == 8

@@ -475,6 +475,33 @@ def test_budget_refusal_names_its_flag(tmp_path, capsys, command, flag, budget):
     assert err.startswith("budget refusal: ") and err.rstrip().endswith(f"(raise it with {flag})")
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["verify", "pn"], "--budget-tuples"),
+        (["verify", "zs"], "--budget-tuples"),
+        (["verify", "leinert"], "--budget-tuples"),
+        (["verify", "qi"], "--budget-subsets"),
+        (["report"], "--budget-subsets"),
+        (["report"], "--budget-tuples"),
+    ],
+    ids=["pn", "zs", "leinert", "qi", "report", "report-zs"],
+)
+def test_budget_below_1_is_usage_error(tmp_path, monkeypatch, capsys, command, flag, value):
+    # a budget counts work units, so one below 1 is refused as a usage error,
+    # not run into a budget refusal, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    build = ["build", "--s", "2", "--n-min", "8", "--n-max", "8", "--out", "small.json"]
+    assert main(build) == EXIT_OK
+    capsys.readouterr()
+    assert main([*command, "small.json", flag, value, "--out", "cert.json"]) == EXIT_IO
+    assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+    assert main([*command, "small.json", flag, "ten", "--out", "cert.json"]) == EXIT_IO
+    assert f"argument {flag}: invalid int value: 'ten'" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["small.json"]
+
+
 def test_verify_missing_family_is_usage_error():
     assert main(["verify", "pn"]) == EXIT_IO
 

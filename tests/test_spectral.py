@@ -48,7 +48,7 @@ def random_sparse(rng: random.Random, p: int) -> CyclicFunction:
 
 
 def test_point_mass_transform():
-    report = transform(CyclicFunction.point_mass(11, 0))
+    report = transform(CyclicFunction.indicator(11, [0]))
     assert np.allclose(report.spectrum, np.ones(11))
     assert abs(report.norm_a - 1.0) < TOL
     assert abs(report.norm_vn - 1.0) < TOL
@@ -161,7 +161,7 @@ def test_norm_orderings():
 def test_spectral_budget():
     # 1,048,583 is the least prime above the 2^20 spectral budget
     with pytest.raises(BudgetExceeded):
-        transform(CyclicFunction.point_mass(1_048_583, 0))
+        transform(CyclicFunction.indicator(1_048_583, [0]))
 
 
 def test_cyclic_function_requires_prime_order():
@@ -227,13 +227,14 @@ def test_kernel_norm_check_q2_and_large_q():
     # q = q' = 2 reduces to the Cauchy-Schwarz style bound
     assert kernel_norm_check(1, transform(fejer_kernel(1, 11)), 2).passed
     # large q: the q' norm approaches the algebra norm (1 here)
-    check = kernel_norm_check(1, transform(fejer_kernel(1, 11)), 100)
+    report = transform(fejer_kernel(1, 11))
+    check = kernel_norm_check(1, report, 100)
     assert check.passed
-    assert abs(check.norm_lq_prime - check.norm_a) < 0.05
+    assert abs(check.norm_lq_prime - report.norm_a) < 0.05
 
 
 def test_holder_point_masses_equality():
-    f = CyclicFunction.point_mass(11, 3)
+    f = CyclicFunction.indicator(11, [3])
     check = holder_check(f, f, 4)
     assert check.holds
     assert abs(check.pairing - 1.0) < TOL
@@ -254,15 +255,15 @@ def test_holder_on_random_pairs():
 
 @pytest.mark.parametrize("q", [math.inf, math.nan, 1.0])
 def test_holder_rejects_q_not_finite_above_one(q):
-    f = CyclicFunction.point_mass(11, 0)
-    g = CyclicFunction.point_mass(11, 3)
+    f = CyclicFunction.indicator(11, [0])
+    g = CyclicFunction.indicator(11, [3])
     with pytest.raises(ValueError, match="finite and exceed 1"):
         holder_check(f, g, q)
 
 
 def test_holder_requires_shared_order():
     with pytest.raises(ValueError):
-        holder_check(CyclicFunction.point_mass(11, 0), CyclicFunction.point_mass(13, 0), 4)
+        holder_check(CyclicFunction.indicator(11, [0]), CyclicFunction.indicator(13, [0]), 4)
 
 
 def test_density_lower_bound():
