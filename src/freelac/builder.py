@@ -11,7 +11,9 @@ The ledger keeps each stratum as one p-bit integer (bit r set when residue r
 is forbidden).  Admitting g rotates the lower strata by +-g and +-2g and ORs
 them in, with no loop over residues; the scan for the next exponent reads the
 OR of all strata as a string of binary digits and skips forbidden residues
-in C.
+in C.  A search node one exponent short of the target is decided from one
+such union (``forbidden_after``) without building its strata, and counts as
+one node, as before.
 
 The builder is stricter than the property.  Admitting g keeps the property
 when g lies in no stratum below 2s and 2g in none below 2s - 1; the builder
@@ -30,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import BudgetExceeded
 from .primes import FactorTable, is_prime
@@ -140,6 +142,34 @@ def strata_extend(f: ForbiddenStrata, g: int) -> ForbiddenStrata:
             shifted |= (two >> g2) | (two >> (p - g2))
         new.append(f.bits[w] | (shifted & mask))
     return ForbiddenStrata(p, f.s, tuple(new))
+
+
+def forbidden_after(f: ForbiddenStrata) -> Callable[[int], int]:
+    """The map g -> ``strata_extend(f, g).forbidden``, for 1 <= g <= p - 1,
+    without building the strata.
+
+    Rotation distributes over OR, so the union after appending g is
+    F | rot(U, +-g) | rot(V, +-2g).  F is the union of all strata 0..2s, U the
+    union of strata 0..2s-1 (stratum w - 1 feeds stratum w through +-g) and V
+    the union of strata 0..2s-2 (stratum w - 2 feeds stratum w through +-2g).
+    The three unions are taken once, so one search node pays for them once
+    over all its children.
+    """
+    p = f.p
+    mask = (1 << p) - 1
+    v = 0
+    for stratum in f.bits[:-2]:
+        v |= stratum
+    u = v | f.bits[-2]
+    everything = u | f.bits[-1]
+    u |= u << p  # repeated, as in strata_extend, so a right shift rotates
+    v |= v << p
+
+    def after(g: int) -> int:
+        g2 = (2 * g) % p
+        return everything | (((u >> g) | (u >> (p - g)) | (v >> g2) | (v >> (p - g2))) & mask)
+
+    return after
 
 
 def _admissible(forbidden: int, p: int, start: int, stop: int) -> Iterator[int]:
@@ -260,6 +290,11 @@ def build_factor_set(
     the prefix, for the candidate and for its double, so every prefix of the
     result has the avoidance property.  Infeasible outcomes keep the deepest
     prefix reached.
+
+    A child holding ``target_size - 1`` exponents only asks whether an
+    admissible exponent follows its last one, so it is decided from its
+    forbidden union (``forbidden_after``) instead of its strata; it counts
+    as one node, as before, and so does the exponent that completes the set.
     """
     p = table.order(n)
     if pool_bound > p - 1:
@@ -269,25 +304,49 @@ def build_factor_set(
     exhausted = True
     walk = rng is not None or half_table_size(target_size, s) > p
 
+    def candidates(forbidden: int, start: int) -> Iterator[int]:
+        """A node's exponents to try, read from its forbidden union: every
+        admissible one from ``start`` up, or with ``rng`` set one uniform draw
+        among all admissible pool exponents."""
+        if rng is None:
+            return _admissible(forbidden, p, start, pool_bound + 1)
+        admissible = list(_admissible(forbidden, p, 1, pool_bound + 1))
+        return iter([rng.choice(admissible)] if admissible else [])
+
+    def step() -> bool:
+        """Count one admission step; once the budget is spent, mark the
+        search cut short instead."""
+        nonlocal nodes, exhausted
+        if nodes >= DEFAULT_SEARCH_BUDGET:
+            exhausted = False
+            return False
+        nodes += 1
+        return True
+
     def dfs(strata: ForbiddenStrata, chosen: tuple[int, ...], start: int) -> bool:
-        nonlocal best_chosen, nodes, exhausted
+        nonlocal best_chosen
         if len(chosen) > len(best_chosen):
             best_chosen = chosen
         if len(chosen) == target_size:
             return True
-        if rng is None:
-            candidates: Iterable[int] = _admissible(strata.forbidden, p, start, pool_bound + 1)
-        else:
-            pick = choose_next(strata, pool_bound, rng=rng)
-            candidates = [] if pick is None else [pick]
-        for g in candidates:
-            if nodes >= DEFAULT_SEARCH_BUDGET:
-                exhausted = False
+        # a child one exponent short of the target is settled by its first
+        # candidate, so it reads its forbidden union and never its strata
+        after = forbidden_after(strata) if len(chosen) == target_size - 2 else None
+        for g in candidates(strata.forbidden, start):
+            if not step():
                 return False
-            nodes += 1
+            child = chosen + (g,)
             next_start = g + 1 if rng is None else 1
-            if dfs(strata_extend(strata, g), chosen + (g,), next_start):
-                return True
+            if after is None:
+                if dfs(strata_extend(strata, g), child, next_start):
+                    return True
+            else:
+                if len(child) > len(best_chosen):
+                    best_chosen = child
+                last = next(candidates(after(g), next_start), None)
+                if last is not None and step():
+                    best_chosen = child + (last,)
+                    return True
             if walk or not exhausted:
                 return False
         return False

@@ -121,12 +121,16 @@ def fejer_kernel(n: int, p: int) -> CyclicFunction:
 
     Requires p > 4n so the support [-2n, 2n] embeds without wraparound.  The
     coefficients are >= 1/2 on offsets 1..n exactly (see fejer_coefficient).
+    Each value is the int quotient (2n - |j|) / (2n): true division of ints
+    rounds correctly, as ``float`` of the exact Fraction does, so the floats
+    are the same without building a Fraction per offset.
     """
+    if n < 1:
+        raise ValueError(f"kernel scale must be >= 1, got {n}")
     if p <= 4 * n:
         raise ValueError(f"order {p} must exceed 4n = {4 * n}")
-    values = {}
-    for j in range(-(2 * n) + 1, 2 * n):
-        values[j % p] = float(fejer_coefficient(n, j))
+    width = 2 * n
+    values = {j % p: (width - abs(j)) / width for j in range(1 - width, width)}
     return CyclicFunction.from_values(p, values)
 
 

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freelac import builder
@@ -28,7 +28,7 @@ from freelac import (
     strata_extend,
     verify_pn_bruteforce,
 )
-from ledger import residues
+from ledger import all_strata_search, residues
 
 TABLE = FactorTable.paper_default(10)
 
@@ -105,6 +105,9 @@ def test_bitset_strata_match_enumeration(chain, s):
     assert list(map(residues, strata.bits)) == [oracle[w] for w in range(2 * s + 1)]
     assert sum(b.bit_count() for b in strata.bits) == sum(map(len, oracle.values()))
     assert residues(strata.forbidden) == set().union(*oracle.values())
+    edges = (1, p - 1, (p - 1) // 2, (p + 1) // 2)
+    after = builder.forbidden_after(strata)
+    assert [after(g) for g in edges] == [strata_extend(strata, g).forbidden for g in edges]
 
 
 @settings(deadline=None)
@@ -220,6 +223,35 @@ def test_budget_bound_search_is_pinned():
     assert [r.chosen for r in family.results] == [
         (1, 3, 9), (1, 3, 9), (1, 3, 9, 23, 39), (1, 3, 9, 23, 39, 67)
     ]
+
+
+# a budget that refuses the 47th node, the exponent that would complete the
+# set, keeps the 7-element prefix and marks the search cut short
+PINNED_SEARCHES = {(8, 2, 8, 256, 46, None): (46, False, (1, 3, 9, 23, 39, 67, 117))}
+
+
+@settings(deadline=None)
+@example(n=8, s=2, target=8, pool=256, budget=46, seed=None)
+@given(
+    n=st.integers(1, 8),
+    s=st.sampled_from([2, 4]),
+    target=st.integers(2, 8),
+    pool=st.integers(1, 520),
+    budget=st.integers(1, 300),
+    seed=st.none() | st.integers(0, 2**32),
+)
+def test_search_matches_the_all_strata_reference(n, s, target, pool, budget, seed):
+    # p = 5 .. 521; the pool is folded into [1, p - 1]
+    pool = 1 + (pool - 1) % (TABLE.order(n) - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "DEFAULT_SEARCH_BUDGET", budget)
+        rng = None if seed is None else random.Random(seed)
+        result = build_factor_set(n, s, target, pool, TABLE, rng)
+        rng = None if seed is None else random.Random(seed)
+        expected = all_strata_search(n, s, target, pool, TABLE, rng)
+    got = (result.nodes_searched, result.search_exhausted, result.chosen)
+    assert got == expected
+    assert PINNED_SEARCHES.get((n, s, target, pool, budget, seed), got) == got
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,11 @@ def test_fejer_norms_and_positivity():
         assert abs(report.norm_vn - 2.0 * n) < TOL
         assert float(np.min(report.spectrum.real)) >= -TOL
         assert float(np.max(np.abs(report.spectrum.imag))) <= 1e-8
+    # the int quotients are the floats of the exact coefficients, bit for bit
+    for n in [*range(1, 9), 2048]:
+        p = first_prime_above(4 * n)
+        exact = {j % p: float(fejer_coefficient(n, j)) for j in range(1 - 2 * n, 2 * n)}
+        assert dict(fejer_kernel(n, p).values) == exact
 
 
 def test_fejer_floor_exact_rational():
@@ -214,6 +219,8 @@ def test_fejer_floor_exact_rational():
 def test_fejer_rejects_small_order():
     with pytest.raises(ValueError):
         fejer_kernel(3, 11)
+    with pytest.raises(ValueError, match="kernel scale must be >= 1, got 0"):
+        fejer_kernel(0, 11)
 
 
 def test_kernel_norm_check_example():
