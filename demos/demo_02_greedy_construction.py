@@ -33,7 +33,7 @@ def main():
     print(f"{'step':>4} {'picked':>7} {'forbidden residues':>19} {'upper bound':>12}")
     for step in range(1, 11):
         g = choose_next(strata, 1024, frozenset(chosen))
-        bound = 1 + epsilon_vector_count(len(chosen), s)  # stratum 0, one residue per vector
+        bound = 1 + epsilon_vector_count(len(chosen), s)  # 0, then one residue per vector
         print(f"{step:>4} {g:>7} {strata.forbidden.bit_count():>19} {bound:>12}")
         chosen.append(g)
         strata = strata_extend(strata, g)

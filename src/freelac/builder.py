@@ -3,24 +3,23 @@
 A set {g_1, ..., g_N} of exponents inside one cyclic factor of odd prime
 order p has the avoidance property for an even parameter s when no nontrivial
 combination sum(eps_j * g_j) with eps_j in {0, +-1, +-2} and sum|eps_j| <= 2s
-vanishes mod p.  The builder realizes the forbidden products incrementally as
-weight-stratified residue sets, so each new exponent g is admitted exactly
-when neither g nor 2g lies in any stratum.
+vanishes mod p.  The builder keeps the residues the combinations reach level
+by level, level w holding those of weight at most w, so each new exponent g
+is admitted exactly when neither g nor 2g lies in the top level 2s.
 
-The ledger keeps each stratum as one p-bit integer (bit r set when residue r
-is forbidden).  Admitting g rotates the lower strata by +-g and +-2g and ORs
+The ledger keeps each level as one p-bit integer (bit r set when residue r
+is reached).  Admitting g rotates the lower levels by +-g and +-2g and ORs
 them in, with no loop over residues; the scan for the next exponent reads the
-OR of all strata as a string of binary digits and skips forbidden residues
-in C.  A search node one exponent short of the target is decided from one
-such union (``forbidden_after``) without building its strata, and counts as
-one node, as before.
+top level as a string of binary digits and skips forbidden residues in C.  A
+search node one exponent short of the target is decided from the top level
+it would have (``forbidden_after``) without building its levels, and counts
+as one node, as before.
 
 The builder is stricter than the property.  Admitting g keeps the property
-when g lies in no stratum below 2s and 2g in none below 2s - 1; the builder
-also forbids g in stratum 2s and 2g in strata 2s - 1 and 2s, whose vanishing
-combinations would weigh more than 2s.  Every set it builds has the
-property, so any bound on the sets with the property bounds the builder too,
-though not the other way round.  One such bound is a count: an N-set with the
+when g lies outside level 2s - 1 and 2g outside level 2s - 2; the builder
+asks both to lie outside level 2s.  Every set it builds has the property,
+so any bound on the sets with the property bounds the builder too, though
+not the other way round.  One such bound is a count: an N-set with the
 property has sum_{k<=s} C(N, k) * 2^k distinct signed sums of at most s terms
 (see ``verify_pn_bruteforce``), so none exists in Z_p once that count exceeds
 p, and the builder then walks instead of searching.
@@ -92,13 +91,14 @@ class EpsilonVector:
 
 @dataclass(frozen=True)
 class ForbiddenStrata:
-    """Weight-stratified forbidden residues for the current chosen exponents.
+    """The residues the chosen exponents reach, level by level.
 
-    Stratum w is exactly the set of residues sum(eps_j * g_j) mod p over
-    vectors of weight w; stratum 0 is {0} and every stratum is closed under
-    negation mod p.  ``bits[w]`` stores stratum w as one p-bit integer whose
-    bit r is set when residue r lies in it, so adding an exponent rotates
-    whole strata at once and the avoidance scan reads their OR.
+    Level w is the set of residues sum(eps_j * g_j) mod p over vectors of
+    weight at most w: level 0 is {0}, each level holds the one below it, and
+    every level is closed under negation mod p.  ``bits[w]`` stores level w
+    as one p-bit integer whose bit r is set when residue r lies in it, so
+    adding an exponent rotates whole levels at once and the avoidance scan
+    reads the top one.
     """
 
     p: int
@@ -108,31 +108,28 @@ class ForbiddenStrata:
     @classmethod
     def empty(cls, p: int, s: int) -> "ForbiddenStrata":
         check_even_s(s)
-        return cls(p, s, (1,) + (0,) * (2 * s))
+        return cls(p, s, (1,) * (2 * s + 1))
 
     @property
     def forbidden(self) -> int:
-        """The union of all strata, as a p-bit integer."""
-        out = 0
-        for stratum in self.bits:
-            out |= stratum
-        return out
+        """The top level: every residue of weight at most 2s."""
+        return self.bits[-1]
 
 
 def strata_extend(f: ForbiddenStrata, g: int) -> ForbiddenStrata:
-    """Strata after appending exponent g to the chosen set.
+    """Levels after appending exponent g to the chosen set.
 
-    Stratum w gains stratum w-1 shifted by +-g and stratum w-2 shifted by
-    +-2g.  A shift is a rotation of p bits: with the stratum repeated as
-    x | x << p, bit i of ``(x | x << p) >> t`` is bit (i + t) mod p of x
-    for i < p, a shift by -t, and t = p - k shifts by +k.
+    Level w gains level w-1 shifted by +-g and level w-2 shifted by +-2g.  A
+    shift is a rotation of p bits: with the level repeated as x | x << p,
+    bit i of ``(x | x << p) >> t`` is bit (i + t) mod p of x for i < p, a
+    shift by -t, and t = p - k shifts by +k.
     """
     if not 1 <= g <= f.p - 1:
         raise ValueError(f"exponent {g} outside [1, {f.p - 1}]")
     p = f.p
     mask = (1 << p) - 1
     g2 = (2 * g) % p
-    repeated = [x | (x << p) for x in f.bits[:-1]]  # the top stratum feeds none
+    repeated = [x | (x << p) for x in f.bits[:-1]]  # the top level feeds none
     new = [f.bits[0]]
     for w in range(1, len(f.bits)):
         one = repeated[w - 1]
@@ -146,28 +143,17 @@ def strata_extend(f: ForbiddenStrata, g: int) -> ForbiddenStrata:
 
 def forbidden_after(f: ForbiddenStrata) -> Callable[[int], int]:
     """The map g -> ``strata_extend(f, g).forbidden``, for 1 <= g <= p - 1,
-    without building the strata.
-
-    Rotation distributes over OR, so the union after appending g is
-    F | rot(U, +-g) | rot(V, +-2g).  F is the union of all strata 0..2s, U the
-    union of strata 0..2s-1 (stratum w - 1 feeds stratum w through +-g) and V
-    the union of strata 0..2s-2 (stratum w - 2 feeds stratum w through +-2g).
-    The three unions are taken once, so one search node pays for them once
-    over all its children.
-    """
-    p = f.p
+    without building the levels: the top level gains level 2s - 1 rotated by
+    +-g and level 2s - 2 rotated by +-2g.  Both are repeated once, as in
+    ``strata_extend``, so one search node pays for that once over all its
+    children."""
+    p, top = f.p, f.bits[-1]
     mask = (1 << p) - 1
-    v = 0
-    for stratum in f.bits[:-2]:
-        v |= stratum
-    u = v | f.bits[-2]
-    everything = u | f.bits[-1]
-    u |= u << p  # repeated, as in strata_extend, so a right shift rotates
-    v |= v << p
+    one, two = f.bits[-2] | (f.bits[-2] << p), f.bits[-3] | (f.bits[-3] << p)
 
     def after(g: int) -> int:
         g2 = (2 * g) % p
-        return everything | (((u >> g) | (u >> (p - g)) | (v >> g2) | (v >> (p - g2))) & mask)
+        return top | (((one >> g) | (one >> (p - g)) | (two >> g2) | (two >> (p - g2))) & mask)
 
     return after
 
@@ -200,7 +186,7 @@ def choose_next(
     used: frozenset[int] | set[int] = frozenset(),
     rng: Optional[random.Random] = None,
 ) -> Optional[int]:
-    """Smallest unused pool exponent g with g and 2g both outside all strata.
+    """Smallest unused pool exponent g with g and 2g both outside the top level.
 
     With ``rng`` set, picks uniformly among all admissible candidates instead.
     Returns None when the pool is exhausted.
@@ -280,8 +266,8 @@ def build_factor_set(
     stalls at 7 of 8 elements although an 8-element set exists).  With
     ``rng`` set the same search keeps one uniform draw among each node's
     admissible pool exponents and never backtracks: a random greedy walk,
-    reproducible from the seed.  A chosen exponent lies in stratum 1, so it
-    is never drawn twice.
+    reproducible from the seed.  A chosen exponent lies in level 1, so it is
+    never drawn twice.
     When ``half_table_size(target_size, s) > p`` no target-sized set exists,
     so deterministic mode walks too, taking each node's smallest admissible
     exponent: the plain greedy path, ending at a dead end.
@@ -292,9 +278,9 @@ def build_factor_set(
     prefix reached.
 
     A child holding ``target_size - 1`` exponents only asks whether an
-    admissible exponent follows its last one, so it is decided from its
-    forbidden union (``forbidden_after``) instead of its strata; it counts
-    as one node, as before, and so does the exponent that completes the set.
+    admissible exponent follows its last one, so it is decided from its top
+    level alone (``forbidden_after``); it counts as one node, as before, and
+    so does the exponent that completes the set.
     """
     p = table.order(n)
     if pool_bound > p - 1:
@@ -304,12 +290,12 @@ def build_factor_set(
     exhausted = True
     walk = rng is not None or half_table_size(target_size, s) > p
 
-    def candidates(forbidden: int, start: int) -> Iterator[int]:
-        """A node's exponents to try, read from its forbidden union: every
-        admissible one from ``start`` up, or with ``rng`` set one uniform draw
-        among all admissible pool exponents."""
+    def candidates(forbidden: int, chosen: tuple[int, ...]) -> Iterator[int]:
+        """A node's exponents to try, read from its top level: every
+        admissible one above the last chosen exponent, or with ``rng`` set one
+        uniform draw among all admissible pool exponents."""
         if rng is None:
-            return _admissible(forbidden, p, start, pool_bound + 1)
+            return _admissible(forbidden, p, chosen[-1] + 1 if chosen else 1, pool_bound + 1)
         admissible = list(_admissible(forbidden, p, 1, pool_bound + 1))
         return iter([rng.choice(admissible)] if admissible else [])
 
@@ -323,27 +309,26 @@ def build_factor_set(
         nodes += 1
         return True
 
-    def dfs(strata: ForbiddenStrata, chosen: tuple[int, ...], start: int) -> bool:
+    def dfs(strata: ForbiddenStrata, chosen: tuple[int, ...]) -> bool:
         nonlocal best_chosen
         if len(chosen) > len(best_chosen):
             best_chosen = chosen
         if len(chosen) == target_size:
             return True
         # a child one exponent short of the target is settled by its first
-        # candidate, so it reads its forbidden union and never its strata
+        # candidate, so it reads its top level and never builds its levels
         after = forbidden_after(strata) if len(chosen) == target_size - 2 else None
-        for g in candidates(strata.forbidden, start):
+        for g in candidates(strata.forbidden, chosen):
             if not step():
                 return False
             child = chosen + (g,)
-            next_start = g + 1 if rng is None else 1
             if after is None:
-                if dfs(strata_extend(strata, g), child, next_start):
+                if dfs(strata_extend(strata, g), child):
                     return True
             else:
                 if len(child) > len(best_chosen):
                     best_chosen = child
-                last = next(candidates(after(g), next_start), None)
+                last = next(candidates(after(g), child), None)
                 if last is not None and step():
                     best_chosen = child + (last,)
                     return True
@@ -351,7 +336,7 @@ def build_factor_set(
                 return False
         return False
 
-    dfs(ForbiddenStrata.empty(p, s), (), 1)
+    dfs(ForbiddenStrata.empty(p, s), ())
     subset = FactorSubset(factor=n, order=p, exponents=tuple(sorted(best_chosen)))
     return BuildResult(subset, best_chosen, pool_bound, target_size, nodes, exhausted)
 

@@ -47,6 +47,7 @@ from .counting import (
 from .errors import BudgetExceeded
 from .primes import FactorTable, smallest_admissible_prime
 from .spectral import (
+    DEFAULT_SPECTRAL_BUDGET,
     DEFAULT_TOLERANCE,
     check_spectral_budget,
     density_lower_bound,
@@ -320,6 +321,12 @@ def kernel_order(scale: int) -> int:
 
 def cmd_norms(args) -> int:
     q_grid = [float(q) for q in args.q.split(",")]
+    top = args.scale if args.scale is not None else args.n_max
+    if 4 * top > DEFAULT_SPECTRAL_BUDGET:  # its order exceeds 4 * top: refuse before looking it up
+        raise BudgetExceeded(
+            f"scale {top} needs an order above {4 * top}, over the spectral budget "
+            f"{DEFAULT_SPECTRAL_BUDGET}"
+        )
     scales = [args.scale] if args.scale is not None else list(range(1, args.n_max + 1))
     orders = [kernel_order(n) for n in scales]
     for p in orders:  # refuse before building any kernel's 4n - 1 exact coefficients

@@ -217,7 +217,8 @@ def leinert_violation(
     mod p, so the exponents decide: s = 1 or one element never closes, and two
     elements close only alternating, when p | s.  At s = 2 the first tuple comes
     from a table of differences, which the budget counts before it is filled.  From
-    s = 3 the first three elements close, each as often plain as inverted.
+    s = 3 the first three elements close, each as often plain as inverted.  Any
+    other witness is written out whole, so the budget counts its 2s entries first.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -229,8 +230,12 @@ def leinert_violation(
         return None
     xs = [w.pairs[0][1] for w in elements]
     p = elements[0].table.order(elements[0].pairs[0][0])
+    if n == 2 and s % p:
+        return None
+    if s != 2 and 2 * s > budget:
+        raise BudgetExceeded(f"witness has {2 * s} entries, budget is {budget}")
     if n == 2:
-        found = (0, 1) * s if s % p == 0 else None
+        found = (0, 1) * s
     elif s == 2:
         if n * (n - 1) > budget:
             raise BudgetExceeded(f"difference table has {n * (n - 1)} entries, budget is {budget}")

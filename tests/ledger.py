@@ -1,5 +1,6 @@
-"""Decoding of the builder's p-bit ledger, and the search that extends the
-ledger at every node, for the tests that compare the builder with them."""
+"""Decoding of the builder's p-bit ledger, the levels an enumeration by exact
+weight gives, and the search that extends the ledger at every node, for the
+tests that compare the builder with them."""
 
 from __future__ import annotations
 
@@ -14,6 +15,16 @@ def residues(bits: int) -> set[int]:
     return {r for r, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1"}
 
 
+def levels_of(by_weight: dict[int, set[int]]) -> list[set[int]]:
+    """Level w, the union of the exact-weight sets of weight at most w, for each
+    weight in ``by_weight``."""
+    levels, reached = [], set()
+    for w in sorted(by_weight):
+        reached = reached | by_weight[w]
+        levels.append(reached)
+    return levels
+
+
 def all_strata_search(
     n: int,
     s: int,
@@ -23,8 +34,8 @@ def all_strata_search(
     rng: Optional[random.Random] = None,
 ) -> tuple[int, bool, tuple[int, ...]]:
     """``build_factor_set``'s search with every admitted exponent extending the
-    strata, a node one exponent short of the target included, where the
-    builder reads that node's forbidden union alone.  Returns (nodes,
+    levels, a node one exponent short of the target included, where the
+    builder reads that node's top level alone.  Returns (nodes,
     exhausted, chosen).
 
     The budget is read from ``builder.DEFAULT_SEARCH_BUDGET`` at call time, so

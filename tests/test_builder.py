@@ -1,5 +1,5 @@
-"""Builder checks: strata exactness against brute-force enumeration, greedy
-choice, certificates, and family construction."""
+"""Builder checks: ledger levels exact against brute-force enumeration,
+greedy choice, certificates, and family construction."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import json
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,20 +29,35 @@ from freelac import (
     strata_extend,
     verify_pn_bruteforce,
 )
-from ledger import all_strata_search, residues
+from ledger import all_strata_search, levels_of, residues
 
 TABLE = FactorTable.paper_default(10)
+DATA = Path(__file__).parent / "data"
 
 
 def enumerate_sums_by_weight(exponents, p, s):
-    """Oracle: stratum w as the set of weight-w combination sums, coefficients
-    limited to 0, +-1, +-2."""
+    """Oracle: the set of weight-w combination sums for each w <= 2s,
+    coefficients limited to 0, +-1, +-2."""
     by_weight = {w: set() for w in range(2 * s + 1)}
     for eps in product((-2, -1, 0, 1, 2), repeat=len(exponents)):
         w = sum(abs(e) for e in eps)
         if w <= 2 * s:
             by_weight[w].add(sum(e * g for e, g in zip(eps, exponents)) % p)
     return by_weight
+
+
+def vectors_up_to(n_elements, weight):
+    """Vectors over {0, +-1, +-2}^N of weight at most ``weight``, the zero
+    vector included: the coefficients of (1 + 2x + 2x^2)^N up to x^weight."""
+    coefficients = [1]
+    for _ in range(n_elements):
+        grown = [0] * (len(coefficients) + 2)
+        for k, c in enumerate(coefficients):
+            grown[k] += c
+            grown[k + 1] += 2 * c
+            grown[k + 2] += 2 * c
+        coefficients = grown
+    return sum(coefficients[: weight + 1])
 
 
 def strata_from(exponents, p, s):
@@ -54,11 +70,11 @@ def strata_from(exponents, p, s):
 def test_strata_single_element():
     strata = strata_from([1], 17, 2)
     assert residues(strata.bits[0]) == {0}
-    assert residues(strata.bits[1]) == {1, 16}
-    assert residues(strata.bits[2]) == {2, 15}
+    assert residues(strata.bits[1]) == {0, 1, 16}
+    assert residues(strata.bits[2]) == {0, 1, 2, 15, 16}
     # one element admits no weight-3 or weight-4 combination
-    assert residues(strata.bits[3]) == set()
-    assert residues(strata.bits[4]) == set()
+    assert residues(strata.bits[3]) == {0, 1, 2, 15, 16}
+    assert residues(strata.bits[4]) == {0, 1, 2, 15, 16}
     assert residues(strata.forbidden) == {0, 1, 2, 15, 16}
 
 
@@ -70,7 +86,18 @@ def test_strata_two_elements_contains_mixed_sums():
 
 def test_strata_duplicate_element_flags_degenerate_relation():
     strata = strata_from([5, 5], 17, 2)
-    assert 0 in residues(strata.bits[2])  # +5 - 5
+    # at weights 3 and 4 the repeated 5 adds +-15 and +-20
+    assert list(map(residues, strata.bits)) == [
+        {0},
+        {0, 5, 12},
+        {0, 5, 7, 10, 12},
+        {0, 2, 5, 7, 10, 12, 15},  # +-3 * 5 = +-15
+        {0, 2, 3, 5, 7, 10, 12, 14, 15},  # +-4 * 5 = +-20 = +-3
+    ]
+    assert list(map(residues, strata.bits)) == levels_of(enumerate_sums_by_weight([5, 5], 17, 2))
+    # up to weight 2 it reaches nothing new, since +5 - 5 vanishes; the builder
+    # never admits it, as 5 lies in level 1 of {5}
+    assert strata.bits[:3] == strata_from([5], 17, 2).bits[:3]
 
 
 def test_strata_match_enumeration_exactly():
@@ -81,9 +108,9 @@ def test_strata_match_enumeration_exactly():
         size = rng.randrange(1, 5)
         exponents = rng.sample(range(1, p), size)
         strata = strata_from(exponents, p, s)
-        oracle = enumerate_sums_by_weight(exponents, p, s)
+        levels = levels_of(enumerate_sums_by_weight(exponents, p, s))
         for w in range(2 * s + 1):
-            assert residues(strata.bits[w]) == oracle[w], (exponents, p, s, w)
+            assert residues(strata.bits[w]) == levels[w], (exponents, p, s, w)
 
 
 @st.composite
@@ -102,8 +129,8 @@ def test_bitset_strata_match_enumeration(chain, s):
     p, exponents = chain
     strata = strata_from(exponents, p, s)
     oracle = enumerate_sums_by_weight(exponents, p, s)
-    assert list(map(residues, strata.bits)) == [oracle[w] for w in range(2 * s + 1)]
-    assert sum(b.bit_count() for b in strata.bits) == sum(map(len, oracle.values()))
+    assert list(map(residues, strata.bits)) == levels_of(oracle)
+    assert all(lower & ~upper == 0 for lower, upper in zip(strata.bits, strata.bits[1:]))
     assert residues(strata.forbidden) == set().union(*oracle.values())
     edges = (1, p - 1, (p - 1) // 2, (p + 1) // 2)
     after = builder.forbidden_after(strata)
@@ -129,20 +156,39 @@ def test_choose_next_matches_a_plain_set_scan(chain, s, pool_bound, seed):
 
 
 def test_strata_negation_closure_and_count_bounds(desk2_family):
+    assert vectors_up_to(7, 4) == 1 + epsilon_vector_count(7, 2)
     for result in desk2_family.results[:3]:
         p = result.p
         strata = ForbiddenStrata.empty(p, 2)
-        previous_count = 1
+        previous = strata.bits
         for i, g in enumerate(result.chosen):
             strata = strata_extend(strata, g)
-            for stratum in map(residues, strata.bits):
-                assert stratum == {(-r) % p for r in stratum}
-            # residues summed over the strata, with repeats across strata
-            count = sum(b.bit_count() for b in strata.bits)
-            assert count >= previous_count
-            # stratum 0, plus at most one residue per nonzero vector of weight <= 2s
-            assert count <= min(p * 5, 1 + epsilon_vector_count(i + 1, 2))
-            previous_count = count
+            if i < 6:
+                oracle = enumerate_sums_by_weight(result.chosen[: i + 1], p, 2)
+                assert list(map(residues, strata.bits)) == levels_of(oracle)
+            for w, level in enumerate(strata.bits):
+                assert residues(level) == {(-r) % p for r in residues(level)}
+                # a level only grows, level by level and admission by admission
+                assert previous[w] & ~level == 0
+                assert w == 0 or strata.bits[w - 1] & ~level == 0
+                # at most one residue per vector of weight <= w, the zero vector's 0 included
+                assert level.bit_count() <= min(p, vectors_up_to(i + 1, w))
+            previous = strata.bits
+
+
+def test_format_1_forbidden_traces_count_residues_with_repeats_across_weights():
+    # a format-1 trace entry counts, before each admission, the residues of each
+    # exact weight w <= 2s summed over w, so a residue reached at two weights
+    # counts twice; checked on every prefix of at most 6 exponents
+    checked = 0
+    for name in ("desk2-v1.json", "desk4-n10-v1.json"):
+        payload = json.loads((DATA / name).read_text())["payload"]
+        for factor in payload["factors"]:
+            for k, entry in enumerate(factor["forbidden_trace"][:7]):
+                oracle = enumerate_sums_by_weight(factor["chosen"][:k], factor["p"], payload["s"])
+                assert entry == sum(map(len, oracle.values())), (name, factor["n"], k)
+                checked += 1
+    assert checked == 80
 
 
 def test_choose_next_from_empty():
@@ -183,9 +229,10 @@ def test_build_two_elements():
     # {0}, then {0, +-1, +-2}
     strata, trace = ForbiddenStrata.empty(result.p, 2), []
     for g in result.chosen:
-        trace.append(sum(b.bit_count() for b in strata.bits))
+        trace.append(residues(strata.forbidden))
         strata = strata_extend(strata, g)
-    assert trace == [1, 5]
+    assert trace == [{0}, {0, 1, 2, 15, 16}]
+    assert [len(forbidden) for forbidden in trace] == [1, 5]
 
 
 def test_build_target_exceeding_pool_is_infeasible_with_partial():

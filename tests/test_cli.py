@@ -434,6 +434,19 @@ def test_verify_leinert_decides_where_the_tuple_space_is_out_of_reach(tmp_path, 
     assert [letters[0][1] for letters in witness] == [1, 3, 1, 3, 1, 3, 1, 9, 3, 1, 3, 1, 3, 1, 9, 1]
 
 
+def test_adhoc_leinert_budget_counts_the_witness_entries(tmp_path, capsys):
+    # at s=4 the witness holds 2s = 8 entries, counted before it is written out
+    out = tmp_path / "leinert.json"
+    adhoc = ["verify", "leinert", "--exponents", "1,2,3", "--order", "17", "--s", "4"]
+    assert main(adhoc + ["--budget-tuples", "7", "--out", str(out)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("budget refusal: witness has 8 entries, budget is 7")
+    assert err.rstrip().endswith("(raise it with --budget-tuples)")
+    assert not out.exists()
+    assert main(adhoc + ["--budget-tuples", "8", "--out", str(out)]) == EXIT_VIOLATION
+    assert len(read_json(out)["payload"]["witness"]) == 8
+
+
 def test_verify_budget_refusal(tmp_path):
     family = build_desk_family(tmp_path)
     assert main(["verify", "zs", str(family), "--budget-tuples", "10"]) == EXIT_BUDGET
@@ -577,6 +590,18 @@ def test_norms_refuses_an_order_over_budget_before_building_the_kernel(
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == "budget refusal: order 1048583 exceeds the spectral budget 1048576\n"
+
+
+def test_norms_refuses_a_scale_over_budget_before_looking_up_its_order(tmp_path, capsys):
+    # the order exceeds 4 * scale = 2^64, past the budget and past every factor index
+    out = tmp_path / "norms.json"
+    assert main(["norms", "--scale", "4611686018427387904", "--out", str(out)]) == EXIT_BUDGET
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == (
+        "budget refusal: scale 4611686018427387904 needs an order above "
+        "18446744073709551616, over the spectral budget 1048576\n"
+    )
 
 
 def test_norms_single_scale_includes_spectrum(tmp_path):

@@ -339,6 +339,20 @@ def test_leinert_budget_refusal_before_truncation():
     assert leinert_violation(words, 2, budget=56) is not None
 
 
+def test_leinert_budget_counts_the_witness_entries():
+    # from s = 3 a witness is written out whole, so its 2s entries are counted first
+    words = words_in(3, (1, 2, 3))
+    with pytest.raises(BudgetExceeded, match="witness has 6 entries, budget is 5"):
+        leinert_violation(words, 3, budget=5)
+    assert len(leinert_violation(words, 3, budget=6).elements) == 6
+    # two letters of Z_17 close alternating at s = 17, in 34 entries
+    pair = [letter_word(FactorTable.explicit([17]), 1, e) for e in (1, 2)]
+    with pytest.raises(BudgetExceeded, match="witness has 34 entries, budget is 33"):
+        leinert_violation(pair, 17, budget=33)
+    assert len(leinert_violation(pair, 17, budget=34).elements) == 34
+    assert leinert_violation(pair, 16, budget=1) is None  # 17 does not divide 16: nothing built
+
+
 def test_built_factor_sets_have_no_weight4_violation(desk2_family):
     for result in desk2_family.results[:2]:
         words = result.subset.words(desk2_family.table)
