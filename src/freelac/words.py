@@ -5,11 +5,10 @@ different factors and exponents in [1, p_n - 1]; the empty sequence is the
 identity.  All values are immutable and every operation is pure, so words can
 be shared freely between enumeration workers.
 
-A word is its tuple of (factor, exp) pairs, the same format at the API and in
-hot loops.  ``reduce_pairs`` is the one reducer of raw sequences and
-``join_pairs`` its case for two operands already reduced, which merges only
-at the junction; ``inverse_pairs`` is the one inverse.  ``Word`` adds the
-factor table and validates its pairs.
+A word is its tuple of (factor, exp) pairs.  ``reduce_pairs`` is the one
+reducer of raw sequences and ``inverse_pairs`` the one inverse; the Z_s
+engine in ``counting`` joins reduced operands on integer letter codes of its
+own.  ``Word`` adds the factor table and validates its pairs.
 """
 
 from __future__ import annotations
@@ -79,24 +78,6 @@ def reduce_pairs(orders: Sequence[int], pairs: Iterable[tuple[int, int]]) -> Pai
         elif e != 0:
             stack.append((factor, e))
     return tuple(stack)
-
-
-def join_pairs(orders: Sequence[int], left: Pairs, right: Pairs) -> Pairs:
-    """Reduced product of two reduced pair tuples, equal to ``reduce_pairs(orders, left + right)``.
-
-    Only the junction can merge: the last letter of ``left`` meets the first
-    of ``right``, and while they cancel the next pair meets in turn.
-    """
-    i = len(left)
-    j = 0
-    while i and j < len(right) and left[i - 1][0] == right[j][0]:
-        factor = right[j][0]
-        merged = (left[i - 1][1] + right[j][1]) % orders[factor - 1]
-        if merged:
-            return left[: i - 1] + ((factor, merged),) + right[j + 1 :]
-        i -= 1
-        j += 1
-    return left[:i] + right[j:]
 
 
 def inverse_pairs(pairs: Pairs) -> Pairs:

@@ -73,22 +73,32 @@ def z_oracle(elements, s) -> tuple:
 LETTER = st.integers(1, len(TABLE)).flatmap(
     lambda f: st.integers(1, TABLE.order(f) - 1).map(lambda e: letter_word(TABLE, f, e))
 )
+TABLE_WORDS = st.one_of(LETTER, st.randoms(use_true_random=False).map(multi_letter_word))
+
+# factors of orders 5, 11 and 131101, whose letter codes need 18 exponent bits
+WIDE = FactorTable.paper_default(16)
+WIDE_FACTORS = (1, 2, 16)
 
 
 @st.composite
-def mixed_ground_sets(draw, min_size: int, max_size: int) -> list:
+def wide_words(draw) -> Word:
+    """A reduced word of 1 to 3 letters over the wide factors, adjacent factors distinct."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        factor = draw(st.sampled_from([f for f in WIDE_FACTORS if not pairs or f != pairs[-1][0]]))
+        pairs.append((factor, draw(st.integers(1, WIDE.order(factor) - 1))))
+    return Word(WIDE, tuple(pairs))
+
+
+@st.composite
+def mixed_ground_sets(draw, min_size: int, max_size: int, words=TABLE_WORDS) -> list:
     """Distinct single-letter and multi-letter words, the identity among them or not."""
-    words = draw(
-        st.lists(
-            st.one_of(LETTER, st.randoms(use_true_random=False).map(multi_letter_word)),
-            min_size=min_size,
-            max_size=max_size,
-            unique_by=lambda w: w.pairs,
-        )
+    ground = draw(
+        st.lists(words, min_size=min_size, max_size=max_size, unique_by=lambda w: w.pairs)
     )
     if draw(st.booleans()):
-        words.insert(draw(st.integers(0, len(words))), Word(TABLE, ()))
-    return words
+        ground.insert(draw(st.integers(0, len(ground))), Word(ground[0].table, ()))
+    return ground
 
 
 def half_count(elements, h, offset) -> int:
@@ -181,16 +191,17 @@ def test_z_value_strategies_agree_on_random_ground_sets():
             assert cert.tuples_examined == examined[strategy], (trial, strategy)
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=120)
 @given(
     st.sampled_from(
         [(2, "naive"), (2, "meet-in-middle"), (3, "naive"), (4, "naive"), (4, "meet-in-middle")]
     ),
+    st.sampled_from([TABLE_WORDS, wide_words()]),
     st.data(),
 )
-def test_z_value_matches_oracle_on_mixed_ground_sets(case, data):
+def test_z_value_matches_oracle_on_mixed_ground_sets(case, words, data):
     s, strategy = case
-    elements = data.draw(mixed_ground_sets(s, 7))
+    elements = data.draw(mixed_ground_sets(s, 7, words))
     cert = z_value(elements, s, strategy=strategy)
     assert (cert.value, canonical_key(cert.witness)) == z_oracle(elements, s)
     n, h = len(elements), s // 2
