@@ -44,6 +44,7 @@ from .counting import (
     extract_quasi_independent,
     is_quasi_independent,
     leinert_violation,
+    z_enumerate,
     z_value,
     zs_paper_target,
 )

@@ -36,6 +36,7 @@ from .certificates import (
     write_certificate,
 )
 from .counting import (
+    BASIS_CLOSED_FORM,
     DEFAULT_SUBSET_BUDGET_BITS,
     STRATEGY_MITM,
     STRATEGY_NAIVE,
@@ -131,11 +132,13 @@ def _search_label(result, family) -> str:
 
 
 def _zs_claim(family, strategy: str, budget: int) -> dict:
-    """Z_s of the family union against ((s/2)!)^2."""
+    """Z_s of the family union against ((s/2)!)^2; ``strategy`` is the
+    enumeration used where the closed form does not apply."""
     s = family.s
     bound_half, bound_factorial = zs_paper_target(s)
     cert = z_value(family.union_words(), s, budget=budget, strategy=strategy)
     return {
+        "basis": cert.basis,
         "bound_factorial": bound_factorial,
         "bound_half_square": bound_half,
         "ground_size": cert.ground_size,
@@ -216,11 +219,19 @@ def _verify_pn(args) -> dict:
     return {"claims": claims, "holds": holds, "s": family.s}
 
 
+def _zs_basis(claim: dict) -> str:
+    """How a Z_s claim was decided, as printed: the basis, and for an
+    enumeration its strategy and tuple count."""
+    if claim["basis"] == BASIS_CLOSED_FORM:
+        return claim["basis"]
+    return f"{claim['basis']}: {claim['strategy']}, {claim['tuples_examined']} tuples examined"
+
+
 def _verify_zs(args) -> dict:
     claim = _zs_claim(_load_family(args.family), args.strategy, args.budget_tuples)
     print(
         f"zs: Z_{claim['s']} = {claim['value']} over {claim['ground_size']} elements "
-        f"({claim['strategy']}, {claim['tuples_examined']} tuples examined); "
+        f"({_zs_basis(claim)}); "
         f"bounds ((s/2)!)^2 = {claim['bound_half_square']}, s! = {claim['bound_factorial']}: "
         f"{'ok' if claim['holds'] else 'VIOLATED'}"
     )
@@ -414,12 +425,13 @@ def cmd_report(args) -> int:
         claim = _zs_claim(family, STRATEGY_NAIVE, args.budget_tuples)
     violated = violated or not claim["holds"]
     keys = (
-        "bound_factorial", "bound_half_square", "holds", "strategy", "tuples_examined", "value"
+        "basis", "bound_factorial", "bound_half_square", "holds", "strategy", "tuples_examined",
+        "value", "witness_key",
     )
     sections["zs"] = {"status": "verified", **{key: claim[key] for key in keys}}
     print(
         f"  zs: Z_{family.s} = {claim['value']} <= {claim['bound_half_square']} "
-        f"[verified, {claim['strategy']}]"
+        f"[verified, {_zs_basis(claim)}]"
     )
 
     # quasi-independent extraction and operator-norm lower bounds
@@ -556,7 +568,10 @@ def build_parser() -> _Parser:
     p_pn.set_defaults(verify=_verify_pn)
     p_zs = kinds.add_parser("zs", parents=[tuples, output], help="alternating tuple count Z_s")
     p_zs.add_argument("family")
-    p_zs.add_argument("--strategy", choices=(STRATEGY_NAIVE, STRATEGY_MITM), default=STRATEGY_NAIVE)
+    p_zs.add_argument(
+        "--strategy", choices=(STRATEGY_NAIVE, STRATEGY_MITM), default=STRATEGY_NAIVE,
+        help="the enumeration where the closed form does not apply (default %(default)s)",
+    )
     p_zs.set_defaults(verify=_verify_zs)
     p_leinert = kinds.add_parser(
         "leinert", parents=[tuples, output], help="Leinert condition, family or ad-hoc set"

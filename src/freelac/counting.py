@@ -4,14 +4,25 @@ Three independent engines over the group core:
 
 * ``z_value`` — the exact supremum, over group elements x, of the number of
   pairwise-distinct s-tuples whose alternating product x_1^-1 x_2 x_3^-1 ...
-  equals x, keeping a count per product and nothing else;
+  equals x: in closed form from each factor's half table where that applies,
+  else by ``z_enumerate``, which keeps a count per product and nothing else;
 * ``leinert_violation`` — the exact Leinert verdict for letters of one cyclic
   factor, decided from their exponents: a start-plain 2s-tuple multiplies to
   the letter of exponent x_1 - x_2 + x_3 - ... - x_2s, so no tuple is walked;
 * quasi-independence testing and greedy maximal extraction via exact subset
   sums inside one cyclic factor.
 
-The Z_s engine takes and returns ``Word`` values but loops over integer
+The closed form reads a union of single letters whose every factor passes
+the order-s half table of ``verify pn``.  A tuple's product then has one
+letter per maximal run of entries from one factor, a signed sum of the run's
+k <= s distinct exponents: the half table makes that sum nonzero and fixes
+the run's plus-set and minus-set, so a product is reached by the product
+over its runs of ceil(k/2)! * floor(k/2)! orderings.  From s = 3 a single run
+is strictly the largest, so Z_s = ceil(s/2)! * floor(s/2)! once some factor
+holds s elements; at s = 2 every product is reached once.  Where the closed
+form does not apply, the tuples are enumerated.
+
+The enumeration takes and returns ``Word`` values but loops over integer
 letter codes: a_n^e is the int n << bits | e, where ``bits`` is the bit
 length of the largest order, so every exponent fits below the factor.  Code
 tuples sort like (factor, exp) pair tuples and so like canonical keys.  Each
@@ -31,10 +42,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, permutations
+from itertools import combinations, compress, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .builder import DEFAULT_TUPLE_BUDGET, FactorSubset, check_even_s
+from .builder import (
+    DEFAULT_TUPLE_BUDGET,
+    FactorSubset,
+    _vanishing_difference,
+    check_even_s,
+    half_table_size,
+)
 from .errors import BudgetExceeded
 # perfbench/tracing.py counts calls of multiply, alternating_product and canonical_key
 # through this module, so the three names stay importable from it
@@ -57,6 +74,9 @@ Codes = tuple[int, ...]  # letters a_factor^exp as the ints factor << bits | exp
 STRATEGY_NAIVE = "naive"
 STRATEGY_MITM = "meet-in-middle"
 
+BASIS_CLOSED_FORM = "pn-closed-form"
+BASIS_ENUMERATION = "enumeration"
+
 
 def zs_paper_target(s: int) -> tuple[int, int]:
     """The pair (((s/2)!)^2, s!) that bounds the tuple count for even s."""
@@ -71,9 +91,13 @@ class ZsCertificate:
 
     ``value`` is the largest number of pairwise-distinct s-tuples sharing one
     start-inverse alternating product; ``witness`` is the least such product
-    by canonical key (None when no s-tuple exists).  ``tuples_examined`` is
-    N!/(N-s)! for naive enumeration; for meet-in-the-middle it is the distinct
-    left halves times the distinct right halves, each a (product, index set).
+    by canonical key (None when no s-tuple exists).  ``basis`` says how the
+    value was found: ``pn-closed-form``, from the factors' half tables, with
+    no tuple examined, or ``enumeration`` by ``strategy``.  ``strategy`` is the
+    enumeration asked for, recorded under either basis.  ``tuples_examined``
+    is 0 in closed form, N!/(N-s)! for naive enumeration, and for
+    meet-in-the-middle the distinct left halves times the distinct right
+    halves, each a (product, index set).
     """
 
     ground_size: int
@@ -81,6 +105,7 @@ class ZsCertificate:
     witness: Optional[Word]
     strategy: str
     tuples_examined: int
+    basis: str
 
 
 def _check_ground_set(elements: Sequence[Word]) -> None:
@@ -204,6 +229,65 @@ def _z_join(
     return counts
 
 
+def _check_z_arguments(elements: Sequence[Word], s: int, strategy: str) -> None:
+    if s < 2:
+        raise ValueError(f"s must be >= 2, got {s}")
+    if strategy not in (STRATEGY_NAIVE, STRATEGY_MITM):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == STRATEGY_MITM and s % 2 != 0:
+        raise ValueError("meet-in-the-middle split requires even s")
+    _check_ground_set(elements)
+
+
+def _z_closed_form(elements: Sequence[Word], s: int, budget: int) -> Optional[tuple[int, Pairs]]:
+    """(Z_s, witness pairs) from each factor's order-s half table, or None
+    where the closed form does not apply.
+
+    It applies to at least s distinct single letters whose factors each pass
+    the half table, with some factor holding s of them once s >= 3; the
+    budget counts the tables' signed sums, as ``verify pn`` does.  From s = 3
+    the maximal products are the single runs, a_F^(sum(plus) - sum(minus))
+    with ceil(s/2) minus (inverted) positions, so the witness is the least
+    residue over disjoint half-sets of the lowest factor F holding s letters.
+    At s = 2 the products are a_F^(y - x) inside one factor and
+    a_F^(p - x) b^y across two, F the factor of the inverted entry; the
+    least key has the lowest factor present and the least first exponent,
+    and pn keeps p - max(x) off every difference, so the two never tie.
+    """
+    if len(elements) < s or any(len(w.pairs) != 1 for w in elements):
+        return None
+    by_factor: dict[int, list[int]] = {}
+    for w in elements:
+        ((factor, exp),) = w.pairs
+        by_factor.setdefault(factor, []).append(exp)
+    factors = sorted(by_factor)
+    full = [f for f in factors if len(by_factor[f]) >= s]
+    if s > 2 and not full:
+        return None
+    if sum(half_table_size(len(by_factor[f]), s) for f in factors) > budget:
+        return None
+    table = elements[0].table
+    for f in factors:
+        if _vanishing_difference(tuple(by_factor[f]), table.order(f), s) is not None:
+            return None
+    if s > 2:
+        first = full[0]
+        xs, p = by_factor[first], table.order(first)
+        inverted = (s + 1) // 2
+        least = min(
+            (sum(plus) - sum(minus)) % p
+            for minus in combinations(xs, inverted)
+            for plus in combinations([x for x in xs if x not in minus], s - inverted)
+        )
+        return math.factorial(inverted) * math.factorial(s - inverted), ((first, least),)
+    first = factors[0]
+    xs, p = by_factor[first], table.order(first)
+    difference = min(((y - x) % p for x, y in permutations(xs, 2)), default=p)
+    if len(factors) > 1 and p - max(xs) < difference:
+        return 1, ((first, p - max(xs)), (factors[1], min(by_factor[factors[1]])))
+    return 1, ((first, difference),)
+
+
 def z_value(
     elements: Sequence[Word],
     s: int,
@@ -212,21 +296,37 @@ def z_value(
 ) -> ZsCertificate:
     """Exact sup over x of the number of pairwise-distinct s-tuples mapping to x.
 
-    The tuple product uses the start-inverse convention.  Naive enumeration
-    joins the first s - 1 positions with the last; ``meet-in-middle`` groups
-    equal halves and joins at s/2.  Both are exact and must agree.  The budget
-    is checked before any part is walked.
+    The tuple product uses the start-inverse convention.  The value comes in
+    closed form from the factors' half tables where that applies (see
+    ``_z_closed_form``) and otherwise from ``z_enumerate`` with ``strategy``,
+    under its own budget; both give the same value and witness.
     """
-    if s < 2:
-        raise ValueError(f"s must be >= 2, got {s}")
-    if strategy not in (STRATEGY_NAIVE, STRATEGY_MITM):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == STRATEGY_MITM and s % 2 != 0:
-        raise ValueError("meet-in-the-middle split requires even s")
-    _check_ground_set(elements)
+    _check_z_arguments(elements, s, strategy)
+    closed = _z_closed_form(elements, s, budget)
+    if closed is None:
+        return z_enumerate(elements, s, budget, strategy)
+    value, witness = closed
+    return ZsCertificate(
+        len(elements), value, Word(elements[0].table, witness), strategy, 0, BASIS_CLOSED_FORM
+    )
+
+
+def z_enumerate(
+    elements: Sequence[Word],
+    s: int,
+    budget: int = DEFAULT_TUPLE_BUDGET,
+    strategy: str = STRATEGY_NAIVE,
+) -> ZsCertificate:
+    """``z_value`` by enumeration alone, whatever the ground set.
+
+    Naive enumeration joins the first s - 1 positions with the last;
+    ``meet-in-middle`` groups equal halves and joins at s/2.  Both are exact
+    and must agree.  The budget is checked before any part is walked.
+    """
+    _check_z_arguments(elements, s, strategy)
     n = len(elements)
     if n < s:
-        return ZsCertificate(n, 0, None, strategy, 0)
+        return ZsCertificate(n, 0, None, strategy, 0, BASIS_ENUMERATION)
     naive = strategy == STRATEGY_NAIVE
     split = s - 1 if naive else s // 2
     needed = math.perm(n, s) if naive else math.perm(n, split) ** 2
@@ -252,7 +352,8 @@ def z_value(
     # code tuples sort like pair tuples, so the least code key is the least canonical key
     witness = min(compress(counts, map(value.__eq__, counts.values())))
     return ZsCertificate(
-        n, value, Word(elements[0].table, _decode(witness, bits)), strategy, examined
+        n, value, Word(elements[0].table, _decode(witness, bits)), strategy, examined,
+        BASIS_ENUMERATION,
     )
 
 

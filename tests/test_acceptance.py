@@ -39,6 +39,7 @@ from freelac import (
     transform,
     verify_pn_bruteforce,
     weak_sidon_witness,
+    z_enumerate,
     z_value,
     zs_paper_target,
 )
@@ -135,9 +136,14 @@ def test_criterion_3_tuple_count_bounds(desk2_family, desk4_family, capsys):
     bound2, _ = zs_paper_target(2)
     union2 = desk2_family.union_words()
     assert len(union2) == 108
+    # every factor passes pn, so both unions are counted in closed form; the
+    # enumeration engine is the oracle on the s=2 union and an s=4 subsample
     cert2 = z_value(union2, 2, strategy="naive")
-    assert cert2.tuples_examined == 108 * 107
+    assert (cert2.basis, cert2.tuples_examined) == ("pn-closed-form", 0)
     assert cert2.value == 1 <= bound2
+    enumerated2 = z_enumerate(union2, 2, strategy="naive")
+    assert enumerated2.tuples_examined == 108 * 107
+    assert (enumerated2.value, enumerated2.witness) == (cert2.value, cert2.witness)
 
     bound4, _ = zs_paper_target(4)
     union4 = desk4_family.union_words()
@@ -148,12 +154,16 @@ def test_criterion_3_tuple_count_bounds(desk2_family, desk4_family, capsys):
     assert sizes == {8: 5, 9: 6, 10: 6, 11: 6, 12: 6}
     assert len(union4) == 29
     cert4 = z_value(union4, 4, strategy="meet-in-middle")
-    assert cert4.value <= bound4
+    assert (cert4.basis, cert4.tuples_examined) == ("pn-closed-form", 0)
+    assert cert4.value == 4 <= bound4
 
     subsample = union4[:12]
-    naive = z_value(subsample, 4, strategy="naive")
-    mitm = z_value(subsample, 4, strategy="meet-in-middle")
-    assert naive.value == mitm.value
+    closed = z_value(subsample, 4)
+    naive = z_enumerate(subsample, 4, strategy="naive")
+    mitm = z_enumerate(subsample, 4, strategy="meet-in-middle")
+    assert closed.basis == "pn-closed-form"
+    assert (naive.tuples_examined, mitm.tuples_examined) == (math.perm(12, 4), math.perm(12, 2) ** 2)
+    assert (closed.value, closed.witness) == (naive.value, naive.witness) == (mitm.value, mitm.witness)
 
     elapsed = time.time() - t0
     assert elapsed < 120.0
@@ -161,7 +171,7 @@ def test_criterion_3_tuple_count_bounds(desk2_family, desk4_family, capsys):
         announce(
             3,
             f"Z_2 = {cert2.value} <= {bound2}; Z_4 = {cert4.value} <= {bound4} "
-            f"(meet-in-middle = naive on subsample; s=4 union honest at 29)",
+            f"(closed form = naive = meet-in-middle on subsample; s=4 union honest at 29)",
             t0,
         )
 

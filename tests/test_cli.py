@@ -37,30 +37,30 @@ def read_json(path):
 # sha256 of the desk s=2 certificates; changing their bytes needs a
 # format_version bump
 DESK2_CERT_SHA256 = {
-    "family": "4711390926f3da94db045e00b7f6c48fe4c38279eeecfdc291a9266907346d23",
-    "pn": "dc5484c0c92dd50220e6275c3ff3c8fa6b62d383a888baa114b65d716fd809a0",
-    "zs": "b51e71eb1f1422adcd4bd80d23bc9cb316839795d06df37bfd3d9c60fd9570ba",
-    "leinert": "ff98f9848ffa1656a2635a27e0664319add582c32f33019e58dcd07f17f341a6",
-    "qi": "57db8c856c0d594043986ad522d05d6767ce3c096c65462b74314e351baa5c59",
-    "report": "4d888dbe6b5f10a6e4b3e7e5ad37ff5732d884c7b3188946beaebb77ca952ed2",
+    "family": "6486c0be42028f0d2f2a2ff0bd24de1c1b6f27bdee9e6055c8f73df59d76f261",
+    "pn": "5dab604f1856b17a9ef9d108cc6911cb771a5326299a3c1f4bd85525713985e3",
+    "zs": "9e87b1d1de7a419c799ecc6cd9269268946a61e2504810a1c84722d4b49a6bc4",
+    "leinert": "8767a3a43436b8da8c46867e4d707c32aabc182114be95f3d02433452c2346cc",
+    "qi": "61a951574fe7bc4916bc86d8629913573c5e1d4660e1fffc862af45ae5161d9f",
+    "report": "167a7e6acb2696ea1adcf4e05a4a11992ba1cd32a198e5d2173ea59887f88d2d",
 }
 
 # Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
 # --n-max 10 is where the least witness among several maxima is chosen.
 DESK4_N10_CERT_SHA256 = {
-    "family": "1ccbbec288219f2d472c02ba26af0bebaeabae440465a45024e7bca013a51608",
-    "zs": "66cafd889d07de3aaa38a5b240e8528d0644d53c23a805f9fa4e35d9a93f17f8",
-    "zs-mitm": "1e1bc0564e85a68087cf12898a5fc4f25f11114a13c7769ed6af75e394843ce2",
-    "leinert": "c993f0c0da8860c1dd96dd03721cba5bdd0a9b1be94c2bf81eb8477e400616b5",
-    "report": "ddbd11088223422dfbebb93455359bdf3f3a3b99fb6ec0637a7d2f79cbc5d6cc",
+    "family": "43538f38ec54af60f070573236a889357498ad9d88d0631b966acc6301d0bb07",
+    "zs": "b219a475765f38647bd338ed62ffdfb052e262bb98985fba6c840421650307e6",
+    "zs-mitm": "077cf2daf0b5b1fa9b6ba87be44d2c3c40a9906b25c8ee6f69690d1785afefac",
+    "leinert": "b0afcaf4a73d431b7ce5a117b8d7416cc2608450620b6a98a269ee4e3304cb73",
+    "report": "28bfd0033ffc05f20e25ddb0faab74bf55fcecc28dfbc5717b72ebad070c6aa5",
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
-SEEDED_PAPER2_FAMILY_SHA256 = "79e64a0461ced4346f23cb3184baa3fb8fd8531def846712ba4c9c7555553c73"
+SEEDED_PAPER2_FAMILY_SHA256 = "28355b3891be548336c717ed630191a9eb0abba00ac4876aca7e4b8d887a30a6"
 # the families of build --s 2|4 --profile paper: the half-table count rules
 # out every n^2 target, so these bytes pin the greedy walk each factor takes
 PAPER_FAMILY_SHA256 = {
-    "2": "7bd17dc7668d4d78e67fa3a3029badbd39c93f679afb422694271b2739220860",
-    "4": "c4a743fd2a080565e418552904c928daa2bc2c1107a2eaf655eca296f1432172",
+    "2": "0a3c50e0c59f21036a777c7c17a9803959a85cd3a953a194c3b4eb9c4ddd0d69",
+    "4": "ec28d9c31dd2c91970aaaa0332e2c4d0135c3aad1812e7c2bbc7171f47c6b5c7",
 }
 # format-1 families committed under tests/data: build --s 2, and build --s 4 --n-max 10
 DATA = Path(__file__).parent / "data"
@@ -74,7 +74,7 @@ FAMILY_COMMANDS = pytest.mark.parametrize(
     ids=" ".join,
 )
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
-ADHOC_LEINERT_CERT_SHA256 = "c2a3fb7345569411ebe985fbe0d7cf6aeca46cfe53c9b835231b89fcd070b26f"
+ADHOC_LEINERT_CERT_SHA256 = "d9646e40a6da120e3a8fe9e52dff747fff6a84192209a36b99288b2920ed7670"
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -343,7 +343,7 @@ def test_resaved_format_1_family_reports_search_not_recorded(tmp_path, monkeypat
     v1 = read_certificate(str(DATA / "desk4-n10-v1.json"))
     family = family_from_payload(v1.payload, v1.format_version)
     write_certificate("resaved.json", CertificateFile("family", family_to_payload(family), {}))
-    assert read_json("resaved.json")["format_version"] == 7
+    assert read_json("resaved.json")["format_version"] == 8
     assert main(["report", "resaved.json", "--out", "report.json"]) == EXIT_OK
     rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
     assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [8]
@@ -453,19 +453,40 @@ def test_verify_budget_refusal(tmp_path):
 
 
 def test_zs_counts_naively_up_to_the_budget(tmp_path, monkeypatch, capsys):
-    # the 24-element s=4 union of n = 9..12 needs 255,024 naive tuples: the
-    # count runs under a budget of 260,000 in verify zs and in report alike
+    # the 24-element s=4 union of n = 9..12 passes pn, so Z_4 comes in closed
+    # form from four half tables of 473 signed sums; with n=9's second exponent
+    # doubled that factor fails pn, and the count enumerates 255,024 naive
+    # tuples under a budget of 260,000, in verify zs and in report alike
     monkeypatch.chdir(tmp_path)
     build = ["build", "--s", "4", "--n-min", "9", "--n-max", "12", "--out", "family.json"]
     assert main(build) == EXIT_OK
     budget = ["--budget-tuples", "260000"]
-    assert main(["verify", "zs", "family.json", *budget, "--out", "zs.json"]) == EXIT_OK
-    assert main(["report", "family.json", *budget, "--out", "report.json"]) == EXIT_OK
+    assert main(["verify", "zs", "family.json", *budget, "--out", "closed.json"]) == EXIT_OK
+    closed = read_json("closed.json")["payload"]
+    assert (closed["basis"], closed["strategy"], closed["tuples_examined"]) == (
+        "pn-closed-form", "naive", 0
+    )
+    assert "(pn-closed-form); " in capsys.readouterr().out
+    doc = read_json("family.json")
+    factor = doc["payload"]["factors"][0]
+    factor["exponents"][1] = 2 * factor["exponents"][0]
+    factor["chosen"] = factor["exponents"]
+    Path("failing.json").write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    assert main(["verify", "pn", "failing.json"]) == EXIT_VIOLATION
+    assert main(["verify", "zs", "failing.json", *budget, "--out", "zs.json"]) == EXIT_OK
+    assert main(["report", "failing.json", *budget, "--out", "report.json"]) == EXIT_OK
     zs = read_json("zs.json")["payload"]
-    assert (zs["ground_size"], zs["strategy"], zs["tuples_examined"]) == (24, "naive", 255_024)
+    assert (zs["ground_size"], zs["basis"], zs["strategy"], zs["tuples_examined"]) == (
+        24, "enumeration", "naive", 255_024
+    )
     section = read_json("report.json")["payload"]["sections"]["zs"]
-    assert (section["strategy"], section["value"]) == ("naive", zs["value"])
-    assert "(naive, 255024 tuples examined)" in capsys.readouterr().out
+    assert all(section[key] == zs[key] for key in ("basis", "strategy", "value", "witness_key"))
+    out = capsys.readouterr().out
+    assert "(enumeration: naive, 255024 tuples examined); " in out
+    assert "[verified, enumeration: naive, 255024 tuples examined]" in out
+    budget = ["--budget-tuples", "255023"]
+    assert main(["verify", "zs", "failing.json", *budget]) == EXIT_BUDGET
+    assert "255024 tuples, budget is 255023" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -680,7 +701,8 @@ def test_report_agrees_with_verify(tmp_path, capsys):
     zs = read_json(zs_out)["payload"]
     shared = sections["zs"].keys() & zs.keys()
     assert shared == {
-        "bound_factorial", "bound_half_square", "holds", "strategy", "tuples_examined", "value"
+        "basis", "bound_factorial", "bound_half_square", "holds", "strategy", "tuples_examined",
+        "value", "witness_key",
     }
     assert all(sections["zs"][key] == zs[key] for key in shared)
     qi_rows = read_json(qi_out)["payload"]["factors"]

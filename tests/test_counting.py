@@ -16,6 +16,7 @@ from freelac import (
     BudgetExceeded,
     FactorSubset,
     FactorTable,
+    build_factor_set,
     LeinertWitness,
     START_INVERSE,
     START_PLAIN,
@@ -28,6 +29,8 @@ from freelac import (
     letter_word,
     leinert_violation,
     reduce_raw,
+    verify_pn_bruteforce,
+    z_enumerate,
     z_value,
     zs_paper_target,
 )
@@ -162,8 +165,8 @@ def test_z_value_strategies_agree_on_random_ground_sets():
             return letter_word(TABLE, factor, rng.randrange(1, TABLE.order(factor)))
 
         elements = distinct_words(size, draw)
-        naive = z_value(elements, s, strategy="naive")
-        mitm = z_value(elements, s, strategy="meet-in-middle")
+        naive = z_enumerate(elements, s, strategy="naive")
+        mitm = z_enumerate(elements, s, strategy="meet-in-middle")
         assert naive.value == mitm.value, (trial, s, size)
         assert canonical_key(naive.witness) == canonical_key(mitm.witness)
     # multi-letter elements, where an inverse reverses its letters
@@ -173,7 +176,7 @@ def test_z_value_strategies_agree_on_random_ground_sets():
         elements = distinct_words(rng.randrange(s + 1, 9), lambda: multi_letter_word(rng))
         expected = z_oracle(elements, s)
         for strategy in ("naive", "meet-in-middle"):
-            cert = z_value(elements, s, strategy=strategy)
+            cert = z_enumerate(elements, s, strategy=strategy)
             assert (cert.value, canonical_key(cert.witness)) == expected, (trial, strategy)
     # s=6 inside one cyclic factor: -a+b-c = -c+b-a and a-b+c = c-b+a, so
     # every half on either side is reached by two orderings, and
@@ -186,7 +189,7 @@ def test_z_value_strategies_agree_on_random_ground_sets():
             "meet-in-middle": half_count(elements, 3, 0) * half_count(elements, 3, 3),
         }
         for strategy in ("naive", "meet-in-middle"):
-            cert = z_value(elements, 6, strategy=strategy)
+            cert = z_enumerate(elements, 6, strategy=strategy)
             assert (cert.value, canonical_key(cert.witness)) == expected, (trial, strategy)
             assert cert.tuples_examined == examined[strategy], (trial, strategy)
 
@@ -202,8 +205,11 @@ def test_z_value_strategies_agree_on_random_ground_sets():
 def test_z_value_matches_oracle_on_mixed_ground_sets(case, words, data):
     s, strategy = case
     elements = data.draw(mixed_ground_sets(s, 7, words))
+    expected = z_oracle(elements, s)
     cert = z_value(elements, s, strategy=strategy)
-    assert (cert.value, canonical_key(cert.witness)) == z_oracle(elements, s)
+    assert (cert.value, canonical_key(cert.witness)) == expected
+    cert = z_enumerate(elements, s, strategy=strategy)
+    assert (cert.value, canonical_key(cert.witness)) == expected
     n, h = len(elements), s // 2
     if strategy == "naive":
         assert cert.tuples_examined == math.perm(n, s)
@@ -221,12 +227,14 @@ def test_z_value_budget_refusal_comes_before_any_walk(monkeypatch, strategy):
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(counting, "_prefixes", counted)
-    elements = words_in(3, range(1, 9))
-    with pytest.raises(BudgetExceeded):
-        z_value(elements, 4, budget=10, strategy=strategy)
-    assert walks == []
-    z_value(elements, 4, strategy=strategy)  # the counter does see an allowed count's walks
-    assert walks
+    elements = words_in(3, range(1, 9))  # 1 + 2 = 3 in Z_17: the closed form does not apply
+    for engine in (z_enumerate, z_value):
+        walks.clear()
+        with pytest.raises(BudgetExceeded):
+            engine(elements, 4, budget=10, strategy=strategy)
+        assert walks == []
+        engine(elements, 4, strategy=strategy)  # the counter does see an allowed count's walks
+        assert walks
 
 
 def test_z_value_translation_invariance_within_one_factor():
@@ -245,21 +253,97 @@ def test_z_value_translation_invariance_within_one_factor():
 
 
 def test_z_value_input_validation():
-    with pytest.raises(ValueError):
-        z_value(words_in(1, (1, 1)), 2)  # duplicates
-    with pytest.raises(ValueError):
-        z_value(words_in(1, (1, 2)), 1)
-    with pytest.raises(BudgetExceeded):
-        z_value(words_in(3, range(1, 9)), 2, budget=10)
-    with pytest.raises(BudgetExceeded):
-        z_value(words_in(3, range(1, 9)), 2, budget=10, strategy="meet-in-middle")
-    with pytest.raises(ValueError):
-        z_value(words_in(3, (1, 2, 3)), 3, strategy="meet-in-middle")  # odd split
-    # fewer elements than s: the arguments are still checked
-    with pytest.raises(ValueError):
-        z_value(words_in(1, (1, 2)), 4, strategy="bogus")
-    with pytest.raises(ValueError):
-        z_value(words_in(1, (1, 2)), 3, strategy="meet-in-middle")
+    for engine in (z_value, z_enumerate):
+        with pytest.raises(ValueError):
+            engine(words_in(1, (1, 1)), 2)  # duplicates
+        with pytest.raises(ValueError):
+            engine(words_in(1, (1, 2)), 1)
+        with pytest.raises(BudgetExceeded):
+            engine(words_in(3, range(1, 9)), 2, budget=10)
+        with pytest.raises(BudgetExceeded):
+            engine(words_in(3, range(1, 9)), 2, budget=10, strategy="meet-in-middle")
+        with pytest.raises(ValueError):
+            engine(words_in(3, (1, 2, 3)), 3, strategy="meet-in-middle")  # odd split
+        # fewer elements than s: the arguments are still checked
+        with pytest.raises(ValueError):
+            engine(words_in(1, (1, 2)), 4, strategy="bogus")
+        with pytest.raises(ValueError):
+            engine(words_in(1, (1, 2)), 3, strategy="meet-in-middle")
+
+
+# factors of orders 5 to 8209, where seeded avoidance walks give pn-clean sets
+CLEAN = FactorTable.paper_default(12)
+# (factor, walk seed, target size, a stray exponent added to the walk's set or None);
+# in factors 6..12, of orders 131 to 8209, an s=4 walk can reach four letters
+FACTOR_SPECS = st.lists(
+    st.tuples(st.integers(6, 12), st.integers(0, 999), st.integers(2, 6),
+              st.none() | st.integers(1, 130)),
+    min_size=1, max_size=3, unique_by=lambda spec: spec[0],
+)
+
+
+def spec_union(s, specs, order_seed) -> tuple:
+    """(single letters of the specs' factors in a seeded order, whether every set
+    is a walk without a stray).  A walk avoids at order s rounded up to even,
+    so its set passes pn at order s."""
+    elements = []
+    for n, seed, size, stray in specs:
+        walk = build_factor_set(n, s + s % 2, size, CLEAN.order(n) - 1, CLEAN, random.Random(seed))
+        exponents = set(walk.subset.exponents) | ({stray} if stray else set())
+        elements += [letter_word(CLEAN, n, e) for e in sorted(exponents)]
+    random.Random(order_seed).shuffle(elements)
+    return elements, all(stray is None for *_, stray in specs)
+
+
+@settings(deadline=None, max_examples=250)
+@given(st.sampled_from((2, 3, 4)), FACTOR_SPECS, st.integers(0, 99))
+@example(6, [(12, 1, 7, None)], 0)  # seven letters of Z_8209: Z_6 = 3!^2 = 36
+@example(6, [(10, 3, 6, None), (12, 1, 2, None)], 1)  # a run of six beside two letters
+@example(6, [(6, 0, 3, None), (12, 1, 7, None)], 2)  # the lower factor holds too few for a run
+@example(6, [(11, 0, 6, 5)], 3)  # the stray 5 breaks pn
+def test_closed_form_matches_enumeration_on_pn_clean_unions(s, specs, order_seed):
+    elements, clean = spec_union(s, specs, order_seed)
+    cert = z_value(elements, s)
+    expected = z_enumerate(elements, s)
+    assert (cert.value, cert.witness) == (expected.value, expected.witness)
+    sizes = Counter(w.pairs[0][0] for w in elements)
+    applies = clean and len(elements) >= s and (s == 2 or max(sizes.values()) >= s)
+    if applies:
+        assert (cert.basis, cert.tuples_examined) == ("pn-closed-form", 0)
+    if cert.basis == "enumeration":
+        assert cert == expected
+
+
+def test_closed_form_applies_only_to_pn_clean_single_letters():
+    # seeded s=4 walks of factors 5, 9 and 10: only factor 9 holds four letters
+    desk = [(5, (14, 18, 20)), (9, (22, 84, 120, 363, 674)), (10, (126, 934, 1190))]
+    union = [letter_word(CLEAN, n, e) for n, exponents in desk for e in exponents]
+    for s, value in ((2, 1), (3, 2), (4, 4)):
+        cert = z_value(union, s)
+        assert (cert.basis, cert.value) == ("pn-closed-form", value)
+    # a factor that fails pn: 1 + 2 = 3 in Z_17
+    failing = words_in(3, (1, 2, 3, 5, 9))
+    assert verify_pn_bruteforce(FactorSubset(3, 17, (1, 2, 3, 5, 9)), 4)[0] is False
+    # no factor holds s = 4 letters, although each passes pn
+    short = [w for w in union if w.pairs[0][0] != 9] + [letter_word(CLEAN, 9, 22)]
+    # one element of two letters
+    mixed = union + [reduce_raw(CLEAN, [(5, 1), (9, 1)])]
+    for elements in (failing, short, mixed):
+        cert = z_value(elements, 4)
+        assert cert.basis == "enumeration"
+        assert cert == z_enumerate(elements, 4)
+        assert cert.tuples_examined == math.perm(len(elements), 4)
+
+
+def test_closed_form_over_budget_falls_back_to_enumeration():
+    # four letters of Z_8209 at s=4: the half table holds 81 signed sums, the
+    # enumeration 4! = 24 tuples, so a budget between them still answers
+    elements = [letter_word(CLEAN, 12, e) for e in (2163, 2714, 4587, 5090)]
+    assert z_value(elements, 4, budget=81).basis == "pn-closed-form"
+    cert = z_value(elements, 4, budget=80)
+    assert (cert.basis, cert.value, cert.tuples_examined) == ("enumeration", 4, 24)
+    with pytest.raises(BudgetExceeded, match="24 tuples, budget is 23"):
+        z_value(elements, 4, budget=23)
 
 
 def test_leinert_witness_example():
