@@ -444,22 +444,23 @@ def is_quasi_independent(
     """True iff all 2^m subset sums are distinct mod p.
 
     On failure returns the first collision in bitmask scan order as a pair
-    (later subset, earlier subset).
+    (later subset, earlier subset); only then are the sums scanned one by one.
     """
     m = len(subset.exponents)
     if m > budget_bits:
         raise BudgetExceeded(f"subset-sum table needs 2^{m} entries, budget is 2^{budget_bits}")
-    p = subset.order
+    sums = _subset_sums(subset.exponents, subset.order)
+    if len(set(sums)) == len(sums):
+        return True, None
     seen: dict[int, int] = {}
-    sums = _subset_sums(subset.exponents, p)
     for mask, value in enumerate(sums):
         if value in seen:
-            return False, (
-                _mask_subset(subset.exponents, mask),
-                _mask_subset(subset.exponents, seen[value]),
-            )
+            break
         seen[value] = mask
-    return True, None
+    return False, (
+        _mask_subset(subset.exponents, mask),
+        _mask_subset(subset.exponents, seen[value]),
+    )
 
 
 @dataclass(frozen=True)

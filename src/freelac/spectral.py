@@ -7,10 +7,13 @@ then has algebra norm = operator norm = 1.
 
 Each function is transformed once, by numpy's FFT: its SpectrumReport keeps
 the spectrum and its magnitudes, and every check reads that report, computing
-a q-norm from it on demand.  The norms use libm alone (``math.hypot``,
-``math.pow``, ``math.fsum``), so their digits do not depend on which SIMD
-kernels numpy dispatches on the host CPU.  numpy is imported inside the two
-functions that take an FFT, so importing the module, or the CLI, loads none.
+a norm from it on demand.  The norms use the ``math`` module alone:
+``math.hypot`` and ``math.fsum`` are CPython's own C code and ``math.pow``
+calls the C library's ``pow``, so their digits do not depend on which SIMD
+kernels numpy dispatches on the host CPU (numpy's ``abs`` and ``power`` do).
+Each loop over the p coefficients is driven by ``map``, not by a Python
+generator.  numpy is imported inside the two functions that take an FFT, so
+importing the module, or the CLI, loads none.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
+from operator import truediv
 from typing import Iterable, Mapping, Union
 
 from .builder import FactorSubset
@@ -67,18 +73,40 @@ class SpectrumReport:
     """Full spectrum of a cyclic function with its normalized norms.
 
     ``magnitudes`` holds |f_hat(k)| as ``math.hypot`` of each coefficient.
+    The algebra and operator norms are computed on first read.
     """
 
     p: int
     spectrum: "np.ndarray"
     magnitudes: tuple[float, ...]
-    norm_a: float
-    norm_vn: float
+
+    @cached_property
+    def norm_a(self) -> float:
+        """Algebra norm (1/p) sum |f_hat|."""
+        return math.fsum(self.magnitudes) / self.p
+
+    @cached_property
+    def norm_vn(self) -> float:
+        """Operator norm max |f_hat|."""
+        return max(self.magnitudes)
 
     def norm_lq(self, q: float) -> float:
-        """Normalized q-norm ((1/p) sum |f_hat|^q)^(1/q) of the stored spectrum."""
+        """Normalized q-norm ((1/p) sum |f_hat|^q)^(1/q) of the stored spectrum.
+
+        Where some |f_hat|^q, or their sum, exceeds the float range, the norm
+        is M ((1/p) sum (|f_hat| / M)^q)^(1/q) with M = ||f||_VN; every other
+        input takes the direct sum, whose digits this form would not repeat.
+        """
         q = float(q)
-        total = math.fsum(math.pow(m, q) for m in self.magnitudes)
+        try:
+            total = math.fsum(map(math.pow, self.magnitudes, repeat(q)))
+        except OverflowError:
+            top = self.norm_vn
+            if math.isinf(top):  # the scaled terms would read inf / inf
+                raise
+            scaled_magnitudes = map(truediv, self.magnitudes, repeat(top))
+            scaled = math.fsum(map(math.pow, scaled_magnitudes, repeat(q)))
+            return top * math.pow(scaled / self.p, 1.0 / q)
         return math.pow(total / self.p, 1.0 / q)
 
 
@@ -105,8 +133,8 @@ def transform(f: CyclicFunction) -> SpectrumReport:
     for j, v in f.values:
         dense[j] = v
     spectrum = np.fft.fft(dense)
-    mag = tuple(math.hypot(z.real, z.imag) for z in spectrum.tolist())
-    return SpectrumReport(p, spectrum, mag, norm_a=math.fsum(mag) / p, norm_vn=max(mag))
+    magnitudes = tuple(map(math.hypot, spectrum.real.tolist(), spectrum.imag.tolist()))
+    return SpectrumReport(p, spectrum, magnitudes)
 
 
 def fejer_coefficient(n: int, j: int) -> Fraction:
@@ -123,15 +151,19 @@ def fejer_kernel(n: int, p: int) -> CyclicFunction:
     coefficients are >= 1/2 on offsets 1..n exactly (see fejer_coefficient).
     Each value is the int quotient (2n - |j|) / (2n): true division of ints
     rounds correctly, as ``float`` of the exact Fraction does, so the floats
-    are the same without building a Fraction per offset.
+    are the same without building a Fraction per offset.  As p > 4n, offsets
+    0..2n-1 keep their residues and -(2n-1)..-1 wrap to p-2n+1..p-1, so the
+    values are listed in residue order without a merge or a sort.
     """
     if n < 1:
         raise ValueError(f"kernel scale must be >= 1, got {n}")
     if p <= 4 * n:
         raise ValueError(f"order {p} must exceed 4n = {4 * n}")
     width = 2 * n
-    values = {j % p: (width - abs(j)) / width for j in range(1 - width, width)}
-    return CyclicFunction.from_values(p, values)
+    coefficients = [complex((width - d) / width) for d in range(width)]
+    values = [*enumerate(coefficients)]
+    values += [(p - d, coefficients[d]) for d in range(width - 1, 0, -1)]
+    return CyclicFunction(p, tuple(values))
 
 
 def _dual_index(q: float) -> float:

@@ -575,6 +575,16 @@ def test_norms_command(tmp_path, capsys):
             assert check["interpolation_holds"] and check["kernel_bound_holds"]
 
 
+def test_norms_accepts_a_q_near_one(tmp_path, capsys):
+    # q = 1.001 has dual index 1001, and 128^1001 (the scale-64 kernel's peak) overflows
+    out = tmp_path / "norms.json"
+    assert main(["norms", "--scale", "64", "--q", "1.001", "--out", str(out)]) == EXIT_OK
+    (kernel,) = read_json(out)["payload"]["kernels"]
+    check = next(c for c in kernel["checks"] if float(c["q"]) == 1.001)
+    assert check["interpolation_holds"] and check["kernel_bound_holds"]
+    assert 1.0 < float(check["norm_lq_prime"]) <= float(kernel["norm_vn"]) == 128.0
+
+
 def test_norms_transforms_each_kernel_once(monkeypatch, capsys):
     calls = {"transform": 0, "fejer_kernel": 0}
 

@@ -464,6 +464,52 @@ def test_quasi_independent_examples():
     assert collision == ((3,), (1, 2))
 
 
+def quasi_independent_oracle(exponents: tuple, p: int):
+    """The first repeated subset sum mod p in bitmask order, by a dict scan."""
+    sums = [0]
+    for x in exponents:
+        sums.extend([(t + x) % p for t in sums])
+    seen: dict[int, int] = {}
+    for mask, value in enumerate(sums):
+        if value in seen:
+            return False, tuple(
+                tuple(x for i, x in enumerate(exponents) if m >> i & 1) for m in (mask, seen[value])
+            )
+        seen[value] = mask
+    return True, None
+
+
+@st.composite
+def qi_candidates(draw):
+    """A prime order and up to 10 sorted exponents: superincreasing ones dilated by
+    a unit (quasi-independent), or arbitrary ones at an order below 2^10 (mostly not)."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([3, 5, 13, 17, 101, 1009, 131101]))
+        base, total = [], 0
+        for _ in range(draw(st.integers(0, 10))):
+            x = total + draw(st.integers(1, 4))
+            if total + x >= p:
+                break
+            base.append(x)
+            total += x
+        unit = draw(st.integers(1, p - 1))
+        return p, tuple(sorted(x * unit % p for x in base))
+    p = draw(st.sampled_from([5, 13, 17, 101, 1009]))
+    exponents = draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=min(10, p - 1)))
+    return p, tuple(sorted(exponents))
+
+
+@settings(max_examples=300, deadline=None)
+@given(qi_candidates())
+@example((13, (1, 4, 8)))
+@example((17, (1, 2, 4, 8)))
+def test_quasi_independent_matches_the_dict_scan_oracle(candidate):
+    p, exponents = candidate
+    assert is_quasi_independent(FactorSubset(1, p, exponents)) == quasi_independent_oracle(
+        exponents, p
+    )
+
+
 def test_quasi_independent_budget():
     subset = FactorSubset(1, 10007, tuple(range(1, 26)))
     with pytest.raises(BudgetExceeded):

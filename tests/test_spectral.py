@@ -108,19 +108,124 @@ def test_transform_matches_definition_oracle(f):
     assert worst <= bound
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 300])
+def reference_transform(f: CyclicFunction) -> tuple:
+    """The spectrum and magnitudes of ``f``, one coefficient at a time: the
+    dense array filled index by index, one FFT, ``math.hypot`` per coefficient."""
+    dense = np.zeros(f.p, dtype=np.complex128)
+    for j, v in f.values:
+        dense[j] = v
+    spectrum = np.fft.fft(dense)
+    return spectrum, [math.hypot(z.real, z.imag) for z in spectrum.tolist()]
+
+
+def reference_norm_lq(magnitudes: list, q: float) -> float:
+    powers = [math.pow(m, q) for m in magnitudes]
+    return math.pow(math.fsum(powers) / len(magnitudes), 1.0 / q)
+
+
+def from_values_kernel(n: int, p: int) -> CyclicFunction:
+    """The triangular kernel as a residue map merged, reduced and sorted by ``from_values``."""
+    width = 2 * n
+    return CyclicFunction.from_values(
+        p, {j % p: (width - abs(j)) / width for j in range(1 - width, width)}
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 300, 2048])
 def test_norms_equal_a_libm_reference_exactly(n):
-    # numpy's vectorized abs and power may differ from libm in the last bit,
-    # depending on the SIMD kernels the host CPU gets; the norms use libm alone
+    # numpy's vectorized abs and power may differ in the last bit from the math
+    # module, depending on the SIMD kernels the host CPU gets; the norms use
+    # math.hypot and math.fsum (CPython's C code) and math.pow (libm) alone
     p = kernel_order(n)
-    report = transform(fejer_kernel(n, p))
-    magnitudes = [math.hypot(z.real, z.imag) for z in report.spectrum.tolist()]
+    kernel = fejer_kernel(n, p)
+    assert kernel == from_values_kernel(n, p)
+    assert [type(v) for _, v in kernel.values] == [complex] * (4 * n - 1)
+    report = transform(kernel)
+    _, magnitudes = reference_transform(kernel)
+    assert report.magnitudes == tuple(magnitudes)
     assert report.norm_a == math.fsum(magnitudes) / p
     assert report.norm_vn == max(magnitudes)
     for q in (3.0, 4.0, 6.0, 10.0, 2.0 * n):
         q_prime = q / (q - 1.0)
-        powers = [math.pow(m, q_prime) for m in magnitudes]
-        assert report.norm_lq(q_prime) == math.pow(math.fsum(powers) / p, 1.0 / q_prime)
+        assert report.norm_lq(q_prime) == reference_norm_lq(magnitudes, q_prime)
+
+
+@settings(deadline=None)
+@given(sparse_functions())
+def test_transform_equals_a_per_coefficient_reference_exactly(f):
+    report = transform(f)
+    spectrum, magnitudes = reference_transform(f)
+    assert report.spectrum.tolist() == spectrum.tolist()
+    assert report.magnitudes == tuple(magnitudes)
+    assert report.norm_a == math.fsum(magnitudes) / f.p
+    assert report.norm_vn == max(magnitudes)
+    for q in (1.25, 2.0, 3.0, 7.5):
+        assert report.norm_lq(q) == reference_norm_lq(magnitudes, q)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 2**32), st.sampled_from([1.5, 3.0, 4.0, 6.0, 10.0]))
+def test_holder_check_equals_a_per_coefficient_reference_exactly(seed, q):
+    # the benchmark's pairs: indicators of 1,024 residues mod 8,209
+    rng = random.Random(seed)
+    f, g = (CyclicFunction.indicator(8209, rng.sample(range(8209), 1024)) for _ in range(2))
+    check = holder_check(f, g, q)
+    spectrum_f, magnitudes_f = reference_transform(f)
+    spectrum_g, magnitudes_g = reference_transform(g)
+    g_values = dict(g.values)
+    assert check.pairing == sum(v * g_values.get(j, 0j).conjugate() for j, v in f.values)
+    assert check.pairing_spectral == complex(np.mean(spectrum_f * np.conj(spectrum_g)))
+    bound = reference_norm_lq(magnitudes_f, q / (q - 1.0)) * reference_norm_lq(magnitudes_g, q)
+    assert check.bound == bound
+
+
+def scaled_norm_lq(magnitudes: list, q: float) -> float:
+    """M ((1/p) sum (m / M)^q)^(1/q) with M the largest magnitude."""
+    top = max(magnitudes)
+    return top * reference_norm_lq([m / top for m in magnitudes], q)
+
+
+def test_norm_lq_factors_out_the_peak_where_the_direct_sum_overflows():
+    # |K_hat(0)| = 2n = 128, and 128^1001 is past the float range
+    report = transform(fejer_kernel(64, kernel_order(64)))
+    with pytest.raises(OverflowError):
+        reference_norm_lq(list(report.magnitudes), 1001.0)
+    value = report.norm_lq(1001.0)
+    assert value == scaled_norm_lq(list(report.magnitudes), 1001.0)
+    assert report.norm_lq(10.0) < value <= report.norm_vn
+    # the kernel's check at q = 1.001 (q' = 1001), which the command line runs
+    check = kernel_norm_check(64, report, 1.001)
+    assert check.passed
+    assert check.norm_lq_prime == report.norm_lq(check.q_prime)
+
+
+def test_holder_check_at_a_large_dual_index():
+    # each spectrum peaks at |F| = 1,024 and 1024^1001 is past the float range:
+    # q = 1.001 overflows f's direct sum (q' = 1001), q = 1001 overflows g's
+    rng = random.Random(71)
+    f, g = (CyclicFunction.indicator(8209, rng.sample(range(8209), 1024)) for _ in range(2))
+    magnitudes_f, magnitudes_g = reference_transform(f)[1], reference_transform(g)[1]
+    with pytest.raises(OverflowError):
+        reference_norm_lq(magnitudes_g, 1001.0)
+    check = holder_check(f, g, 1.001)
+    assert check.holds
+    assert check.bound == scaled_norm_lq(magnitudes_f, check.q_prime) * reference_norm_lq(
+        magnitudes_g, 1.001
+    )
+    check = holder_check(f, g, 1001.0)
+    assert check.holds
+    assert check.bound == reference_norm_lq(magnitudes_f, check.q_prime) * scaled_norm_lq(
+        magnitudes_g, 1001.0
+    )
+
+
+def test_norm_lq_overflow_with_an_infinite_peak_still_raises():
+    # f_hat(0) = 2e308 rounds to inf, so no finite peak can be factored out
+    with np.errstate(over="ignore"):
+        report = transform(CyclicFunction.from_values(5, {0: 1e308, 1: 1e308}))
+    assert math.isinf(report.norm_vn)
+    with pytest.raises(OverflowError):
+        report.norm_lq(2.0)
 
 
 def test_parseval_on_random_sparse_functions():
