@@ -9,11 +9,13 @@ is admitted exactly when neither g nor 2g lies in the top level 2s.
 
 The ledger keeps each level as one p-bit integer (bit r set when residue r
 is reached).  Admitting g rotates the lower levels by +-g and +-2g and ORs
-them in, with no loop over residues; the scan for the next exponent reads the
-top level as a string of binary digits and skips forbidden residues in C.  A
-search node one exponent short of the target is decided from the top level
-it would have (``forbidden_after``) without building its levels, and counts
-as one node, as before.
+them in, with no loop over residues.  The search finds its next exponent by
+probing the top level for its lowest clear bit at or above the last exponent
+tried, with a few whole-integer operations and no per-residue work; only a
+seeded draw, which needs every candidate, writes the top level out as binary
+digits.  A search node one exponent short of the target is decided from the
+top level it would have (``forbidden_after``) without building its levels,
+and counts as one node, as before.
 
 The builder is stricter than the property.  Admitting g keeps the property
 when g lies outside level 2s - 1 and 2g outside level 2s - 2; the builder
@@ -158,16 +160,41 @@ def forbidden_after(f: ForbiddenStrata) -> Callable[[int], int]:
     return after
 
 
+def _first_admissible(forbidden: int, p: int, start: int, stop: int) -> Optional[int]:
+    """The least g in [start, stop) whose bits g and 2g mod p are clear in the
+    p-bit integer ``forbidden``, or None.
+
+    With y = forbidden >> start, ``(y + 1) ^ y`` sets the bits of y up to
+    and including its lowest clear one, so its bit length less one is the
+    offset from ``start`` of the first residue left clear: the low bit of the
+    free residues, found without a window mask.  A candidate whose double is
+    forbidden sends the probe on from the next exponent.  A probe costs a few
+    operations on the whole integer and writes nothing out per residue.
+    """
+    while start < stop:
+        y = forbidden >> start
+        g = start + ((y + 1) ^ y).bit_length() - 1
+        if g >= stop:
+            return None
+        if not forbidden >> (2 * g % p) & 1:
+            return g
+        start = g + 1
+    return None
+
+
 def _admissible(forbidden: int, p: int, start: int, stop: int) -> Iterator[int]:
     """Exponents g in [start, stop), ascending, whose bits g and 2g mod p are
-    clear in the p-bit integer ``forbidden``.
+    clear in the p-bit integer ``forbidden``: the full list a seeded draw
+    chooses from.
 
     The integer is written out once as p binary digits, and once more with
     the digits reordered so that position g holds digit 2g mod p (the even
     residues 2g for g < p/2, then the odd residues 2g - p).  ``str.find``
     skips each run of forbidden residues, and inside a free run the doubling
-    test is a lazy C-level ``compress``, so taking the first exponent and
-    listing them all share one scan.
+    test is a lazy C-level ``compress``.  Listing every candidate this way is
+    cheaper than probing for each one, which costs whole-integer operations
+    per candidate; a search that takes candidates one at a time probes
+    instead (``_first_admissible``).
     """
     digits = format(forbidden, f"0{p}b")[::-1]  # digits[r] is bit r
     twice = digits[0::2] + digits[1::2]  # twice[g] is digits[2g mod p]
@@ -192,10 +219,12 @@ def choose_next(
     Returns None when the pool is exhausted.
     """
     stop = min(pool_bound, f.p - 1) + 1
-    candidates = (g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used)
     if rng is None:
-        return next(candidates, None)
-    admissible = list(candidates)
+        g = _first_admissible(f.forbidden, f.p, 1, stop)
+        while g in used:
+            g = _first_admissible(f.forbidden, f.p, g + 1, stop)
+        return g
+    admissible = [g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used]
     return rng.choice(admissible) if admissible else None
 
 
@@ -292,12 +321,18 @@ def build_factor_set(
 
     def candidates(forbidden: int, chosen: tuple[int, ...]) -> Iterator[int]:
         """A node's exponents to try, read from its top level: every
-        admissible one above the last chosen exponent, or with ``rng`` set one
-        uniform draw among all admissible pool exponents."""
+        admissible one above the last chosen exponent, each probed for from
+        the one after the last yielded, or with ``rng`` set one uniform draw
+        among all admissible pool exponents."""
         if rng is None:
-            return _admissible(forbidden, p, chosen[-1] + 1 if chosen else 1, pool_bound + 1)
-        admissible = list(_admissible(forbidden, p, 1, pool_bound + 1))
-        return iter([rng.choice(admissible)] if admissible else [])
+            g = _first_admissible(forbidden, p, chosen[-1] + 1 if chosen else 1, pool_bound + 1)
+            while g is not None:
+                yield g
+                g = _first_admissible(forbidden, p, g + 1, pool_bound + 1)
+        else:
+            admissible = list(_admissible(forbidden, p, 1, pool_bound + 1))
+            if admissible:
+                yield rng.choice(admissible)
 
     def step() -> bool:
         """Count one admission step; once the budget is spent, mark the
@@ -328,7 +363,10 @@ def build_factor_set(
             else:
                 if len(child) > len(best_chosen):
                     best_chosen = child
-                last = next(candidates(after(g), child), None)
+                if rng is None:  # one probe, without a generator per last-level node
+                    last = _first_admissible(after(g), p, g + 1, pool_bound + 1)
+                else:
+                    last = next(candidates(after(g), child), None)
                 if last is not None and step():
                     best_chosen = child + (last,)
                     return True

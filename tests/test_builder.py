@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -114,10 +115,10 @@ def test_strata_match_enumeration_exactly():
 
 
 @st.composite
-def chains(draw, max_size=4):
+def chains(draw, max_size=4, primes=(17, 67, 131, 257, 521, 1031)):
     """An order p and up to ``max_size`` exponents mod p, biased towards the
     values where a rotation or the doubling 2g wraps: 1, p-1 and (p+-1)/2."""
-    p = draw(st.sampled_from([17, 67, 131, 257, 521, 1031]))
+    p = draw(st.sampled_from(primes))
     edge = st.sampled_from([1, p - 1, (p - 1) // 2, (p + 1) // 2])
     exponent = st.one_of(edge, st.integers(1, p - 1))
     return p, draw(st.lists(exponent, min_size=1, max_size=max_size))
@@ -153,6 +154,49 @@ def test_choose_next_matches_a_plain_set_scan(chain, s, pool_bound, seed):
     assert choose_next(strata, pool_bound, used) == (admissible[0] if admissible else None)
     expected = random.Random(seed).choice(admissible) if admissible else None
     assert choose_next(strata, pool_bound, used, rng=random.Random(seed)) == expected
+
+
+@st.composite
+def scan_cases(draw):
+    """(p, top level, the residue set it holds, start, stop) for the scans.
+
+    The top level is a random chain's ledger, with the residue set its
+    enumerated strata reach, or every residue set, or none; p = 131,101 is
+    the desk s=2 n=16 order.  The window is biased towards the ends callers
+    pass, stop == p for a pool of [1, p - 1], and towards starts above p/2,
+    whose doubles 2g - p are odd; start >= stop is drawn too.
+    """
+    p, exponents = draw(chains(primes=(17, 521, 1031, 131101)))
+    kind = draw(st.sampled_from(["chain", "all set", "all clear"]))
+    if kind == "all set":
+        forbidden, reached = (1 << p) - 1, set(range(p))
+    elif kind == "all clear":
+        forbidden, reached = 0, set()
+    else:
+        s = draw(st.sampled_from([2, 4]))
+        forbidden = strata_from(exponents, p, s).forbidden
+        reached = set().union(*enumerate_sums_by_weight(exponents, p, s).values())
+    start = draw(st.one_of(st.integers(1, p + 1), st.sampled_from([(p + 1) // 2, p - 1, p])))
+    stop = draw(st.one_of(st.just(p), st.integers(1, p)))
+    return p, forbidden, reached, start, stop
+
+
+# at p = 17 after exponent 1, the top level is {0, +-1, +-2}: from 9 up, 9 is
+# clear but 2 * 9 - 17 = 1 is not, so the probe moves on to 10 (20 - 17 = 3);
+# from 1 the first clear residue is 3, which a stop of 3 leaves out
+@settings(deadline=None)
+@example(case=(17, strata_from([1], 17, 2).forbidden, {0, 1, 2, 15, 16}, 1, 3))
+@example(case=(17, strata_from([1], 17, 2).forbidden, {0, 1, 2, 15, 16}, 9, 17))
+@example(case=(17, strata_from([1], 17, 2).forbidden, {0, 1, 2, 15, 16}, 15, 17))
+@example(case=(17, strata_from([1], 17, 2).forbidden, {0, 1, 2, 15, 16}, 5, 5))
+@given(scan_cases())
+def test_first_admissible_matches_the_digit_scan_and_a_set_scan(case):
+    p, forbidden, reached, start, stop = case
+    expected = next(
+        (g for g in range(start, stop) if g not in reached and 2 * g % p not in reached), None
+    )
+    assert builder._first_admissible(forbidden, p, start, stop) == expected
+    assert next(builder._admissible(forbidden, p, start, stop), None) == expected
 
 
 def test_strata_negation_closure_and_count_bounds(desk2_family):
@@ -200,6 +244,14 @@ def test_choose_next_after_one_element():
     strata = strata_extend(ForbiddenStrata.empty(17, 2), 1)
     # forbidden: {0, 1, 2, 15, 16}; 3 escapes and so does its double 6
     assert choose_next(strata, 16) == 3
+
+
+def test_choose_next_probes_past_used_exponents():
+    strata = strata_extend(ForbiddenStrata.empty(17, 2), 1)
+    # 3 is the first admissible exponent, then 4 (8 is clear), 5 (10) and 6 (12)
+    assert choose_next(strata, 16, {3}) == 4
+    assert choose_next(strata, 16, {1, 3, 4, 5}) == 6
+    assert choose_next(strata, 4, {3, 4}) is None
 
 
 def test_choose_next_exhausted():
@@ -270,6 +322,38 @@ def test_budget_bound_search_is_pinned():
     assert [r.chosen for r in family.results] == [
         (1, 3, 9), (1, 3, 9), (1, 3, 9, 23, 39), (1, 3, 9, 23, 39, 67)
     ]
+
+
+def test_desk4_search_records_are_pinned(desk4_family):
+    # the desk s=4 orders 521 .. 8,209: n=8 stops on its budget, every other
+    # factor takes its first candidate at each of its 6 nodes
+    records = [(r.n, r.chosen, r.nodes_searched, r.search_exhausted) for r in desk4_family.results]
+    assert records == [
+        (8, (1, 3, 9, 27, 81), 5000, False),
+        (9, (1, 3, 9, 27, 81, 239), 6, True),
+        (10, (1, 3, 9, 27, 81, 239), 6, True),
+        (11, (1, 3, 9, 27, 81, 239), 6, True),
+        (12, (1, 3, 9, 27, 81, 239), 6, True),
+    ]
+
+
+def test_search_memory_stays_near_its_levels():
+    # n=16, p = 131,101: the deterministic search holds each open node's
+    # levels, 5 integers of p bits.  It once wrote each node's top level out
+    # as three p-character strings, which every open candidate generator kept
+    # alive: 42.9 bytes per residue at the peak, against 9.4 when the search
+    # probes the integer for its next exponent
+    table = FactorTable.paper_default(16)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = build_factor_set(16, 2, 16, 2**16, table)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result.feasible
+    assert peak < 16 * table.order(16), f"{peak / table.order(16):.1f} bytes per residue"
 
 
 # a budget that refuses the 47th node, the exponent that would complete the

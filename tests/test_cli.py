@@ -56,6 +56,9 @@ DESK4_N10_CERT_SHA256 = {
 }
 # the family of build --s 2 --profile paper --seed 7, which pins the rng draws
 SEEDED_PAPER2_FAMILY_SHA256 = "28355b3891be548336c717ed630191a9eb0abba00ac4876aca7e4b8d887a30a6"
+# the family of build --s 2 --profile desk --seed 5: the draws from the listed
+# candidates at every desk order up to 131,101
+SEEDED_DESK2_FAMILY_SHA256 = "0e0af85a1d4e773a7c1e045e26640d313c425b151f4d45005a160bea9d439916"
 # the families of build --s 2|4 --profile paper: the half-table count rules
 # out every n^2 target, so these bytes pin the greedy walk each factor takes
 PAPER_FAMILY_SHA256 = {
@@ -699,6 +702,10 @@ def test_desk4_and_seeded_certificate_bytes_are_pinned(tmp_path, monkeypatch, ca
     assert main(seeded) == EXIT_VIOLATION
     digest = hashlib.sha256((tmp_path / "seeded.json").read_bytes()).hexdigest()
     assert digest == SEEDED_PAPER2_FAMILY_SHA256
+    seeded = ["build", "--s", "2", "--profile", "desk", "--seed", "5", "--out", "seeded-desk.json"]
+    assert main(seeded) == EXIT_VIOLATION  # n=8 dead-ends at 6 of 8 elements
+    digest = hashlib.sha256((tmp_path / "seeded-desk.json").read_bytes()).hexdigest()
+    assert digest == SEEDED_DESK2_FAMILY_SHA256
 
 
 def test_report_agrees_with_verify(tmp_path, capsys):
