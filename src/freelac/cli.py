@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -71,14 +72,22 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    """Every flag is accepted only by its full name, and a usage error exits 4."""
+    """Every flag is accepted only by its full name, a usage error exits 4 and
+    help exits 0, each returned by ``main`` rather than raised as SystemExit."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):  # argparse defaults to exit(2); keep 2 for violations
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # reached only once -h has printed help
+        raise _HelpShown()
 
 
 def _positive_int(text: str) -> int:
@@ -534,7 +543,11 @@ def cmd_witness_weak_sidon(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared by every later
+    one in the process; callers must not mutate it.  ``parse_args`` returns a
+    fresh namespace each call, so no flag carries from one call to the next."""
     parser = _Parser(prog="freelac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -614,9 +627,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except _HelpShown:
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -200,13 +200,83 @@ def test_paper_build_settles_every_factor_by_the_count(monkeypatch, tmp_path, ca
     assert labels[3].endswith("INFEASIBLE (count: C=1002193 > p=131)")
 
 
-def test_cli_import_loads_no_numpy():
-    # numpy is imported where an FFT is taken, not by the command line
-    code = "import sys, freelac.cli; sys.exit('numpy loaded' if 'numpy' in sys.modules else 0)"
+def run_fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is imported where an FFT is taken, not by the command line
+    run_fresh_python(
+        "import sys, freelac.cli; sys.exit('numpy loaded' if 'numpy' in sys.modules else 0)"
+    )
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built by the first main call, so importing the command line pays nothing
+    run_fresh_python(
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import freelac.cli\n"
+        "sys.exit(f'{len(built)} parsers built on import' if built else 0)\n"
+    )
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert main(["primes", "4"]) == EXIT_OK
+    first = len(built)
+    assert first == 14  # the top level, 3 shared flag sets, 10 commands and verify kinds
+    assert main(["primes", "4"]) == EXIT_OK
+    assert len(built) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "-h"], ["verify", "pn", "--help"]])
+def test_help_returns_exit_ok(capsys, argv):
+    # help is printed to stdout and returned as exit 0, the same text on every call
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    second = capsys.readouterr()
+    assert first.out.startswith("usage: freelac") and first.err == ""
+    assert second == first
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    # every call parses into a fresh namespace: a flag or value given to one
+    # call is not read by the next
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--s", "2", "--profile", "desk", "--seed", "5"]) == EXIT_VIOLATION
+    assert main(["build", "--s", "2", "--profile", "desk"]) == EXIT_OK
+    family = hashlib.sha256(Path("family.json").read_bytes()).hexdigest()
+    assert family == DESK2_CERT_SHA256["family"]
+    adhoc = ["verify", "leinert", "--exponents", "1,2,3", "--order", "17", "--s", "4"]
+    assert main(adhoc) == EXIT_VIOLATION
+    # a leaked --s would make this a usage error: a family file carries its own s
+    assert main(["verify", "leinert", "family.json", "--out", "leinert.json"]) == EXIT_OK
+    assert main(["verify", "pn", "family.json", "--budget-tuples", "0"]) == EXIT_IO
+    assert main(["verify", "pn", "family.json", "--out", "pn.json"]) == EXIT_OK
+    for kind in ("leinert", "pn"):
+        digest = hashlib.sha256(Path(f"{kind}.json").read_bytes()).hexdigest()
+        assert digest == DESK2_CERT_SHA256[kind]
 
 
 def test_tampered_family_fails_pn_with_witness(tmp_path):
