@@ -65,6 +65,7 @@ from .spectral import (
     leinert_lower_bound,
     sidon_qi_check,
     transform,
+    transforms,
     weak_sidon_witness,
 )
 from .words import (

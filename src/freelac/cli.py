@@ -53,6 +53,7 @@ from .spectral import (
     DEFAULT_TOLERANCE,
     check_spectral_budget,
     density_lower_bound,
+    dual_index,
     fejer_coefficient,
     fejer_kernel,
     kernel_norm_check,
@@ -351,6 +352,8 @@ def cmd_norms(args) -> int:
     orders = [kernel_order(n) for n in scales]
     for p in orders:  # refuse before building any kernel's 4n - 1 exact coefficients
         check_spectral_budget(p)
+    for q in q_grid:  # and a q that is not finite and above 1, too
+        dual_index(q)
     all_ok = True
     kernels = []
     for n, p in zip(scales, orders):

@@ -10,7 +10,7 @@ Three independent engines over the group core:
   factor, decided from their exponents: a start-plain 2s-tuple multiplies to
   the letter of exponent x_1 - x_2 + x_3 - ... - x_2s, so no tuple is walked;
 * quasi-independence testing and greedy maximal extraction via exact subset
-  sums inside one cyclic factor.
+  sums inside one cyclic factor, kept as one p-bit ledger.
 
 The closed form reads a union of single letters whose every factor passes
 the order-s half table of ``verify pn``.  A tuple's product then has one
@@ -35,6 +35,13 @@ of two letters of one factor merges in place, head + (merged,) + rest, and
 only a junction that cancels walks the cascade with ``_join``.  Naive
 enumeration splits at s - 1 and meet-in-the-middle at s/2, and nothing else
 tells the two apart.  Only the witness is decoded back to a ``Word``.
+
+The subset sums mod p of a quasi-independent selection are the set bits of a
+p-bit integer, as the builder keeps its strata.  Adding x ORs in the ledger
+rotated by x, and x collides exactly when that rotation meets the ledger, so
+no sum is listed.  The subset budget (``--budget-subsets``) caps the
+selection's size m, and so the table of its 2^m sums in bitmask order, which
+is built only after a collision, to name the first colliding pair.
 """
 
 from __future__ import annotations
@@ -437,30 +444,52 @@ def _mask_subset(exponents: Sequence[int], mask: int) -> tuple[int, ...]:
     return tuple(exponents[i] for i in range(len(exponents)) if mask >> i & 1)
 
 
+def _collides(sums: int, x: int, p: int) -> bool:
+    """Whether the ledger ``sums`` meets its rotation by x, 0 < x < p: whether
+    some sum t has t + x (no wrap) or t + x - p (wrap) in the ledger too.
+
+    The two halves are tested apart, each a shift and an AND, with no rotation
+    built; the wrapped half is tested only when the plain half misses.
+    """
+    return bool((sums << x) & sums or (sums >> (p - x)) & sums)
+
+
+def _rotate_in(sums: int, x: int, p: int, mask: int) -> int:
+    """The ledger with x added: ``sums`` ORed with its rotation by x."""
+    return sums | ((sums << x) & mask) | (sums >> (p - x))
+
+
 def is_quasi_independent(
     subset: FactorSubset,
     budget_bits: int = DEFAULT_SUBSET_BUDGET_BITS,
 ) -> tuple[bool, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """True iff all 2^m subset sums are distinct mod p.
 
-    On failure returns the first collision in bitmask scan order as a pair
-    (later subset, earlier subset); only then are the sums scanned one by one.
+    The sums are kept as a p-bit ledger, one rotation per exponent.  On failure
+    returns the first collision in bitmask scan order as a pair (later subset,
+    earlier subset).  Only then is a witness table of subset sums built: the
+    first colliding mask has the first colliding exponent as its top bit, so
+    the table stops there, at 2^(i+1) <= 2^m entries, and is scanned one by one.
     """
-    m = len(subset.exponents)
+    exponents = subset.exponents
+    m = len(exponents)
     if m > budget_bits:
         raise BudgetExceeded(f"subset-sum table needs 2^{m} entries, budget is 2^{budget_bits}")
-    sums = _subset_sums(subset.exponents, subset.order)
-    if len(set(sums)) == len(sums):
+    p = subset.order
+    mask = (1 << p) - 1
+    sums = 1
+    for i, x in enumerate(exponents):
+        if _collides(sums, x, p):
+            break
+        sums = _rotate_in(sums, x, p, mask)
+    else:
         return True, None
     seen: dict[int, int] = {}
-    for mask, value in enumerate(sums):
+    for later, value in enumerate(_subset_sums(exponents[: i + 1], p)):
         if value in seen:
             break
-        seen[value] = mask
-    return False, (
-        _mask_subset(subset.exponents, mask),
-        _mask_subset(subset.exponents, seen[value]),
-    )
+        seen[value] = later
+    return False, (_mask_subset(exponents, later), _mask_subset(exponents, seen[value]))
 
 
 @dataclass(frozen=True)
@@ -478,34 +507,25 @@ def extract_quasi_independent(
 ) -> QIWitness:
     """Greedy maximal quasi-independent subset, swept in ascending exponent order.
 
-    An element joins when all subset sums stay distinct.  A rejected element
-    collides with a subset of the current selection and therefore with every
-    superset, so one sweep is maximal; maximality is still re-verified
-    element-by-element before the flag is set.  The greedy result always has
-    size at least log_3 of the parent size.
+    An element joins when its rotation of the selection's p-bit ledger of
+    subset sums misses the ledger, so all sums stay distinct.  A rejected
+    element collides with a subset of the current selection and therefore with
+    every superset, so one sweep is maximal; maximality is still re-verified
+    element-by-element against the final ledger before the flag is set.  The
+    greedy result always has size at least log_3 of the parent size.
     """
     if len(subset.exponents) < 1:
         raise ValueError("extraction needs a nonempty parent set")
     p = subset.order
+    mask = (1 << p) - 1
     chosen: list[int] = []
-    sums = [0]
-    sums_set = {0}
+    sums = 1
     for x in subset.exponents:
         if len(chosen) >= budget_bits:
             raise BudgetExceeded(f"selection reached 2^{budget_bits} subset sums")
-        # sums are distinct, so the shifted copy is distinct too; only the
-        # overlap between old and shifted sums can break quasi-independence
-        shifted = [(t + x) % p for t in sums]
-        if sums_set.isdisjoint(shifted):
+        if not _collides(sums, x, p):
             chosen.append(x)
-            sums.extend(shifted)
-            sums_set.update(shifted)
-    maximal = True
-    for x in subset.exponents:
-        if x in chosen:
-            continue
-        shifted = ((t + x) % p for t in sums)
-        if all(v not in sums_set for v in shifted):
-            maximal = False
-            break
+            sums = _rotate_in(sums, x, p, mask)
+    selected = set(chosen)
+    maximal = all(_collides(sums, x, p) for x in subset.exponents if x not in selected)
     return QIWitness(parent=subset.exponents, subset=tuple(chosen), maximal=maximal)

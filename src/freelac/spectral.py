@@ -7,13 +7,16 @@ then has algebra norm = operator norm = 1.
 
 Each function is transformed once, by numpy's FFT: its SpectrumReport keeps
 the spectrum and its magnitudes, and every check reads that report, computing
-a norm from it on demand.  The norms use the ``math`` module alone:
-``math.hypot`` and ``math.fsum`` are CPython's own C code and ``math.pow``
-calls the C library's ``pow``, so their digits do not depend on which SIMD
-kernels numpy dispatches on the host CPU (numpy's ``abs`` and ``power`` do).
-Each loop over the p coefficients is driven by ``map``, not by a Python
-generator.  numpy is imported inside the two functions that take an FFT, so
-importing the module, or the CLI, loads none.
+a norm from it on demand.  Functions of one order may share one FFT call with
+their dense arrays as the rows of one array (``transforms``).  A Hölder pair
+does, so its two prime-length transforms share one Bluestein plan; each row's
+coefficients equal those of a call on that row alone, bit for bit.  The norms
+use the ``math`` module alone: ``math.hypot`` and ``math.fsum`` are CPython's
+own C code and ``math.pow`` calls the C library's ``pow``, so their digits do
+not depend on which SIMD kernels numpy dispatches on the host CPU (numpy's
+``abs`` and ``power`` do).  Each loop over the p coefficients is driven by
+``map``, not by a Python generator.  numpy is imported inside ``transforms``
+and ``holder_check``, so importing the module, or the CLI, loads none.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import truediv
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .builder import FactorSubset
 from .counting import is_quasi_independent
@@ -116,25 +119,47 @@ def check_spectral_budget(p: int) -> None:
         raise BudgetExceeded(f"order {p} exceeds the spectral budget {DEFAULT_SPECTRAL_BUDGET}")
 
 
+def transforms(fs: Sequence[CyclicFunction]) -> list[SpectrumReport]:
+    """The spectra of functions of one order, by one FFT call over their rows.
+
+    The dense length-p arrays fill the rows of one (k, p) array, and one
+    ``np.fft.fft(..., axis=1)`` call transforms them in place, so the rows
+    share one plan: at a prime order numpy goes through Bluestein's algorithm,
+    whose chirp it prepares afresh on each call.  Each row's coefficients are
+    the ones a call on that row alone gives, bit for bit.  Refuses an order
+    above ``DEFAULT_SPECTRAL_BUDGET``, which also bounds each row's memory.
+    """
+    import numpy as np
+
+    if not fs:
+        raise ValueError("transforms needs at least one function")
+    p = fs[0].p
+    for f in fs:
+        if f.p != p:
+            raise ValueError(f"orders differ: {p} vs {f.p}")
+    check_spectral_budget(p)
+    dense = np.zeros((len(fs), p), dtype=np.complex128)
+    for row, f in zip(dense, fs):
+        for j, v in f.values:
+            row[j] = v
+    np.fft.fft(dense, axis=1, out=dense)  # each spectrum overwrites its row
+    reports = []
+    for spectrum in dense:
+        magnitudes = tuple(map(math.hypot, spectrum.real.tolist(), spectrum.imag.tolist()))
+        reports.append(SpectrumReport(p, spectrum, magnitudes))
+    return reports
+
+
 def transform(f: CyclicFunction) -> SpectrumReport:
     """The spectrum of ``f`` by one FFT of its dense length-p array, O(p log p).
 
     numpy's sign convention is the module's, f_hat(k) = sum_j f(j) exp(-2 pi i
     j k / p).  Transform a function once and read every norm from the returned
     report; q-norms are computed on demand by ``SpectrumReport.norm_lq``.
-    Refuses an order above ``DEFAULT_SPECTRAL_BUDGET``, which also bounds the
-    dense array's memory.
+    This is the one-row case of ``transforms``.
     """
-    import numpy as np
-
-    p = f.p
-    check_spectral_budget(p)
-    dense = np.zeros(p, dtype=np.complex128)
-    for j, v in f.values:
-        dense[j] = v
-    spectrum = np.fft.fft(dense)
-    magnitudes = tuple(map(math.hypot, spectrum.real.tolist(), spectrum.imag.tolist()))
-    return SpectrumReport(p, spectrum, magnitudes)
+    (report,) = transforms((f,))
+    return report
 
 
 def fejer_coefficient(n: int, j: int) -> Fraction:
@@ -166,7 +191,8 @@ def fejer_kernel(n: int, p: int) -> CyclicFunction:
     return CyclicFunction(p, tuple(values))
 
 
-def _dual_index(q: float) -> float:
+def dual_index(q: float) -> float:
+    """The dual index q / (q - 1) of a finite q > 1; ValueError for any other q."""
     if not (math.isfinite(q) and q > 1.0):
         raise ValueError(f"q must be finite and exceed 1, got {q}")
     return q / (q - 1.0)
@@ -195,7 +221,7 @@ def kernel_norm_check(n: int, report: SpectrumReport, q: float) -> KernelNormChe
     ``report`` is the kernel's spectrum, ``transform(fejer_kernel(n, p))``.
     """
     q = float(q)
-    q_prime = _dual_index(q)
+    q_prime = dual_index(q)
     norm_lq_prime = report.norm_lq(q_prime)
     interpolation_bound = report.norm_a ** (1.0 / q_prime) * report.norm_vn ** (1.0 / q)
     kernel_bound = (4 * n + 1) ** (1.0 / q)
@@ -227,16 +253,14 @@ def holder_check(f: CyclicFunction, g: CyclicFunction, q: float) -> HolderCheck:
     """Check |<f, g>| <= ||f||_{q'} ||g||_q with the pairing sum_j f(j) conj(g(j)).
 
     The pairing is computed in the spectral form (1/p) sum_k f_hat conj(g_hat)
-    and cross-checked against the direct sum (Plancherel identity).
+    and cross-checked against the direct sum (Plancherel identity).  f and g
+    are transformed together, by one FFT call.
     """
     import numpy as np
 
-    if f.p != g.p:
-        raise ValueError(f"orders differ: {f.p} vs {g.p}")
     q = float(q)
-    q_prime = _dual_index(q)
-    rf = transform(f)
-    rg = transform(g)
+    q_prime = dual_index(q)
+    rf, rg = transforms((f, g))  # refuses f and g of different orders
     spectral = complex(np.mean(rf.spectrum * np.conj(rg.spectrum)))
     g_values = dict(g.values)
     direct = sum(v * g_values.get(j, 0j).conjugate() for j, v in f.values)

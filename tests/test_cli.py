@@ -696,6 +696,31 @@ def test_norms_refuses_an_order_over_budget_before_building_the_kernel(
     assert err == "budget refusal: order 1048583 exceeds the spectral budget 1048576\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["--scale", "131072"], ["--scale", "4"], ["--n-max", "3"]], ids=["2^17", "4", "1..3"]
+)
+@pytest.mark.parametrize("q_grid", ["1", "0.5", "3,inf", "nan,4", "3,4,1"])
+def test_norms_refuses_a_bad_q_before_building_any_kernel(
+    tmp_path, monkeypatch, capsys, argv, q_grid
+):
+    # a q that is not finite and above 1 has no dual index: exit 4 whatever the scale,
+    # before any kernel's 4n - 1 coefficients are built or transformed
+    calls = []
+    kernel = spectral.fejer_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fejer_kernel", counting)
+    out = tmp_path / "norms.json"
+    assert main(["norms", *argv, "--q", q_grid, "--out", str(out)]) == EXIT_IO
+    assert calls == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: q must be finite and exceed 1, got ")
+
+
 def test_norms_refuses_a_scale_over_budget_before_looking_up_its_order(tmp_path, capsys):
     # the order exceeds 4 * scale = 2^64, past the budget and past every factor index
     out = tmp_path / "norms.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
@@ -29,6 +30,7 @@ from freelac import (
     letter_word,
     leinert_violation,
     reduce_raw,
+    smallest_admissible_prime,
     verify_pn_bruteforce,
     z_enumerate,
     z_value,
@@ -544,6 +546,63 @@ def test_extract_maximal_and_log3_bound_on_random_sets():
                 continue
             grown = FactorSubset(1, p, tuple(sorted(witness.subset + (x,))))
             assert not is_quasi_independent(grown)[0]
+
+
+def extraction_oracle(exponents: tuple, p: int) -> tuple[tuple[int, ...], bool]:
+    """Greedy extraction on a list of subset sums and a set of them: an element
+    joins when its shifted sums miss the set; maximality is re-checked per
+    element against the final sums."""
+    chosen: list[int] = []
+    sums = [0]
+    sums_set = {0}
+    for x in exponents:
+        shifted = [(t + x) % p for t in sums]
+        if sums_set.isdisjoint(shifted):
+            chosen.append(x)
+            sums.extend(shifted)
+            sums_set.update(shifted)
+    maximal = all(
+        any((t + x) % p in sums_set for t in sums) for x in exponents if x not in chosen
+    )
+    return tuple(chosen), maximal
+
+
+@settings(max_examples=300, deadline=None)
+@given(qi_candidates())
+# t + x wraps past p: 12 collides with 1 as 1 + 12 = 13 = 0; 12 joins (3,) as
+# 3 + 12 = 15 = 2, so 11 then meets 2 + 11 = 13 = 0
+@example((13, (1, 12)))
+@example((13, (3, 11, 12)))
+@example((17, (1, 16)))
+@example((17, (3, 15, 16)))
+@example((13, (1, 4, 8)))
+def test_extraction_matches_the_list_and_set_oracle(candidate):
+    p, exponents = candidate
+    if not exponents:
+        return
+    witness = extract_quasi_independent(FactorSubset(1, p, exponents))
+    assert (witness.subset, witness.maximal) == extraction_oracle(exponents, p)
+    assert witness.parent == exponents
+
+
+def test_extraction_memory_stays_near_one_ledger():
+    # the benchmark's fixed set at p = 1,048,583: 2^0..2^17 are kept and 3, 5 and 6
+    # collide.  The ledger is a p-bit integer, 128 KiB; a list and a set of the
+    # 2^18 subset sums peaked at 24.2 MB
+    p = smallest_admissible_prime(19)
+    assert p == 1_048_583
+    subset = FactorSubset(19, p, tuple(sorted({1 << i for i in range(18)} | {3, 5, 6})))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        witness = extract_quasi_independent(subset)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert witness.subset == tuple(1 << i for i in range(18))
+    assert witness.maximal
+    assert peak < 1_000_000, f"{peak / 1e6:.2f} MB"
 
 
 def test_extract_empty_rejected():

@@ -28,6 +28,7 @@ from freelac import (
     sidon_qi_check,
     is_prime,
     transform,
+    transforms,
     weak_sidon_witness,
 )
 
@@ -85,13 +86,14 @@ def fft_error_bound(p: int, l1: float) -> float:
 
 
 @st.composite
-def sparse_functions(draw):
-    """A prime p < 4,000 or 8,209 and 1..12 support points with values in [-2, 2]^2.
+def sparse_functions(draw, orders=st.sampled_from(FFT_PRIMES)):
+    """A prime p < 4,000 or 8,209 (or one drawn from ``orders``) and 1..12
+    support points with values in [-2, 2]^2.
 
     A nonzero real or imaginary part is at least 2^-100 in size, so no step of
     the transform underflows, as the error model assumes.
     """
-    p = draw(st.sampled_from(FFT_PRIMES))
+    p = draw(orders)
     support = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(12, p), unique=True))
     part = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 2.0**-100)
     values = [draw(st.builds(complex, part, part)) for _ in support]
@@ -161,6 +163,56 @@ def test_transform_equals_a_per_coefficient_reference_exactly(f):
     assert report.norm_vn == max(magnitudes)
     for q in (1.25, 2.0, 3.0, 7.5):
         assert report.norm_lq(q) == reference_norm_lq(magnitudes, q)
+
+
+@st.composite
+def sparse_function_pairs(draw):
+    """Two ``sparse_functions`` of one order."""
+    f = draw(sparse_functions())
+    return f, draw(sparse_functions(st.just(f.p)))
+
+
+@settings(deadline=None)
+@given(sparse_function_pairs())
+def test_transforms_rows_equal_single_transforms_exactly(pair):
+    # one FFT call over both rows gives each row the coefficients of a call on it alone
+    reports = transforms(pair)
+    assert len(reports) == 2
+    for report, f in zip(reports, pair):
+        single = transform(f)
+        assert report.p == f.p
+        assert report.spectrum.tolist() == single.spectrum.tolist()
+        assert report.magnitudes == single.magnitudes
+        assert report.norm_a == single.norm_a
+        assert report.norm_vn == single.norm_vn
+        for q in (1.25, 2.0, 3.0, 7.5):
+            assert report.norm_lq(q) == single.norm_lq(q)
+
+
+def test_transforms_takes_one_order_and_at_least_one_function():
+    with pytest.raises(ValueError, match="orders differ"):
+        transforms((CyclicFunction.indicator(11, [0]), CyclicFunction.indicator(13, [0])))
+    with pytest.raises(ValueError):
+        transforms(())
+    with pytest.raises(BudgetExceeded):
+        transforms((CyclicFunction.indicator(1048583, [0]),) * 2)
+
+
+def test_holder_check_makes_one_fft_call(monkeypatch):
+    import numpy
+
+    calls = []
+    fft = numpy.fft.fft
+
+    def counting(a, *args, **kwargs):
+        calls.append(numpy.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(numpy.fft, "fft", counting)
+    f = CyclicFunction.indicator(8209, range(0, 8209, 8))
+    g = CyclicFunction.indicator(8209, range(1, 8209, 9))
+    assert holder_check(f, g, 4.0).holds
+    assert calls == [(2, 8209)]
 
 
 @settings(deadline=None, max_examples=10)
