@@ -9,7 +9,7 @@ Each function is transformed once, by numpy's FFT: its SpectrumReport keeps
 the spectrum and its magnitudes, and every check reads that report, computing
 a norm from it on demand.  Functions of one order may share one FFT call with
 their dense arrays as the rows of one array (``transforms``).  A Hölder pair
-does, so its two prime-length transforms share one Bluestein plan; each row's
+does, so its two prime-length transforms take one FFT call; each row's
 coefficients equal those of a call on that row alone, bit for bit.  The norms
 use the ``math`` module alone: ``math.hypot`` and ``math.fsum`` are CPython's
 own C code and ``math.pow`` calls the C library's ``pow``, so their digits do
@@ -123,11 +123,13 @@ def transforms(fs: Sequence[CyclicFunction]) -> list[SpectrumReport]:
     """The spectra of functions of one order, by one FFT call over their rows.
 
     The dense length-p arrays fill the rows of one (k, p) array, and one
-    ``np.fft.fft(..., axis=1)`` call transforms them in place, so the rows
-    share one plan: at a prime order numpy goes through Bluestein's algorithm,
-    whose chirp it prepares afresh on each call.  Each row's coefficients are
-    the ones a call on that row alone gives, bit for bit.  Refuses an order
-    above ``DEFAULT_SPECTRAL_BUDGET``, which also bounds each row's memory.
+    ``np.fft.fft(..., axis=1)`` call transforms them.  numpy 1.x builds the
+    plan, at a prime order a Bluestein chirp, once per call, so the rows share
+    it; numpy 2.x keeps its plans and runs two or more rows through
+    pocketfft's vector path, two at a time, with a work buffer for both.  Each
+    row's coefficients are the ones a call on that row alone gives, bit for
+    bit.  Refuses an order above ``DEFAULT_SPECTRAL_BUDGET``, which also
+    bounds each row's memory.
     """
     import numpy as np
 
@@ -142,9 +144,8 @@ def transforms(fs: Sequence[CyclicFunction]) -> list[SpectrumReport]:
     for row, f in zip(dense, fs):
         for j, v in f.values:
             row[j] = v
-    np.fft.fft(dense, axis=1, out=dense)  # each spectrum overwrites its row
     reports = []
-    for spectrum in dense:
+    for spectrum in np.fft.fft(dense, axis=1):
         magnitudes = tuple(map(math.hypot, spectrum.real.tolist(), spectrum.imag.tolist()))
         reports.append(SpectrumReport(p, spectrum, magnitudes))
     return reports

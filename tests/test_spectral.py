@@ -215,6 +215,22 @@ def test_holder_check_makes_one_fft_call(monkeypatch):
     assert calls == [(2, 8209)]
 
 
+def test_transforms_calls_fft_as_numpy_1_24_accepts(monkeypatch):
+    # the package supports numpy >= 1.24, whose fft takes no ``out``
+    import numpy
+
+    fft = numpy.fft.fft
+
+    def fft_1_24(a, n=None, axis=-1, norm=None):
+        return fft(a, n, axis, norm)
+
+    monkeypatch.setattr(numpy.fft, "fft", fft_1_24)
+    f = CyclicFunction.indicator(8209, range(0, 8209, 8))
+    g = CyclicFunction.indicator(8209, range(1, 8209, 9))
+    assert transform(f).norm_vn == pytest.approx(len(f.values))
+    assert holder_check(f, g, 4.0).holds
+
+
 @settings(deadline=None, max_examples=10)
 @given(st.integers(0, 2**32), st.sampled_from([1.5, 3.0, 4.0, 6.0, 10.0]))
 def test_holder_check_equals_a_per_coefficient_reference_exactly(seed, q):
