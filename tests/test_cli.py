@@ -27,6 +27,7 @@ from freelac.cli import (
     kernel_order,
     main,
 )
+from golden import mismatches, write_group
 
 
 def read_json(path):
@@ -78,6 +79,15 @@ FAMILY_COMMANDS = pytest.mark.parametrize(
 )
 # verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
 ADHOC_LEINERT_CERT_SHA256 = "d9646e40a6da120e3a8fe9e52dff747fff6a84192209a36b99288b2920ed7670"
+
+
+def assert_golden(directory, *groups):
+    """Write each group's certificates afresh under ``directory`` and compare
+    them byte for byte with its golden files, naming the JSON paths that differ."""
+    for group in groups:
+        write_group(group, directory / group)
+        problems = mismatches(group, directory / group)
+        assert not problems, "\n".join(problems)
 
 
 def build_desk_family(tmp_path, name="family.json"):
@@ -178,6 +188,7 @@ def test_paper_family_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         build = ["build", "--s", s, "--profile", "paper", "--out", f"paper{s}.json"]
         assert main(build) == EXIT_VIOLATION  # no factor reaches its n^2 target
         assert hashlib.sha256((tmp_path / f"paper{s}.json").read_bytes()).hexdigest() == expected
+    assert_golden(tmp_path / "golden", "paper")
 
 
 def test_paper_build_settles_every_factor_by_the_count(monkeypatch, tmp_path, capsys):
@@ -485,6 +496,7 @@ def test_adhoc_leinert_certificate_bytes_are_pinned(tmp_path, capsys):
     adhoc = ["verify", "leinert", "--exponents", "1,2,3,4", "--order", "17", "--s", "2"]
     assert main(adhoc + ["--out", str(out)]) == EXIT_VIOLATION
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ADHOC_LEINERT_CERT_SHA256
+    assert_golden(tmp_path / "golden", "adhoc")
 
 
 def test_adhoc_leinert_certificates_record_each_order(tmp_path, capsys):
@@ -777,6 +789,7 @@ def test_desk2_certificate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         for name in DESK2_CERT_SHA256
     }
     assert digests == DESK2_CERT_SHA256
+    assert_golden(tmp_path / "golden", "desk2")
 
 
 def test_desk4_and_seeded_certificate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
@@ -801,6 +814,7 @@ def test_desk4_and_seeded_certificate_bytes_are_pinned(tmp_path, monkeypatch, ca
     assert main(seeded) == EXIT_VIOLATION  # n=8 dead-ends at 6 of 8 elements
     digest = hashlib.sha256((tmp_path / "seeded-desk.json").read_bytes()).hexdigest()
     assert digest == SEEDED_DESK2_FAMILY_SHA256
+    assert_golden(tmp_path / "golden", "desk4-n10", "seeded")
 
 
 def test_report_agrees_with_verify(tmp_path, capsys):
