@@ -43,7 +43,8 @@ GROUPS = {
         # the n=8 factor stops at 5 of 6 elements on its search budget
         (["build", "--s", "4", "--n-max", "10", "--out", "family.json"], 2),
         (["verify", "zs", "family.json", "--out", "zs.json"], 0),
-        (["verify", "zs", "family.json", "--strategy", "meet-in-middle", "--out", "zs-mitm.json"], 0),
+        (["verify", "zs", "family.json", "--strategy", "meet-in-middle",
+          "--out", "zs-mitm.json"], 0),
         (["verify", "leinert", "family.json", "--out", "leinert.json"], 2),
         (["report", "family.json", "--out", "report.json"], 0),
     ],
@@ -56,8 +57,10 @@ GROUPS = {
     # the rng draws: at every paper order, and from the listed candidates at
     # every desk order up to 131,101 (desk n=8 dead-ends at 6 of 8 elements)
     "seeded": [
-        (["build", "--s", "2", "--profile", "paper", "--seed", "7", "--out", "paper2-seed7.json"], 2),
-        (["build", "--s", "2", "--profile", "desk", "--seed", "5", "--out", "desk2-seed5.json"], 2),
+        (["build", "--s", "2", "--profile", "paper", "--seed", "7",
+          "--out", "paper2-seed7.json"], 2),
+        (["build", "--s", "2", "--profile", "desk", "--seed", "5",
+          "--out", "desk2-seed5.json"], 2),
     ],
     "adhoc": [
         (["verify", "leinert", "--exponents", "1,2,3,4", "--order", "17", "--s", "2",

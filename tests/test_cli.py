@@ -27,7 +27,7 @@ from freelac.cli import (
     kernel_order,
     main,
 )
-from golden import mismatches, write_group
+from golden import GOLDEN, GROUPS, mismatches, write_group
 
 
 def read_json(path):
@@ -35,37 +35,6 @@ def read_json(path):
         return json.load(handle)
 
 
-# sha256 of the desk s=2 certificates; changing their bytes needs a
-# format_version bump
-DESK2_CERT_SHA256 = {
-    "family": "6486c0be42028f0d2f2a2ff0bd24de1c1b6f27bdee9e6055c8f73df59d76f261",
-    "pn": "5dab604f1856b17a9ef9d108cc6911cb771a5326299a3c1f4bd85525713985e3",
-    "zs": "9e87b1d1de7a419c799ecc6cd9269268946a61e2504810a1c84722d4b49a6bc4",
-    "leinert": "8767a3a43436b8da8c46867e4d707c32aabc182114be95f3d02433452c2346cc",
-    "qi": "61a951574fe7bc4916bc86d8629913573c5e1d4660e1fffc862af45ae5161d9f",
-    "report": "167a7e6acb2696ea1adcf4e05a4a11992ba1cd32a198e5d2173ea59887f88d2d",
-}
-
-# Desk s=2 has Z_2 = 1, so every count there ties at 1; Z_4 = 4 on desk s=4
-# --n-max 10 is where the least witness among several maxima is chosen.
-DESK4_N10_CERT_SHA256 = {
-    "family": "43538f38ec54af60f070573236a889357498ad9d88d0631b966acc6301d0bb07",
-    "zs": "b219a475765f38647bd338ed62ffdfb052e262bb98985fba6c840421650307e6",
-    "zs-mitm": "077cf2daf0b5b1fa9b6ba87be44d2c3c40a9906b25c8ee6f69690d1785afefac",
-    "leinert": "b0afcaf4a73d431b7ce5a117b8d7416cc2608450620b6a98a269ee4e3304cb73",
-    "report": "28bfd0033ffc05f20e25ddb0faab74bf55fcecc28dfbc5717b72ebad070c6aa5",
-}
-# the family of build --s 2 --profile paper --seed 7, which pins the rng draws
-SEEDED_PAPER2_FAMILY_SHA256 = "28355b3891be548336c717ed630191a9eb0abba00ac4876aca7e4b8d887a30a6"
-# the family of build --s 2 --profile desk --seed 5: the draws from the listed
-# candidates at every desk order up to 131,101
-SEEDED_DESK2_FAMILY_SHA256 = "0e0af85a1d4e773a7c1e045e26640d313c425b151f4d45005a160bea9d439916"
-# the families of build --s 2|4 --profile paper: the half-table count rules
-# out every n^2 target, so these bytes pin the greedy walk each factor takes
-PAPER_FAMILY_SHA256 = {
-    "2": "0a3c50e0c59f21036a777c7c17a9803959a85cd3a953a194c3b4eb9c4ddd0d69",
-    "4": "ec28d9c31dd2c91970aaaa0332e2c4d0135c3aad1812e7c2bbc7171f47c6b5c7",
-}
 # format-1 families committed under tests/data: build --s 2, and build --s 4 --n-max 10
 DATA = Path(__file__).parent / "data"
 V1_FAMILY_SHA256 = {
@@ -77,13 +46,12 @@ FAMILY_COMMANDS = pytest.mark.parametrize(
     [["verify", "pn"], ["verify", "zs"], ["verify", "leinert"], ["verify", "qi"], ["report"]],
     ids=" ".join,
 )
-# verify leinert --exponents 1,2,3,4 --order 17 --s 2 (integers only)
-ADHOC_LEINERT_CERT_SHA256 = "d9646e40a6da120e3a8fe9e52dff747fff6a84192209a36b99288b2920ed7670"
 
 
 def assert_golden(directory, *groups):
     """Write each group's certificates afresh under ``directory`` and compare
     them byte for byte with its golden files, naming the JSON paths that differ."""
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(GROUPS)
     for group in groups:
         write_group(group, directory / group)
         problems = mismatches(group, directory / group)
@@ -182,13 +150,9 @@ def test_build_says_why_a_factor_is_infeasible(tmp_path, capsys, build, label):
     assert f"INFEASIBLE ({row['status']})" == label
 
 
-def test_paper_family_bytes_are_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    for s, expected in PAPER_FAMILY_SHA256.items():
-        build = ["build", "--s", s, "--profile", "paper", "--out", f"paper{s}.json"]
-        assert main(build) == EXIT_VIOLATION  # no factor reaches its n^2 target
-        assert hashlib.sha256((tmp_path / f"paper{s}.json").read_bytes()).hexdigest() == expected
-    assert_golden(tmp_path / "golden", "paper")
+def test_paper_family_bytes_are_pinned(tmp_path):
+    # no factor reaches its n^2 target, so each build exits 2
+    assert_golden(tmp_path, "paper")
 
 
 def test_paper_build_settles_every_factor_by_the_count(monkeypatch, tmp_path, capsys):
@@ -277,8 +241,8 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     assert main(["build", "--s", "2", "--profile", "desk", "--seed", "5"]) == EXIT_VIOLATION
     assert main(["build", "--s", "2", "--profile", "desk"]) == EXIT_OK
-    family = hashlib.sha256(Path("family.json").read_bytes()).hexdigest()
-    assert family == DESK2_CERT_SHA256["family"]
+    desk2 = GOLDEN / "desk2"
+    assert Path("family.json").read_bytes() == (desk2 / "family.json").read_bytes()
     adhoc = ["verify", "leinert", "--exponents", "1,2,3", "--order", "17", "--s", "4"]
     assert main(adhoc) == EXIT_VIOLATION
     # a leaked --s would make this a usage error: a family file carries its own s
@@ -286,8 +250,7 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch, cap
     assert main(["verify", "pn", "family.json", "--budget-tuples", "0"]) == EXIT_IO
     assert main(["verify", "pn", "family.json", "--out", "pn.json"]) == EXIT_OK
     for kind in ("leinert", "pn"):
-        digest = hashlib.sha256(Path(f"{kind}.json").read_bytes()).hexdigest()
-        assert digest == DESK2_CERT_SHA256[kind]
+        assert Path(f"{kind}.json").read_bytes() == (desk2 / f"{kind}.json").read_bytes()
 
 
 def test_tampered_family_fails_pn_with_witness(tmp_path):
@@ -491,12 +454,8 @@ def test_verify_leinert_adhoc_violation(tmp_path):
     assert [letters[0][1] for letters in witness] == [1, 2, 3, 2]
 
 
-def test_adhoc_leinert_certificate_bytes_are_pinned(tmp_path, capsys):
-    out = tmp_path / "leinert.json"
-    adhoc = ["verify", "leinert", "--exponents", "1,2,3,4", "--order", "17", "--s", "2"]
-    assert main(adhoc + ["--out", str(out)]) == EXIT_VIOLATION
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == ADHOC_LEINERT_CERT_SHA256
-    assert_golden(tmp_path / "golden", "adhoc")
+def test_adhoc_leinert_certificate_bytes_are_pinned(tmp_path):
+    assert_golden(tmp_path, "adhoc")
 
 
 def test_adhoc_leinert_certificates_record_each_order(tmp_path, capsys):
@@ -777,44 +736,12 @@ def test_report_full_family(tmp_path, capsys):
     assert bounds == sorted(bounds)  # nondecreasing along the family
 
 
-def test_desk2_certificate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
-    # provenance records the family path as given, so use relative names
-    monkeypatch.chdir(tmp_path)
-    assert main(["build", "--s", "2", "--out", "family.json"]) == EXIT_OK
-    for kind in ("pn", "zs", "leinert", "qi"):
-        assert main(["verify", kind, "family.json", "--out", f"{kind}.json"]) == EXIT_OK
-    assert main(["report", "family.json", "--out", "report.json"]) == EXIT_OK
-    digests = {
-        name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
-        for name in DESK2_CERT_SHA256
-    }
-    assert digests == DESK2_CERT_SHA256
-    assert_golden(tmp_path / "golden", "desk2")
+def test_desk2_certificate_bytes_are_pinned(tmp_path):
+    assert_golden(tmp_path, "desk2")
 
 
-def test_desk4_and_seeded_certificate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    build = ["build", "--s", "4", "--n-max", "10", "--out", "family.json"]
-    assert main(build) == EXIT_VIOLATION  # n=8 stops at 5 of 6 elements
-    assert main(["verify", "zs", "family.json", "--out", "zs.json"]) == EXIT_OK
-    mitm = ["verify", "zs", "family.json", "--strategy", "meet-in-middle", "--out", "zs-mitm.json"]
-    assert main(mitm) == EXIT_OK
-    assert main(["verify", "leinert", "family.json", "--out", "leinert.json"]) == EXIT_VIOLATION
-    assert main(["report", "family.json", "--out", "report.json"]) == EXIT_OK
-    digests = {
-        name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
-        for name in DESK4_N10_CERT_SHA256
-    }
-    assert digests == DESK4_N10_CERT_SHA256
-    seeded = ["build", "--s", "2", "--profile", "paper", "--seed", "7", "--out", "seeded.json"]
-    assert main(seeded) == EXIT_VIOLATION
-    digest = hashlib.sha256((tmp_path / "seeded.json").read_bytes()).hexdigest()
-    assert digest == SEEDED_PAPER2_FAMILY_SHA256
-    seeded = ["build", "--s", "2", "--profile", "desk", "--seed", "5", "--out", "seeded-desk.json"]
-    assert main(seeded) == EXIT_VIOLATION  # n=8 dead-ends at 6 of 8 elements
-    digest = hashlib.sha256((tmp_path / "seeded-desk.json").read_bytes()).hexdigest()
-    assert digest == SEEDED_DESK2_FAMILY_SHA256
-    assert_golden(tmp_path / "golden", "desk4-n10", "seeded")
+def test_desk4_and_seeded_certificate_bytes_are_pinned(tmp_path):
+    assert_golden(tmp_path, "desk4-n10", "seeded")
 
 
 def test_report_agrees_with_verify(tmp_path, capsys):
