@@ -18,8 +18,8 @@ from typing import Any
 from .builder import PROFILES, BuildResult, FactorSubset, LacunaryFamily, check_even_s
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
 
-FORMAT_VERSION = 8
-READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
+FORMAT_VERSION = 9
+READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 KINDS = ("family", "pn", "zs", "leinert", "qi", "spectrum", "report")
 
 TOOL_NAME = "freelac"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import math
 import sys
@@ -101,13 +102,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, kind: str, payload: dict, parameters: dict, out=None) -> None:
-    """Write the certificate to ``out`` (or ``--out``, if given) and say where."""
-    provenance = make_provenance(__version__, parameters)
+@dataclasses.dataclass(frozen=True)
+class Claim:
+    """One claim: its certificate section, the lines it prints and its verdict."""
+
+    section: dict
+    lines: list
+    holds: bool
+
+
+def _emit(args, kind: str, claim: Claim, parameters: dict, out=None) -> int:
+    """Print the claim, write its section as a ``kind`` certificate to ``out`` (or
+    ``--out``, if given) and say where; return the claim's exit code."""
+    for line in claim.lines:
+        print(line)
     out = out or args.out
     if out:
-        write_certificate(out, CertificateFile(kind=kind, payload=payload, provenance=provenance))
+        provenance = make_provenance(__version__, parameters)
+        write_certificate(
+            out, CertificateFile(kind=kind, payload=claim.section, provenance=provenance)
+        )
         print(f"{'family' if kind == 'family' else 'certificate'} written: {out}")
+    return EXIT_OK if claim.holds else EXIT_VIOLATION
 
 
 @contextlib.contextmanager
@@ -141,114 +157,89 @@ def _search_label(result, family) -> str:
     return "seeded walk: dead end" if family.seed is not None else "exhausted"
 
 
-def _zs_claim(family, strategy: str, budget: int) -> dict:
+# ---------------------------------------------------------------- claims
+# One function per claim kind, each recomputed from the stored exponents.  The
+# commands print and write the Claim it returns: `verify KIND` one claim,
+# `report` a fixed list of them, `witness-weak-sidon` the weak-Sidon claim.
+
+
+def construction_claim(family) -> Claim:
+    """Each factor's target and what its build achieved, as the family records it."""
+    rows, lines = [], []
+    for result in family.results:
+        status = _search_label(result, family)
+        rows.append(
+            {
+                "achieved": len(result.subset),
+                "feasible": result.feasible,
+                "n": result.n,
+                "p": result.p,
+                "status": status,
+                "target": result.target_size,
+            }
+        )
+        label = status if result.feasible else f"infeasible ({status})"
+        lines.append(
+            f"n={result.n:>3} p={result.p:>8} |E_n|={len(result.subset):>3}"
+            f"/{result.target_size:<3} {label}"
+        )
+    section = {"n_feasible": family.n_feasible, "rows": rows, "status": "recorded"}
+    return Claim(section, lines, True)
+
+
+def pn_claim(family, budget: int) -> Claim:
+    """The avoidance property of each factor at order s, with its first vanishing vector."""
+    claims, lines = [], []
+    with _budget_flag("--budget-tuples"):
+        for result in family.results:
+            ok, witness = verify_pn_bruteforce(result.subset, family.s, budget)
+            record = {
+                "exponents": list(result.subset.exponents),
+                "holds": ok,
+                "n": result.n,
+                "p": result.p,
+            }
+            if witness is not None:
+                record["violating_epsilon"] = list(witness.entries)
+            claims.append(record)
+            state = "ok" if ok else f"VIOLATED by epsilon={list(witness.entries)}"
+            lines.append(f"pn n={result.n}: {state}")
+    holds = all(record["holds"] for record in claims)
+    return Claim({"claims": claims, "holds": holds, "s": family.s}, lines, holds)
+
+
+def zs_claim(family, strategy: str, budget: int) -> Claim:
     """Z_s of the family union against ((s/2)!)^2; ``strategy`` is the
     enumeration used where the closed form does not apply."""
     s = family.s
     bound_half, bound_factorial = zs_paper_target(s)
-    cert = z_value(family.union_words(), s, budget=budget, strategy=strategy)
-    return {
+    with _budget_flag("--budget-tuples"):
+        cert = z_value(family.union_words(), s, budget=budget, strategy=strategy)
+    holds = cert.value <= bound_half
+    basis = cert.basis
+    if basis != BASIS_CLOSED_FORM:
+        basis += f": {cert.strategy}, {cert.tuples_examined} tuples examined"
+    line = (
+        f"zs: Z_{s} = {cert.value} over {cert.ground_size} elements ({basis}); "
+        f"bounds ((s/2)!)^2 = {bound_half}, s! = {bound_factorial}: "
+        f"{'ok' if holds else 'VIOLATED'}"
+    )
+    section = {
         "basis": cert.basis,
         "bound_factorial": bound_factorial,
         "bound_half_square": bound_half,
         "ground_size": cert.ground_size,
-        "holds": cert.value <= bound_half,
+        "holds": holds,
         "s": s,
         "strategy": cert.strategy,
         "tuples_examined": cert.tuples_examined,
         "value": cert.value,
         "witness_key": canonical_key(cert.witness).hex() if cert.witness else None,
     }
+    return Claim(section, [line], holds)
 
 
-def _qi_claims(family, budget_bits: int):
-    """Per factor: (result, witness, floor_bound, ok) of the greedy
-    quasi-independent extraction against the ceil(log_3 |E_n|) floor."""
-    for result in family.results:
-        witness = extract_quasi_independent(result.subset, budget_bits)
-        floor_bound = math.ceil(math.log(len(result.subset.exponents), 3))
-        yield result, witness, floor_bound, witness.maximal and len(witness.subset) >= floor_bound
-
-
-# ---------------------------------------------------------------- primes
-
-
-def cmd_primes(args) -> int:
-    print(f"{'n':>3} {'2^(n+1)':>20} {'p_n':>20}")
-    for n in range(1, args.n_max + 1):
-        p = smallest_admissible_prime(n)
-        print(f"{n:>3} {2 ** (n + 1):>20} {p:>20}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------- build
-
-
-def cmd_build(args) -> int:
-    n_min, n_max = PROFILES[args.profile].n_range(args.s, args.n_min, args.n_max)
-    family = build_family(args.s, (n_min, n_max), args.profile, seed=args.seed)
-    feasible = [r for r in family.results if r.feasible]
-    for result in family.results:
-        status = _search_label(result, family)
-        if not result.feasible:
-            status = f"INFEASIBLE ({status})"
-        print(
-            f"n={result.n:>3} p={result.p:>8} target={result.target_size:>3} "
-            f"achieved={len(result.subset):>3} pool=[1,{result.pool_bound}] {status}"
-        )
-    print(
-        f"built {len(feasible)}/{len(family.results)} targets; "
-        f"n_feasible={family.n_feasible}"
-    )
-    parameters = {"n_max": n_max, "n_min": n_min, "profile": args.profile, "s": args.s}
-    _emit(args, "family", family_to_payload(family), parameters, out=args.out or "family.json")
-    return EXIT_OK if len(feasible) == len(family.results) else EXIT_VIOLATION
-
-
-# ---------------------------------------------------------------- verify
-
-
-def _verify_pn(args) -> dict:
-    family = _load_family(args.family)
-    claims = []
-    holds = True
-    for result in family.results:
-        ok, witness = verify_pn_bruteforce(result.subset, family.s, args.budget_tuples)
-        record = {
-            "exponents": list(result.subset.exponents),
-            "holds": ok,
-            "n": result.n,
-            "p": result.p,
-        }
-        if witness is not None:
-            record["violating_epsilon"] = list(witness.entries)
-            holds = False
-        claims.append(record)
-        state = "ok" if ok else f"VIOLATED by epsilon={list(witness.entries)}"
-        print(f"pn n={result.n}: {state}")
-    return {"claims": claims, "holds": holds, "s": family.s}
-
-
-def _zs_basis(claim: dict) -> str:
-    """How a Z_s claim was decided, as printed: the basis, and for an
-    enumeration its strategy and tuple count."""
-    if claim["basis"] == BASIS_CLOSED_FORM:
-        return claim["basis"]
-    return f"{claim['basis']}: {claim['strategy']}, {claim['tuples_examined']} tuples examined"
-
-
-def _verify_zs(args) -> dict:
-    claim = _zs_claim(_load_family(args.family), args.strategy, args.budget_tuples)
-    print(
-        f"zs: Z_{claim['s']} = {claim['value']} over {claim['ground_size']} elements "
-        f"({_zs_basis(claim)}); "
-        f"bounds ((s/2)!)^2 = {claim['bound_half_square']}, s! = {claim['bound_factorial']}: "
-        f"{'ok' if claim['holds'] else 'VIOLATED'}"
-    )
-    return claim
-
-
-def _verify_leinert(args) -> dict:
+def leinert_claim(args) -> Claim:
     """The Leinert condition on each factor's letters, stopping at the first violation.
 
     The verdict is exact for each factor.  It is exact for a family's union only at
@@ -275,18 +266,19 @@ def _verify_leinert(args) -> dict:
         targets = [(r.n, r.subset, family.table) for r in family.results]
     searched = []
     first_witness = None
-    for n, subset, table in targets:
-        first_witness = leinert_violation(subset.words(table), s, budget=args.budget_tuples)
-        searched.append({"exponents": list(subset.exponents), "n": n, "p": subset.order})
-        if first_witness is not None:
-            break
+    with _budget_flag("--budget-tuples"):
+        for n, subset, table in targets:
+            first_witness = leinert_violation(subset.words(table), s, budget=args.budget_tuples)
+            searched.append({"exponents": list(subset.exponents), "n": n, "p": subset.order})
+            if first_witness is not None:
+                break
     holds = first_witness is None
     if holds:
-        print(f"leinert: no 2s={2 * s} violation found (exact)")
+        line = f"leinert: no 2s={2 * s} violation found (exact)"
     else:
         exps = ["*".join(f"a_{f}^{e}" for f, e in w.pairs) for w in first_witness.elements]
-        print(f"leinert: VIOLATION ({', '.join(exps)})")
-    return {
+        line = f"leinert: VIOLATION ({', '.join(exps)})"
+    section = {
         "holds": holds,
         "s": s,
         "searched": searched,
@@ -294,37 +286,133 @@ def _verify_leinert(args) -> dict:
             [list(pair) for pair in w.pairs] for w in first_witness.elements
         ],
     }
+    return Claim(section, [line], holds)
 
 
-def _verify_qi(args) -> dict:
-    family = _load_family(args.family)
+def qi_claim(family, budget_bits: int) -> Claim:
+    """Per factor, the greedy quasi-independent extraction against the
+    ceil(log_3 |E_n|) floor, and the lower bound it puts on the Leinert constant."""
+    rows, lines = [], []
+    with _budget_flag("--budget-subsets"):
+        for result in family.results:
+            witness = extract_quasi_independent(result.subset, budget_bits)
+            size = len(witness.subset)
+            floor_bound = math.ceil(math.log(len(result.subset.exponents), 3))
+            ok = witness.maximal and size >= floor_bound
+            lower = leinert_lower_bound(
+                FactorSubset(result.subset.factor, result.subset.order, witness.subset)
+            )
+            rows.append(
+                {
+                    "extracted": list(witness.subset),
+                    "extracted_size": size,
+                    "floor_bound": floor_bound,
+                    "leinert_lower_bound": fmt_float(lower),
+                    "maximal": witness.maximal,
+                    "n": result.n,
+                    "ok": ok,
+                    "parent_size": len(witness.parent),
+                }
+            )
+            lines.append(
+                f"qi n={result.n}: |F|={size} >= {floor_bound} maximal={witness.maximal}, "
+                f"leinert constant >= {lower:.17g} {'ok' if ok else 'VIOLATED'}"
+            )
+    holds = all(row["ok"] for row in rows)
+    return Claim({"factors": rows, "holds": holds}, lines, holds)
+
+
+def density_claim(family) -> Claim:
+    """Per factor n, the lower bound its density in 1..n puts on the Lambda(2n) constant."""
     rows = []
-    for result, witness, floor_bound, ok in _qi_claims(family, args.budget_subsets):
+    for result in family.results:
+        n, q = result.n, 2.0 * result.n
+        bound = density_lower_bound(result.subset, n, q)
+        rows.append({"bound": fmt_float(bound), "n": n, "q": fmt_float(q), "window": n})
+    lines = [f"density n={r['n']}: Lambda({r['q']}) constant >= {r['bound']}" for r in rows]
+    return Claim({"rows": rows}, lines, True)
+
+
+def weak_sidon_claim(constants) -> Claim:
+    """For each constant C, the least n with n^2 > 40 C^2 n, decided exactly."""
+    rows, lines = [], []
+    for raw in constants:
+        witness = weak_sidon_witness(raw)
         rows.append(
             {
-                "extracted": list(witness.subset),
-                "floor_bound": floor_bound,
-                "maximal": witness.maximal,
-                "n": result.n,
-                "ok": ok,
-                "parent_size": len(witness.parent),
+                "c": str(witness.c),
+                "holds": witness.holds,
+                "lhs_n_squared": witness.lhs,
+                "n": witness.n,
+                "rhs_40c2n": str(witness.rhs),
             }
         )
-        print(
-            f"qi n={result.n}: |F|={len(witness.subset)} >= {floor_bound} "
-            f"maximal={witness.maximal} {'ok' if ok else 'VIOLATED'}"
+        lines.append(
+            f"weak-sidon C={witness.c}: n={witness.n}, n^2 = {witness.lhs} > 40 C^2 n = "
+            f"{witness.rhs} {'ok' if witness.holds else 'FAILED'}"
         )
-    return {"factors": rows, "holds": all(row["ok"] for row in rows)}
+    return Claim({"rows": rows}, lines, all(row["holds"] for row in rows))
+
+
+_STATEMENTS = [
+    "a finite tuple-count bound at every even order makes the union a "
+    "completely bounded Lambda(p) set for all finite p (standard criterion)",
+    "unbounded quasi-independent subsets are incompatible with a finite "
+    "Leinert constant, so the full family is not a Leinert set",
+    "the density lower bound grows without bound along the family, so no "
+    "single weak-Sidon constant can serve the whole family",
+]
+# what the paper concludes from the zs, qi and density claims, asserted, not computed
+CONCLUSIONS = Claim(
+    {"statements": _STATEMENTS, "status": "asserted-by-theory"},
+    [f"theory: {statement}" for statement in _STATEMENTS],
+    True,
+)
+
+
+# ---------------------------------------------------------------- primes
+
+
+def cmd_primes(args) -> int:
+    print(f"{'n':>3} {'2^(n+1)':>20} {'p_n':>20}")
+    for n in range(1, args.n_max + 1):
+        p = smallest_admissible_prime(n)
+        print(f"{n:>3} {2 ** (n + 1):>20} {p:>20}")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------- build
+
+
+def cmd_build(args) -> int:
+    n_min, n_max = PROFILES[args.profile].n_range(args.s, args.n_min, args.n_max)
+    family = build_family(args.s, (n_min, n_max), args.profile, seed=args.seed)
+    lines = []
+    for result in family.results:
+        status = _search_label(result, family)
+        if not result.feasible:
+            status = f"INFEASIBLE ({status})"
+        lines.append(
+            f"n={result.n:>3} p={result.p:>8} target={result.target_size:>3} "
+            f"achieved={len(result.subset):>3} pool=[1,{result.pool_bound}] {status}"
+        )
+    feasible = sum(result.feasible for result in family.results)
+    lines.append(
+        f"built {feasible}/{len(family.results)} targets; n_feasible={family.n_feasible}"
+    )
+    claim = Claim(family_to_payload(family), lines, feasible == len(family.results))
+    parameters = {"n_max": n_max, "n_min": n_min, "profile": args.profile, "s": args.s}
+    return _emit(args, "family", claim, parameters, out=args.out or "family.json")
+
+
+# ---------------------------------------------------------------- verify
 
 
 def cmd_verify(args) -> int:
     budget = "budget_subsets" if args.kind == "qi" else "budget_tuples"  # the one its kind reads
-    with _budget_flag("--" + budget.replace("_", "-")):
-        payload = args.verify(args)
     source = args.family or "adhoc"
     parameters = {budget: getattr(args, budget), "kind": args.kind, "source": source}
-    _emit(args, args.kind, payload, parameters)
-    return EXIT_OK if payload["holds"] else EXIT_VIOLATION
+    return _emit(args, args.kind, args.claim(args), parameters)
 
 
 # ---------------------------------------------------------------- norms
@@ -355,7 +443,7 @@ def cmd_norms(args) -> int:
     for q in q_grid:  # and a q that is not finite and above 1, too
         dual_index(q)
     all_ok = True
-    kernels = []
+    kernels, lines = [], []
     for n, p in zip(scales, orders):
         report = transform(fejer_kernel(n, p))
         qs = sorted(set(q_grid + [float(2 * n)]))
@@ -364,17 +452,17 @@ def cmd_norms(args) -> int:
         floor_ok = fejer_coefficient(n, n) >= Fraction(1, 2)
         all_ok = all_ok and floor_ok and all(check.passed for check in checks)
         spectrum_values = [fmt_complex(z) for z in report.spectrum] if p <= 1024 else None
-        print(
+        lines.append(
             f"scale n={n:>2} p={p:>5} ||K||_A={report.norm_a:.17g} "
             f"||K||_VN={report.norm_vn:.17g} floor>=1/2 on 1..n: {floor_ok}"
         )
-        for check in checks:
-            print(
-                f"    q={check.q:<6g} ||K||_q' = {check.norm_lq_prime:.17g} <= "
-                f"{check.interpolation_bound:.17g} <= (4n+1)^(1/q) = "
-                f"{check.kernel_bound:.17g}  "
-                f"{'ok' if check.passed else 'FAILED'}"
-            )
+        lines += [
+            f"    q={check.q:<6g} ||K||_q' = {check.norm_lq_prime:.17g} <= "
+            f"{check.interpolation_bound:.17g} <= (4n+1)^(1/q) = "
+            f"{check.kernel_bound:.17g}  "
+            f"{'ok' if check.passed else 'FAILED'}"
+            for check in checks
+        ]
         kernels.append(
             {
                 "checks": [
@@ -398,8 +486,7 @@ def cmd_norms(args) -> int:
             }
         )
     payload = {"kernels": kernels, "tolerance": fmt_float(DEFAULT_TOLERANCE)}
-    _emit(args, "spectrum", payload, {"q": args.q, "scales": scales})
-    return EXIT_OK if all_ok else EXIT_VIOLATION
+    return _emit(args, "spectrum", Claim(payload, lines, all_ok), {"q": args.q, "scales": scales})
 
 
 # ---------------------------------------------------------------- report
@@ -407,140 +494,30 @@ def cmd_norms(args) -> int:
 
 def cmd_report(args) -> int:
     family = _load_family(args.family)
-    sections: dict[str, dict] = {}
-    violated = False
-
-    print(f"=== family report: s={family.s} profile={family.profile} ===")
-
-    rows = []
-    for result in family.results:
-        status = _search_label(result, family)
-        label = status if result.feasible else f"infeasible ({status})"
-        rows.append(
-            {
-                "achieved": len(result.subset),
-                "feasible": result.feasible,
-                "n": result.n,
-                "p": result.p,
-                "status": status,
-                "target": result.target_size,
-            }
-        )
-        print(
-            f"  n={result.n:>3} p={result.p:>8} |E_n|={len(result.subset):>3}"
-            f"/{result.target_size:<3} {label}"
-        )
-    sections["construction"] = {"n_feasible": family.n_feasible, "rows": rows, "status": "recorded"}
-
-    # tuple-count bound, recomputed fresh
-    with _budget_flag("--budget-tuples"):
-        claim = _zs_claim(family, STRATEGY_NAIVE, args.budget_tuples)
-    violated = violated or not claim["holds"]
-    keys = (
-        "basis", "bound_factorial", "bound_half_square", "holds", "strategy", "tuples_examined",
-        "value", "witness_key",
-    )
-    sections["zs"] = {"status": "verified", **{key: claim[key] for key in keys}}
-    print(
-        f"  zs: Z_{family.s} = {claim['value']} <= {claim['bound_half_square']} "
-        f"[verified, {_zs_basis(claim)}]"
-    )
-
-    # quasi-independent extraction and operator-norm lower bounds
-    qi_rows = []
-    density_rows = []
-    with _budget_flag("--budget-subsets"):
-        qi_claims = list(_qi_claims(family, args.budget_subsets))
-    for result, witness, floor_bound, ok in qi_claims:
-        n = result.n
-        lower = leinert_lower_bound(
-            FactorSubset(result.subset.factor, result.subset.order, witness.subset)
-        )
-        violated = violated or not ok
-        qi_rows.append(
-            {
-                "extracted_size": len(witness.subset),
-                "floor_bound": floor_bound,
-                "leinert_lower_bound": fmt_float(lower),
-                "maximal": witness.maximal,
-                "n": n,
-                "parent_size": len(witness.parent),
-            }
-        )
-        q = float(2 * n)
-        dens = density_lower_bound(result.subset, n, q)
-        density_rows.append({"n": n, "q": fmt_float(q), "window": n, "bound": fmt_float(dens)})
-        print(
-            f"  qi n={n}: |F|={len(witness.subset)} >= {floor_bound}, "
-            f"leinert constant >= {lower:.17g} [verified]"
-        )
-    sections["qi"] = {"rows": qi_rows, "status": "verified"}
-    sections["density"] = {"rows": density_rows, "status": "verified"}
-    for row in density_rows:
-        print(
-            f"  density n={row['n']}: Lambda({row['q']}) constant >= {row['bound']} "
-            f"[verified]"
-        )
-
-    ws_rows = []
-    for c in (1, 2, 4):
-        witness = weak_sidon_witness(c)
-        violated = violated or not witness.holds
-        ws_rows.append(
-            {
-                "c": c,
-                "holds": witness.holds,
-                "lhs_n_squared": witness.lhs,
-                "n": witness.n,
-                "rhs": str(witness.rhs),
-            }
-        )
-        print(
-            f"  weak-sidon C={c}: first failing scale n={witness.n}, "
-            f"{witness.lhs} > {witness.rhs} [verified]"
-        )
-    sections["weak_sidon"] = {"rows": ws_rows, "status": "verified"}
-
-    sections["conclusions"] = {
-        "status": "asserted-by-theory",
-        "statements": [
-            "a finite tuple-count bound at every even order makes the union a "
-            "completely bounded Lambda(p) set for all finite p (standard criterion)",
-            "unbounded quasi-independent subsets are incompatible with a finite "
-            "Leinert constant, so the full family is not a Leinert set",
-            "the density lower bound grows without bound along the family, so no "
-            "single weak-Sidon constant can serve the whole family",
-        ],
+    qi = qi_claim(family, args.budget_subsets)
+    claims = {
+        "construction": construction_claim(family),
+        "pn": pn_claim(family, args.budget_tuples),
+        "zs": zs_claim(family, STRATEGY_NAIVE, args.budget_tuples),
+        # the report keeps the qi rows under "rows", its verdict in the exit code
+        "qi": Claim({"rows": qi.section["factors"]}, qi.lines, qi.holds),
+        "density": density_claim(family),
+        "weak_sidon": weak_sidon_claim((1, 2, 4)),
+        "conclusions": CONCLUSIONS,
     }
-    for statement in sections["conclusions"]["statements"]:
-        print(f"  theory: {statement}")
-
-    _emit(args, "report", {"sections": sections}, {"source": args.family})
-    return EXIT_VIOLATION if violated else EXIT_OK
-
-
-# ---------------------------------------------------------------- weak sidon
+    # a section is "verified" unless it names its own status
+    report = Claim(
+        {"sections": {name: {"status": "verified", **c.section} for name, c in claims.items()}},
+        [f"=== family report: s={family.s} profile={family.profile} ==="]
+        + [f"  {line}" for claim in claims.values() for line in claim.lines],
+        all(claim.holds for claim in claims.values()),
+    )
+    return _emit(args, "report", report, {"source": args.family})
 
 
 def cmd_witness_weak_sidon(args) -> int:
-    rows = []
-    for raw in args.constants:
-        witness = weak_sidon_witness(raw)
-        rows.append(
-            {
-                "c": str(witness.c),
-                "holds": witness.holds,
-                "lhs_n_squared": witness.lhs,
-                "n": witness.n,
-                "rhs_40c2n": str(witness.rhs),
-            }
-        )
-        print(
-            f"C={witness.c}: n={witness.n}, n^2 = {witness.lhs} > 40 C^2 n = {witness.rhs} "
-            f"{'ok' if witness.holds else 'FAILED'}"
-        )
-    _emit(args, "report", {"weak_sidon": rows}, {"constants": list(args.constants)})
-    return EXIT_OK if all(r["holds"] for r in rows) else EXIT_VIOLATION
+    claim = weak_sidon_claim(args.constants)
+    return _emit(args, "report", claim, {"constants": list(args.constants)})
 
 
 # ---------------------------------------------------------------- parser
@@ -581,14 +558,16 @@ def build_parser() -> _Parser:
     kinds = p_verify.add_subparsers(dest="kind", required=True)
     p_pn = kinds.add_parser("pn", parents=[tuples, output], help="avoidance property")
     p_pn.add_argument("family")
-    p_pn.set_defaults(verify=_verify_pn)
+    p_pn.set_defaults(claim=lambda args: pn_claim(_load_family(args.family), args.budget_tuples))
     p_zs = kinds.add_parser("zs", parents=[tuples, output], help="alternating tuple count Z_s")
     p_zs.add_argument("family")
     p_zs.add_argument(
         "--strategy", choices=(STRATEGY_NAIVE, STRATEGY_MITM), default=STRATEGY_NAIVE,
         help="the enumeration where the closed form does not apply (default %(default)s)",
     )
-    p_zs.set_defaults(verify=_verify_zs)
+    p_zs.set_defaults(
+        claim=lambda args: zs_claim(_load_family(args.family), args.strategy, args.budget_tuples)
+    )
     p_leinert = kinds.add_parser(
         "leinert", parents=[tuples, output], help="Leinert condition, family or ad-hoc set"
     )
@@ -596,10 +575,10 @@ def build_parser() -> _Parser:
     p_leinert.add_argument("--s", type=int, default=None, help="s of an ad-hoc check (default 2)")
     p_leinert.add_argument("--exponents", default=None, help="ad-hoc set, e.g. 1,2,3,4")
     p_leinert.add_argument("--order", type=int, default=None, help="cyclic order for --exponents")
-    p_leinert.set_defaults(verify=_verify_leinert)
+    p_leinert.set_defaults(claim=leinert_claim)
     p_qi = kinds.add_parser("qi", parents=[subsets, output], help="quasi-independent extraction")
     p_qi.add_argument("family")
-    p_qi.set_defaults(verify=_verify_qi)
+    p_qi.set_defaults(claim=lambda args: qi_claim(_load_family(args.family), args.budget_subsets))
 
     p_norms = sub.add_parser(
         "norms", parents=[output], help="kernel norms and interpolation checks"

@@ -13,6 +13,7 @@ import pytest
 
 from freelac import builder, cli, spectral
 from freelac.certificates import (
+    FORMAT_VERSION,
     CertificateFile,
     family_from_payload,
     family_to_payload,
@@ -390,7 +391,7 @@ def test_resaved_format_1_family_reports_search_not_recorded(tmp_path, monkeypat
     v1 = read_certificate(str(DATA / "desk4-n10-v1.json"))
     family = family_from_payload(v1.payload, v1.format_version)
     write_certificate("resaved.json", CertificateFile("family", family_to_payload(family), {}))
-    assert read_json("resaved.json")["format_version"] == 8
+    assert read_json("resaved.json")["format_version"] == FORMAT_VERSION
     assert main(["report", "resaved.json", "--out", "report.json"]) == EXIT_OK
     rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
     assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [8]
@@ -500,7 +501,8 @@ def test_zs_counts_naively_up_to_the_budget(tmp_path, monkeypatch, capsys):
     # the 24-element s=4 union of n = 9..12 passes pn, so Z_4 comes in closed
     # form from four half tables of 473 signed sums; with n=9's second exponent
     # doubled that factor fails pn, and the count enumerates 255,024 naive
-    # tuples under a budget of 260,000, in verify zs and in report alike
+    # tuples under a budget of 260,000, in verify zs and in report alike; the
+    # report names the pn witness and exits 2, though Z_4 holds
     monkeypatch.chdir(tmp_path)
     build = ["build", "--s", "4", "--n-min", "9", "--n-max", "12", "--out", "family.json"]
     assert main(build) == EXIT_OK
@@ -518,16 +520,23 @@ def test_zs_counts_naively_up_to_the_budget(tmp_path, monkeypatch, capsys):
     Path("failing.json").write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     assert main(["verify", "pn", "failing.json"]) == EXIT_VIOLATION
     assert main(["verify", "zs", "failing.json", *budget, "--out", "zs.json"]) == EXIT_OK
-    assert main(["report", "failing.json", *budget, "--out", "report.json"]) == EXIT_OK
+    assert main(["report", "failing.json", *budget, "--out", "report.json"]) == EXIT_VIOLATION
     zs = read_json("zs.json")["payload"]
     assert (zs["ground_size"], zs["basis"], zs["strategy"], zs["tuples_examined"]) == (
         24, "enumeration", "naive", 255_024
     )
-    section = read_json("report.json")["payload"]["sections"]["zs"]
-    assert all(section[key] == zs[key] for key in ("basis", "strategy", "value", "witness_key"))
-    out = capsys.readouterr().out
-    assert "(enumeration: naive, 255024 tuples examined); " in out
-    assert "[verified, enumeration: naive, 255024 tuples examined]" in out
+    sections = read_json("report.json")["payload"]["sections"]
+    assert sections["zs"] == {**zs, "status": "verified"}
+    assert sections["zs"]["holds"] and not sections["pn"]["holds"]
+    (failing,) = [claim for claim in sections["pn"]["claims"] if not claim["holds"]]
+    assert (failing["n"], failing["violating_epsilon"]) == (9, [2, -1, 0, 0, 0, 0])
+    lines = capsys.readouterr().out.splitlines()
+    # verify pn and verify zs print the lines that the report prints indented
+    pn_line = "pn n=9: VIOLATED by epsilon=[2, -1, 0, 0, 0, 0]"
+    (zs_line,) = [line for line in lines if line.startswith("zs: ")]
+    assert "(enumeration: naive, 255024 tuples examined); " in zs_line
+    for line in (pn_line, zs_line):
+        assert line in lines and f"  {line}" in lines
     budget = ["--budget-tuples", "255023"]
     assert main(["verify", "zs", "failing.json", *budget]) == EXIT_BUDGET
     assert "255024 tuples, budget is 255023" in capsys.readouterr().err
@@ -745,25 +754,24 @@ def test_desk4_and_seeded_certificate_bytes_are_pinned(tmp_path):
 
 
 def test_report_agrees_with_verify(tmp_path, capsys):
+    # the report's pn and zs sections are the verify payloads with a status, its
+    # qi rows are verify qi's, and its weak_sidon rows are witness-weak-sidon 1 2 4's
     family = build_desk_family(tmp_path)
-    zs_out, qi_out, report_out = (tmp_path / f"{name}.json" for name in ("zs", "qi", "report"))
-    assert main(["verify", "zs", str(family), "--out", str(zs_out)]) == EXIT_OK
-    assert main(["verify", "qi", str(family), "--out", str(qi_out)]) == EXIT_OK
+    payloads = {}
+    for kind in ("pn", "zs", "qi"):
+        out = tmp_path / f"{kind}.json"
+        assert main(["verify", kind, str(family), "--out", str(out)]) == EXIT_OK
+        payloads[kind] = read_json(out)["payload"]
+    ws_out, report_out = tmp_path / "ws.json", tmp_path / "report.json"
+    assert main(["witness-weak-sidon", "1", "2", "4", "--out", str(ws_out)]) == EXIT_OK
     assert main(["report", str(family), "--out", str(report_out)]) == EXIT_OK
     sections = read_json(report_out)["payload"]["sections"]
-    zs = read_json(zs_out)["payload"]
-    shared = sections["zs"].keys() & zs.keys()
-    assert shared == {
-        "basis", "bound_factorial", "bound_half_square", "holds", "strategy", "tuples_examined",
-        "value", "witness_key",
-    }
-    assert all(sections["zs"][key] == zs[key] for key in shared)
-    qi_rows = read_json(qi_out)["payload"]["factors"]
-    assert [r["n"] for r in sections["qi"]["rows"]] == [r["n"] for r in qi_rows]
-    for row, verified in zip(sections["qi"]["rows"], qi_rows):
-        for key in ("floor_bound", "maximal", "parent_size"):
-            assert row[key] == verified[key]
-        assert row["extracted_size"] == len(verified["extracted"])
+    for kind in ("pn", "zs"):
+        assert sections[kind] == {**payloads[kind], "status": "verified"}
+    assert sections["qi"]["rows"] == payloads["qi"]["factors"]
+    for row in sections["qi"]["rows"]:
+        assert row["extracted_size"] == len(row["extracted"])
+    assert sections["weak_sidon"]["rows"] == read_json(ws_out)["payload"]["rows"]
 
 
 def test_report_empty_family(tmp_path, capsys):
@@ -801,7 +809,7 @@ def test_report_empty_family(tmp_path, capsys):
 def test_witness_weak_sidon(capsys, tmp_path):
     out = tmp_path / "ws.json"
     assert main(["witness-weak-sidon", "0", "1", "2", "--out", str(out)]) == EXIT_OK
-    rows = read_json(out)["payload"]["weak_sidon"]
+    rows = read_json(out)["payload"]["rows"]
     assert [r["n"] for r in rows] == [1, 41, 161]
     assert all(r["holds"] for r in rows)
 
