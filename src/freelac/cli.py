@@ -107,7 +107,7 @@ class Claim:
     """One claim: its certificate section, the lines it prints and its verdict."""
 
     section: dict
-    lines: list
+    lines: list[str]
     holds: bool
 
 
