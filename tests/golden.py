@@ -3,6 +3,8 @@ them, a comparison that names the JSON paths that differ, and a rewrite.
 
 Each group's commands run in one directory of its own, ``golden/<group>/``, and
 name their files relatively, since provenance records a family path as given.
+A group that reads a committed input has it copied in from ``tests/data/`` first
+and removed after, so its directory holds only what its commands write.
 After a change that is meant to change certificate bytes (a format bump),
 rewrite every file with
 
@@ -26,7 +28,8 @@ if __name__ == "__main__":  # run as a script: import the checkout's own package
 
 from freelac.cli import main  # noqa: E402
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 
 # group -> its commands, in order, each with the exit code it must return
 GROUPS = {
@@ -66,12 +69,31 @@ GROUPS = {
         (["verify", "leinert", "--exponents", "1,2,3,4", "--order", "17", "--s", "2",
           "--out", "leinert.json"], 2),
     ],
+    # n=9 fails pn, so Z_4 = 4 is enumerated: 255,024 naive tuples and
+    # 304,704 meet-in-the-middle pairs, and the report exits 2 on pn
+    "enumeration": [
+        (["verify", "pn", "family.json", "--out", "pn.json"], 2),
+        (["verify", "zs", "family.json", "--out", "zs.json"], 0),
+        (["verify", "zs", "family.json", "--strategy", "meet-in-middle",
+          "--out", "zs-mitm.json"], 0),
+        (["report", "family.json", "--out", "report.json"], 2),
+    ],
+}
+
+# group -> {name in its directory: committed input under tests/data/}
+INPUTS = {
+    # build --s 4 --n-min 9 --n-max 12 with n=9's second exponent made twice its
+    # first and ``chosen`` set to the exponents
+    "enumeration": {"family.json": "desk4-pn-failing.json"},
 }
 
 
 def write_group(group: str, directory: Path) -> None:
-    """Run ``group``'s commands in ``directory``, checking each exit code."""
+    """Run ``group``'s commands in ``directory`` on its inputs, checking each exit code."""
     directory.mkdir(parents=True, exist_ok=True)
+    inputs = INPUTS.get(group, {})
+    for name, source in inputs.items():
+        shutil.copyfile(DATA / source, directory / name)
     previous = os.getcwd()
     os.chdir(directory)
     try:
@@ -82,6 +104,8 @@ def write_group(group: str, directory: Path) -> None:
                 raise AssertionError(f"freelac {' '.join(argv)}: exit {code}, expected {expected}")
     finally:
         os.chdir(previous)
+    for name in inputs:
+        (directory / name).unlink()
 
 
 def differing_paths(golden, written, path: str = "$"):

@@ -753,6 +753,12 @@ def test_desk4_and_seeded_certificate_bytes_are_pinned(tmp_path):
     assert_golden(tmp_path, "desk4-n10", "seeded")
 
 
+def test_enumeration_certificate_bytes_are_pinned(tmp_path):
+    # every other golden zs is in closed form; this family fails pn, so both
+    # strategies enumerate and the least of several maximal products is chosen
+    assert_golden(tmp_path, "enumeration")
+
+
 def test_report_agrees_with_verify(tmp_path, capsys):
     # the report's pn and zs sections are the verify payloads with a status, its
     # qi rows are verify qi's, and its weak_sidon rows are witness-weak-sidon 1 2 4's
