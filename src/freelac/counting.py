@@ -22,19 +22,18 @@ is strictly the largest, so Z_s = ceil(s/2)! * floor(s/2)! once some factor
 holds s elements; at s = 2 every product is reached once.  Where the closed
 form does not apply, the tuples are enumerated.
 
-The enumeration takes and returns ``Word`` values but loops over integer
-letter codes: a_n^e is the int n << bits | e, where ``bits`` is the bit
-length of the largest order, so every exponent fits below the factor.  Code
-tuples sort like (factor, exp) pair tuples and so like canonical keys.  Each
-element's codes and the codes of its reduced inverse are prepared once; a
-depth-first walk then extends a reduced prefix by one element at a time with
-``_join``, which touches only the junction, and keeps the indices used as an
-integer bitmask.  Z_s splits each tuple in two, walks both parts and joins
-each left part with the right parts of disjoint bitmask.  There a junction
-of two letters of one factor merges in place, head + (merged,) + rest, and
-only a junction that cancels walks the cascade with ``_join``.  Naive
-enumeration splits at s - 1 and meet-in-the-middle at s/2, and nothing else
-tells the two apart.  Only the witness is decoded back to a ``Word``.
+The enumeration takes and returns ``Word`` values and walks their reduced
+(factor, exp) pair tuples, which sort like canonical keys.  The elements'
+pairs and the pairs of their reduced inverses are prepared once, as one
+plain and one inverted list; a depth-first walk extends a reduced prefix by
+one element at a time and keeps the indices used as an integer bitmask.
+Z_s splits each tuple in two, walks both parts and joins each left part
+with the right parts of disjoint bitmask.  Every product, in the walk and at
+the split, is extended by one junction join, ``_join``: only the last letter
+of the left operand and the first of the right can merge, and while they
+cancel the next pair meets in turn.  Naive enumeration splits at s - 1 and
+meet-in-the-middle at s/2, and nothing else tells the two apart.  The
+witness is the least pair tuple among the maximal products.
 
 The subset sums mod p of a quasi-independent selection are the set bits of a
 p-bit integer, as the builder keeps its strata.  Adding x ORs in the ledger
@@ -75,8 +74,6 @@ from .words import (
 )
 
 DEFAULT_SUBSET_BUDGET_BITS = 22
-
-Codes = tuple[int, ...]  # letters a_factor^exp as the ints factor << bits | exp
 
 STRATEGY_NAIVE = "naive"
 STRATEGY_MITM = "meet-in-middle"
@@ -122,116 +119,68 @@ def _check_ground_set(elements: Sequence[Word]) -> None:
         raise ValueError("ground set elements must share one factor table")
 
 
-def _code_bits(orders: Sequence[int]) -> int:
-    """Exponent bits of a letter code: every exponent of every factor fits below them."""
-    return max(orders).bit_length()
-
-
-def _encode(pairs: Pairs, bits: int) -> Codes:
-    return tuple(factor << bits | exp for factor, exp in pairs)
-
-
-def _decode(codes: Codes, bits: int) -> Pairs:
-    low = (1 << bits) - 1
-    return tuple((code >> bits, code & low) for code in codes)
-
-
-def _join(orders: Sequence[int], bits: int, left: Codes, right: Codes) -> Codes:
-    """Reduced product of two reduced code tuples, the code form of ``reduce_pairs(left + right)``.
+def _join(orders: Sequence[int], left: Pairs, right: Pairs) -> Pairs:
+    """Reduced product of two reduced pair tuples, ``reduce_pairs(orders, left + right)``.
 
     Only the junction can merge: the last letter of ``left`` meets the first
     of ``right``, and while they cancel the next pair meets in turn.
     """
-    low = (1 << bits) - 1
     i = len(left)
     j = 0
-    while i and j < len(right) and left[i - 1] >> bits == right[j] >> bits:
-        factor = right[j] >> bits
-        merged = ((left[i - 1] & low) + (right[j] & low)) % orders[factor - 1]
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        factor = right[j][0]
+        merged = (left[i - 1][1] + right[j][1]) % orders[factor - 1]
         if merged:
-            return left[: i - 1] + (factor << bits | merged,) + right[j + 1 :]
+            return left[: i - 1] + ((factor, merged),) + right[j + 1 :]
         i -= 1
         j += 1
     return left[:i] + right[j:]
 
 
-def _plain_and_inverse(
-    orders: Sequence[int], bits: int, elements: Sequence[Word]
-) -> list[tuple[Codes, Codes]]:
-    """Per element, its letter codes and the codes of its reduced inverse."""
-    return [
-        (_encode(w.pairs, bits), _encode(reduce_pairs(orders, inverse_pairs(w.pairs)), bits))
-        for w in elements
-    ]
+# one entry per element at one tuple position: (index bit, signed pairs)
+Level = list[tuple[int, Pairs]]
 
 
-# one entry per element at one tuple position: (index bit, signed codes)
-Level = list[tuple[int, Codes]]
+def _levels(orders: Sequence[int], elements: Sequence[Word], s: int) -> list[Level]:
+    """Entries for positions 0 .. s-1; an even position takes the reduced inverse.
 
-
-def _levels(signed: Sequence[tuple[Codes, Codes]], s: int) -> list[Level]:
-    """Entries for positions 0 .. s-1; an even position takes the inverse."""
-    return [
-        [(1 << i, pair[1 - position % 2]) for i, pair in enumerate(signed)]
-        for position in range(s)
-    ]
+    One plain and one inverted list are built, each shared by the positions
+    of its parity.
+    """
+    plain = [(1 << i, w.pairs) for i, w in enumerate(elements)]
+    inverted = [(bit, reduce_pairs(orders, inverse_pairs(pairs))) for bit, pairs in plain]
+    return [plain if position % 2 else inverted for position in range(s)]
 
 
 def _prefixes(
     orders: Sequence[int],
-    bits: int,
     levels: Sequence[Level],
     pos: int = 0,
-    prod: Codes = (),
+    prod: Pairs = (),
     mask: int = 0,
-) -> Iterator[tuple[Codes, int]]:
+) -> Iterator[tuple[Pairs, int]]:
     """(reduced product, index bitmask) of every pairwise-distinct choice, one entry per level."""
     if pos == len(levels):
         yield prod, mask
         return
     for bit, piece in levels[pos]:
         if not mask & bit:
-            prefix = _join(orders, bits, prod, piece)
-            yield from _prefixes(orders, bits, levels, pos + 1, prefix, mask | bit)
+            yield from _prefixes(orders, levels, pos + 1, _join(orders, prod, piece), mask | bit)
 
 
 def _z_join(
     orders: Sequence[int],
-    bits: int,
-    left: Iterable[tuple[tuple[Codes, int], int]],
-    right: Sequence[tuple[Codes, int]],
-) -> Counter[Codes]:
+    left: Iterable[tuple[tuple[Pairs, int], int]],
+    right: Sequence[tuple[Pairs, int]],
+) -> Counter[Pairs]:
     """Reduced products of each left part with every right part of disjoint mask.
 
     ``left`` yields ((product, mask), multiplicity); ``right`` lists
     (product, mask), a part reached by c orderings standing in it c times.
-    Each right part is split once into its first factor, first exponent and
-    the letters after them.  A right part whose first factor differs from
-    the left part's last letter only concatenates, and the identity part
-    (first factor 0) always does.  A junction in one factor merges in place
-    unless it cancels; only then does ``_join`` walk the cascade.
     """
-    low = (1 << bits) - 1
-    parts = [
-        (mask, piece[0] >> bits, piece[0] & low, piece[1:], piece) if piece
-        else (mask, 0, 0, piece, piece)
-        for piece, mask in right
-    ]
-    counts: Counter[Codes] = Counter()
+    counts: Counter[Pairs] = Counter()
     for (prod, mask), multiplicity in left:
-        factor = -1
-        if prod:
-            head, last = prod[:-1], prod[-1]
-            factor, last_exp = last >> bits, last & low
-            p = orders[factor - 1]
-            base, cancel = last - last_exp, p - last_exp
-        keys = [
-            prod + piece if first != factor
-            else head + (base + (last_exp + exp) % p,) + rest if exp != cancel
-            else _join(orders, bits, prod, piece)
-            for bit, first, exp, rest, piece in parts
-            if not mask & bit
-        ]
+        keys = [_join(orders, prod, piece) for piece, bit in right if not mask & bit]
         counts.update(keys if multiplicity == 1 else keys * multiplicity)
     return counts
 
@@ -344,23 +293,21 @@ def z_enumerate(
         )
         raise BudgetExceeded(f"{work}, budget is {budget}")
     orders = elements[0].table.orders
-    bits = _code_bits(orders)
-    levels = _levels(_plain_and_inverse(orders, bits, elements), s)
-    right = list(_prefixes(orders, bits, levels[split:]))
+    levels = _levels(orders, elements, s)
+    right = list(_prefixes(orders, levels[split:]))
     if naive:
         # streamed one by one: grouping would hold all perm(n, s - 1) left parts at once
-        left = ((part, 1) for part in _prefixes(orders, bits, levels[:split]))
+        left = ((part, 1) for part in _prefixes(orders, levels[:split]))
         examined = needed
     else:
-        halves = Counter(_prefixes(orders, bits, levels[:split]))
+        halves = Counter(_prefixes(orders, levels[:split]))
         left, examined = halves.items(), len(halves) * len(set(right))
-    counts = _z_join(orders, bits, left, right)
+    counts = _z_join(orders, left, right)
     value = max(counts.values())
-    # code tuples sort like pair tuples, so the least code key is the least canonical key
+    # pair tuples sort like canonical keys, so the least pair tuple has the least key
     witness = min(compress(counts, map(value.__eq__, counts.values())))
     return ZsCertificate(
-        n, value, Word(elements[0].table, _decode(witness, bits)), strategy, examined,
-        BASIS_ENUMERATION,
+        n, value, Word(elements[0].table, witness), strategy, examined, BASIS_ENUMERATION
     )
 
 

@@ -7,8 +7,9 @@ be shared freely between enumeration workers.
 
 A word is its tuple of (factor, exp) pairs.  ``reduce_pairs`` is the one
 reducer of raw sequences and ``inverse_pairs`` the one inverse; the Z_s
-engine in ``counting`` joins reduced operands on integer letter codes of its
-own.  ``Word`` adds the factor table and validates its pairs.
+engine in ``counting`` walks the same reduced pair tuples and joins two of
+them at their junction only.  ``Word`` adds the factor table and validates
+its pairs.
 """
 
 from __future__ import annotations
