@@ -80,7 +80,7 @@ LETTER = st.integers(1, len(TABLE)).flatmap(
 )
 TABLE_WORDS = st.one_of(LETTER, st.randoms(use_true_random=False).map(multi_letter_word))
 
-# factors of orders 5, 11 and 131101, whose letter codes need 18 exponent bits
+# factors of orders 5, 11 and 131101, so exponents run up to 18 bits wide
 WIDE = FactorTable.paper_default(16)
 WIDE_FACTORS = (1, 2, 16)
 
