@@ -15,7 +15,7 @@ tried, with a few whole-integer operations and no per-residue work; only a
 seeded draw, which needs every candidate, writes the top level out as binary
 digits.  A search node one exponent short of the target is decided from the
 top level it would have (``forbidden_after``) without building its levels,
-and counts as one node, as before.
+and counts as one node, so the node count equals the full search's.
 
 The builder is stricter than the property.  Admitting g keeps the property
 when g lies outside level 2s - 1 and 2g outside level 2s - 2; the builder
@@ -308,8 +308,8 @@ def build_factor_set(
 
     A child holding ``target_size - 1`` exponents only asks whether an
     admissible exponent follows its last one, so it is decided from its top
-    level alone (``forbidden_after``); it counts as one node, as before, and
-    so does the exponent that completes the set.
+    level alone (``forbidden_after``); it counts as one node, as does the
+    exponent that completes it, so the node count equals the full search's.
     """
     p = table.order(n)
     if pool_bound > p - 1:

@@ -9,7 +9,6 @@ recomputes from the stored exponents; cached construction data is ignored.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import math
@@ -39,7 +38,6 @@ from .certificates import (
 )
 from .counting import (
     BASIS_CLOSED_FORM,
-    DEFAULT_SUBSET_BUDGET_BITS,
     STRATEGY_MITM,
     STRATEGY_NAIVE,
     extract_quasi_independent,
@@ -126,15 +124,6 @@ def _emit(args, kind: str, claim: Claim, parameters: dict, out=None) -> int:
     return EXIT_OK if claim.holds else EXIT_VIOLATION
 
 
-@contextlib.contextmanager
-def _budget_flag(flag: str):
-    """Name ``flag`` in any budget refusal raised inside the block."""
-    try:
-        yield
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(f"{exc} (raise it with {flag})") from exc
-
-
 def _load_family(path: str):
     cert = read_certificate(path)
     if cert.kind != "family":
@@ -190,20 +179,19 @@ def construction_claim(family) -> Claim:
 def pn_claim(family, budget: int) -> Claim:
     """The avoidance property of each factor at order s, with its first vanishing vector."""
     claims, lines = [], []
-    with _budget_flag("--budget-tuples"):
-        for result in family.results:
-            ok, witness = verify_pn_bruteforce(result.subset, family.s, budget)
-            record = {
-                "exponents": list(result.subset.exponents),
-                "holds": ok,
-                "n": result.n,
-                "p": result.p,
-            }
-            if witness is not None:
-                record["violating_epsilon"] = list(witness.entries)
-            claims.append(record)
-            state = "ok" if ok else f"VIOLATED by epsilon={list(witness.entries)}"
-            lines.append(f"pn n={result.n}: {state}")
+    for result in family.results:
+        ok, witness = verify_pn_bruteforce(result.subset, family.s, budget)
+        record = {
+            "exponents": list(result.subset.exponents),
+            "holds": ok,
+            "n": result.n,
+            "p": result.p,
+        }
+        if witness is not None:
+            record["violating_epsilon"] = list(witness.entries)
+        claims.append(record)
+        state = "ok" if ok else f"VIOLATED by epsilon={list(witness.entries)}"
+        lines.append(f"pn n={result.n}: {state}")
     holds = all(record["holds"] for record in claims)
     return Claim({"claims": claims, "holds": holds, "s": family.s}, lines, holds)
 
@@ -213,8 +201,7 @@ def zs_claim(family, strategy: str, budget: int) -> Claim:
     enumeration used where the closed form does not apply."""
     s = family.s
     bound_half, bound_factorial = zs_paper_target(s)
-    with _budget_flag("--budget-tuples"):
-        cert = z_value(family.union_words(), s, budget=budget, strategy=strategy)
+    cert = z_value(family.union_words(), s, budget=budget, strategy=strategy)
     holds = cert.value <= bound_half
     basis = cert.basis
     if basis != BASIS_CLOSED_FORM:
@@ -266,12 +253,11 @@ def leinert_claim(args) -> Claim:
         targets = [(r.n, r.subset, family.table) for r in family.results]
     searched = []
     first_witness = None
-    with _budget_flag("--budget-tuples"):
-        for n, subset, table in targets:
-            first_witness = leinert_violation(subset.words(table), s, budget=args.budget_tuples)
-            searched.append({"exponents": list(subset.exponents), "n": n, "p": subset.order})
-            if first_witness is not None:
-                break
+    for n, subset, table in targets:
+        first_witness = leinert_violation(subset.words(table), s, budget=args.budget_tuples)
+        searched.append({"exponents": list(subset.exponents), "n": n, "p": subset.order})
+        if first_witness is not None:
+            break
     holds = first_witness is None
     if holds:
         line = f"leinert: no 2s={2 * s} violation found (exact)"
@@ -289,35 +275,34 @@ def leinert_claim(args) -> Claim:
     return Claim(section, [line], holds)
 
 
-def qi_claim(family, budget_bits: int) -> Claim:
+def qi_claim(family) -> Claim:
     """Per factor, the greedy quasi-independent extraction against the
     ceil(log_3 |E_n|) floor, and the lower bound it puts on the Leinert constant."""
     rows, lines = [], []
-    with _budget_flag("--budget-subsets"):
-        for result in family.results:
-            witness = extract_quasi_independent(result.subset, budget_bits)
-            size = len(witness.subset)
-            floor_bound = math.ceil(math.log(len(result.subset.exponents), 3))
-            ok = witness.maximal and size >= floor_bound
-            lower = leinert_lower_bound(
-                FactorSubset(result.subset.factor, result.subset.order, witness.subset)
-            )
-            rows.append(
-                {
-                    "extracted": list(witness.subset),
-                    "extracted_size": size,
-                    "floor_bound": floor_bound,
-                    "leinert_lower_bound": fmt_float(lower),
-                    "maximal": witness.maximal,
-                    "n": result.n,
-                    "ok": ok,
-                    "parent_size": len(witness.parent),
-                }
-            )
-            lines.append(
-                f"qi n={result.n}: |F|={size} >= {floor_bound} maximal={witness.maximal}, "
-                f"leinert constant >= {lower:.17g} {'ok' if ok else 'VIOLATED'}"
-            )
+    for result in family.results:
+        witness = extract_quasi_independent(result.subset)
+        size = len(witness.subset)
+        floor_bound = math.ceil(math.log(len(result.subset.exponents), 3))
+        ok = witness.maximal and size >= floor_bound
+        lower = leinert_lower_bound(
+            FactorSubset(result.subset.factor, result.subset.order, witness.subset)
+        )
+        rows.append(
+            {
+                "extracted": list(witness.subset),
+                "extracted_size": size,
+                "floor_bound": floor_bound,
+                "leinert_lower_bound": fmt_float(lower),
+                "maximal": witness.maximal,
+                "n": result.n,
+                "ok": ok,
+                "parent_size": len(result.subset.exponents),
+            }
+        )
+        lines.append(
+            f"qi n={result.n}: |F|={size} >= {floor_bound} maximal={witness.maximal}, "
+            f"leinert constant >= {lower:.17g} {'ok' if ok else 'VIOLATED'}"
+        )
     holds = all(row["ok"] for row in rows)
     return Claim({"factors": rows, "holds": holds}, lines, holds)
 
@@ -409,9 +394,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = "budget_subsets" if args.kind == "qi" else "budget_tuples"  # the one its kind reads
-    source = args.family or "adhoc"
-    parameters = {budget: getattr(args, budget), "kind": args.kind, "source": source}
+    parameters = {"kind": args.kind, "source": args.family or "adhoc"}
+    if "budget_tuples" in vars(args):  # every kind reads it but qi, which reads no budget
+        parameters["budget_tuples"] = args.budget_tuples
     return _emit(args, args.kind, args.claim(args), parameters)
 
 
@@ -494,7 +479,7 @@ def cmd_norms(args) -> int:
 
 def cmd_report(args) -> int:
     family = _load_family(args.family)
-    qi = qi_claim(family, args.budget_subsets)
+    qi = qi_claim(family)
     claims = {
         "construction": construction_claim(family),
         "pn": pn_claim(family, args.budget_tuples),
@@ -512,7 +497,8 @@ def cmd_report(args) -> int:
         + [f"  {line}" for claim in claims.values() for line in claim.lines],
         all(claim.holds for claim in claims.values()),
     )
-    return _emit(args, "report", report, {"source": args.family})
+    parameters = {"budget_tuples": args.budget_tuples, "source": args.family}
+    return _emit(args, "report", report, parameters)
 
 
 def cmd_witness_weak_sidon(args) -> int:
@@ -536,8 +522,6 @@ def build_parser() -> _Parser:
     output.add_argument("--out", default=None)
     tuples = _Parser(add_help=False)
     tuples.add_argument("--budget-tuples", type=_positive_int, default=DEFAULT_TUPLE_BUDGET)
-    subsets = _Parser(add_help=False)
-    subsets.add_argument("--budget-subsets", type=_positive_int, default=DEFAULT_SUBSET_BUDGET_BITS)
 
     p_primes = sub.add_parser("primes", help="print the factor-order prime table")
     p_primes.add_argument("n_max", type=int)
@@ -576,9 +560,9 @@ def build_parser() -> _Parser:
     p_leinert.add_argument("--exponents", default=None, help="ad-hoc set, e.g. 1,2,3,4")
     p_leinert.add_argument("--order", type=int, default=None, help="cyclic order for --exponents")
     p_leinert.set_defaults(claim=leinert_claim)
-    p_qi = kinds.add_parser("qi", parents=[subsets, output], help="quasi-independent extraction")
+    p_qi = kinds.add_parser("qi", parents=[output], help="quasi-independent extraction")
     p_qi.add_argument("family")
-    p_qi.set_defaults(claim=lambda args: qi_claim(_load_family(args.family), args.budget_subsets))
+    p_qi.set_defaults(claim=lambda args: qi_claim(_load_family(args.family)))
 
     p_norms = sub.add_parser(
         "norms", parents=[output], help="kernel norms and interpolation checks"
@@ -592,7 +576,7 @@ def build_parser() -> _Parser:
     p_norms.set_defaults(func=cmd_norms)
 
     p_report = sub.add_parser(
-        "report", parents=[tuples, subsets, output], help="end-to-end narrative for a family file"
+        "report", parents=[tuples, output], help="end-to-end narrative for a family file"
     )
     p_report.add_argument("family")
     p_report.set_defaults(func=cmd_report)
@@ -622,7 +606,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_IO
     except BudgetExceeded as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
+        # norms refuses on a fixed spectral budget; every other refusal is on this flag
+        hint = " (raise it with --budget-tuples)" if "budget_tuples" in vars(args) else ""
+        print(f"budget refusal: {exc}{hint}", file=sys.stderr)
         return EXIT_BUDGET
     except (CertificateFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,9 +38,9 @@ witness is the least pair tuple among the maximal products.
 The subset sums mod p of a quasi-independent selection are the set bits of a
 p-bit integer, as the builder keeps its strata.  Adding x ORs in the ledger
 rotated by x, and x collides exactly when that rotation meets the ledger, so
-no sum is listed.  The subset budget (``--budget-subsets``) caps the
-selection's size m, and so the table of its 2^m sums in bitmask order, which
-is built only after a collision, to name the first colliding pair.
+no sum is listed.  The subset budget bounds only ``is_quasi_independent``'s
+witness table, the sums in bitmask order up to the first colliding index,
+which is built only after a collision, to name the first colliding pair.
 """
 
 from __future__ import annotations
@@ -415,13 +415,10 @@ def is_quasi_independent(
     The sums are kept as a p-bit ledger, one rotation per exponent.  On failure
     returns the first collision in bitmask scan order as a pair (later subset,
     earlier subset).  Only then is a witness table of subset sums built: the
-    first colliding mask has the first colliding exponent as its top bit, so
-    the table stops there, at 2^(i+1) <= 2^m entries, and is scanned one by one.
+    first colliding mask has the first colliding exponent i as its top bit, so
+    the table stops there, at 2^(i+1) entries: all that the budget bounds.
     """
     exponents = subset.exponents
-    m = len(exponents)
-    if m > budget_bits:
-        raise BudgetExceeded(f"subset-sum table needs 2^{m} entries, budget is 2^{budget_bits}")
     p = subset.order
     mask = (1 << p) - 1
     sums = 1
@@ -431,6 +428,8 @@ def is_quasi_independent(
         sums = _rotate_in(sums, x, p, mask)
     else:
         return True, None
+    if i + 1 > budget_bits:
+        raise BudgetExceeded(f"subset-sum table needs 2^{i + 1} entries, budget is 2^{budget_bits}")
     seen: dict[int, int] = {}
     for later, value in enumerate(_subset_sums(exponents[: i + 1], p)):
         if value in seen:
@@ -443,15 +442,11 @@ def is_quasi_independent(
 class QIWitness:
     """A greedily extracted quasi-independent subset and whether it is maximal."""
 
-    parent: tuple[int, ...]
     subset: tuple[int, ...]
     maximal: bool
 
 
-def extract_quasi_independent(
-    subset: FactorSubset,
-    budget_bits: int = DEFAULT_SUBSET_BUDGET_BITS,
-) -> QIWitness:
+def extract_quasi_independent(subset: FactorSubset) -> QIWitness:
     """Greedy maximal quasi-independent subset, swept in ascending exponent order.
 
     An element joins when its rotation of the selection's p-bit ledger of
@@ -459,7 +454,8 @@ def extract_quasi_independent(
     element collides with a subset of the current selection and therefore with
     every superset, so one sweep is maximal; maximality is still re-verified
     element-by-element against the final ledger before the flag is set.  The
-    greedy result always has size at least log_3 of the parent size.
+    greedy result always has size at least log_3 of the parent size.  No sum is
+    listed, so no subset budget applies.
     """
     if len(subset.exponents) < 1:
         raise ValueError("extraction needs a nonempty parent set")
@@ -468,11 +464,9 @@ def extract_quasi_independent(
     chosen: list[int] = []
     sums = 1
     for x in subset.exponents:
-        if len(chosen) >= budget_bits:
-            raise BudgetExceeded(f"selection reached 2^{budget_bits} subset sums")
         if not _collides(sums, x, p):
             chosen.append(x)
             sums = _rotate_in(sums, x, p, mask)
     selected = set(chosen)
     maximal = all(_collides(sums, x, p) for x in subset.exponents if x not in selected)
-    return QIWitness(parent=subset.exponents, subset=tuple(chosen), maximal=maximal)
+    return QIWitness(subset=tuple(chosen), maximal=maximal)

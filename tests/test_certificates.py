@@ -75,13 +75,13 @@ def test_parse_rejects_bad_documents():
         parse('{"format_version": 1, "kind": "family", "payload": {}}')
 
 
-# the name predates format 3: the readable versions are now the integers 1 to 9
-@pytest.mark.parametrize("version", ["true", "1.0", "2.0", "10", "0", '"1"', "null"])
+# the name predates format 3: the readable versions are now the integers 1 to 10
+@pytest.mark.parametrize("version", ["true", "1.0", "2.0", "11", "0", '"1"', "null"])
 def test_parse_takes_only_the_integer_version_1_or_2(version):
     doc = '{"format_version": %s, "kind": "family", "payload": {}, "provenance": {}}'
-    for readable in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+    for readable in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
         assert parse(doc % readable).format_version == readable
-    message = "format_version .*; expected the integer 1, 2, 3, 4, 5, 6, 7, 8 or 9$"
+    message = "format_version .*; expected the integer 1, 2, 3, 4, 5, 6, 7, 8, 9 or 10$"
     with pytest.raises(CertificateFormatError, match=message):
         parse(doc % version)
 

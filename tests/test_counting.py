@@ -513,9 +513,17 @@ def test_quasi_independent_matches_the_dict_scan_oracle(candidate):
 
 
 def test_quasi_independent_budget():
-    subset = FactorSubset(1, 10007, tuple(range(1, 26)))
-    with pytest.raises(BudgetExceeded):
-        is_quasi_independent(subset, budget_bits=10)
+    # the budget bounds the witness table, 2^(i+1) sums at the first colliding index i
+    powers = tuple(1 << k for k in range(10))
+    with pytest.raises(BudgetExceeded, match=r"needs 2\^11 entries"):
+        is_quasi_independent(FactorSubset(1, 10007, powers + (1023,)), budget_bits=10)
+    nine = powers[:9]
+    assert is_quasi_independent(FactorSubset(1, 10007, nine + (511,)), budget_bits=10) == (
+        False, ((511,), nine)
+    )
+    # no collision, so no table, however many elements: 25 powers of two at p_24
+    subset = FactorSubset(1, 33554467, tuple(1 << k for k in range(25)))
+    assert is_quasi_independent(subset, budget_bits=10) == (True, None)
 
 
 def test_extract_examples():
@@ -582,7 +590,6 @@ def test_extraction_matches_the_list_and_set_oracle(candidate):
         return
     witness = extract_quasi_independent(FactorSubset(1, p, exponents))
     assert (witness.subset, witness.maximal) == extraction_oracle(exponents, p)
-    assert witness.parent == exponents
 
 
 def test_extraction_memory_stays_near_one_ledger():
