@@ -25,6 +25,7 @@ from .builder import (
     epsilon_vector_count,
     half_table_size,
     strata_extend,
+    strict_table_size,
     verify_pn_bruteforce,
 )
 from .certificates import (

@@ -24,7 +24,17 @@ so any bound on the sets with the property bounds the builder too, though
 not the other way round.  One such bound is a count: an N-set with the
 property has sum_{k<=s} C(N, k) * 2^k distinct signed sums of at most s terms
 (see ``verify_pn_bruteforce``), so none exists in Z_p once that count exceeds
-p, and the builder then walks instead of searching.
+p.  The builder's own rule keeps 2^(s+1) * C(N-1, s) more sums distinct, those
+of s + 1 terms that use the last exponent admitted (``strict_table_size``),
+so it reaches no N-set once that larger count exceeds p, and it then walks
+instead of searching.  At desk s=4, n=8 (p = 521, target 6) the property
+count is 473 and the strict count 633: no 6-set is strictly admitted, while
+whether a 6-set with the property exists in Z_521 stays open.  Admitting by
+the property itself (g outside level 2s - 1, 2g outside level 2s - 2) voids
+the strict count, and the walk test must then go back to the property count.
+
+A ledger holds p-bit integers, so orders above ``MAX_LEDGER_BITS`` are
+refused before any is built.
 """
 
 from __future__ import annotations
@@ -40,12 +50,22 @@ from .primes import FactorTable, is_prime
 from .words import Word, letter_word
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
+# The largest order whose p-bit ledgers are built.  No flag changes it: it
+# admits n <= 24, where the desk s=2 build (p = 33,554,467) peaks at 490 MB
+# RSS, and each factor past it doubles the ledgers.
+MAX_LEDGER_BITS = 1 << 26
 
 
 def check_even_s(s: int) -> None:
     """Reject a parameter s that is not an even integer >= 2."""
     if not isinstance(s, int) or s < 2 or s % 2 != 0:
         raise ValueError(f"s must be an even integer >= 2, got {s!r}")
+
+
+def check_ledger_order(p: int) -> None:
+    """Refuse, before allocating it, a p-bit ledger over ``MAX_LEDGER_BITS``."""
+    if p > MAX_LEDGER_BITS:
+        raise BudgetExceeded(f"p-bit ledger at p={p} exceeds the {MAX_LEDGER_BITS}-bit limit")
 
 
 @dataclass(frozen=True)
@@ -110,6 +130,7 @@ class ForbiddenStrata:
     @classmethod
     def empty(cls, p: int, s: int) -> "ForbiddenStrata":
         check_even_s(s)
+        check_ledger_order(p)
         return cls(p, s, (1,) * (2 * s + 1))
 
     @property
@@ -239,9 +260,9 @@ class BuildResult:
 
     ``nodes_searched`` counts admission steps and ``search_exhausted`` says the
     search stopped before its node budget: a deterministic search then visited
-    its whole tree, a walk (seeded, or on a target the count rules out)
-    reached a dead end.  A family read back from a format-1 file, which stored
-    neither, has both as None.
+    its whole tree, a walk (seeded, or on a target the strict count rules
+    out, such as 6 at desk s=4, n=8) reached a dead end.  A family read back
+    from a format-1 file, which stored neither, has both as None.
     """
 
     subset: FactorSubset
@@ -297,9 +318,9 @@ def build_factor_set(
     admissible pool exponents and never backtracks: a random greedy walk,
     reproducible from the seed.  A chosen exponent lies in level 1, so it is
     never drawn twice.
-    When ``half_table_size(target_size, s) > p`` no target-sized set exists,
-    so deterministic mode walks too, taking each node's smallest admissible
-    exponent: the plain greedy path, ending at a dead end.
+    When ``strict_table_size(target_size, s) > p`` the builder's rule admits
+    no target-sized set, so deterministic mode walks too, taking each node's
+    smallest admissible exponent: the plain greedy path, ending at a dead end.
 
     Every step avoids all residues reachable as weight <= 2s combinations of
     the prefix, for the candidate and for its double, so every prefix of the
@@ -317,7 +338,7 @@ def build_factor_set(
     best_chosen = ()
     nodes = 0
     exhausted = True
-    walk = rng is not None or half_table_size(target_size, s) > p
+    walk = rng is not None or strict_table_size(target_size, s) > p
 
     def candidates(forbidden: int, chosen: tuple[int, ...]) -> Iterator[int]:
         """A node's exponents to try, read from its top level: every
@@ -384,6 +405,25 @@ def half_table_size(n_elements: int, s: int) -> int:
     sum_{k<=s} C(N, k) * 2^k.  An N-set with the avoidance property keeps
     them all distinct mod p, so none exists once this exceeds p."""
     return sum(math.comb(n_elements, k) * 2**k for k in range(s + 1))
+
+
+def strict_table_size(n_elements: int, s: int) -> int:
+    """The half table plus the signed sums of exactly s + 1 of N exponents
+    that use the last one: ``half_table_size(N, s) + 2^(s+1) * C(N-1, s)``.
+    N exponents admitted one by one under the builder's rule keep them all
+    distinct mod p, so the builder reaches no N-set once this exceeds p.
+
+    Take two such coefficient vectors u != w and the last index j where they
+    differ.  Then (u - w)_j is +-1 or +-2 and u - w weighs at most 2s before
+    j: both of weight <= s; one of weight s + 1 against one of weight <= s,
+    the last coordinate cancelling, doubling or met by a zero; or both of
+    weight s + 1, the last coordinate cancelling or doubling.  So u - w
+    vanishing would put g_j or 2 g_j in level 2s of the exponents admitted
+    before it, which the rule forbids.  The property alone asks only that
+    g_j stay outside level 2s - 1 and 2 g_j outside level 2s - 2, so this
+    count bounds the builder's rule, not the property.
+    """
+    return half_table_size(n_elements, s) + 2 ** (s + 1) * math.comb(max(n_elements - 1, 0), s)
 
 
 def epsilon_vector_count(n_elements: int, s: int) -> int:
@@ -535,6 +575,8 @@ def build_family(
     if n_min > n_max:
         raise ValueError(f"empty factor range: n_min={n_min} exceeds n_max={n_max}")
     table = FactorTable.paper_default(n_max)
+    for n in range(n_min, n_max + 1):  # refuse before the first factor is built
+        check_ledger_order(table.order(n))
     rng = random.Random(seed) if seed is not None else None
     built = tuple(
         build_factor_set(n, s, rules.target_size(n, s), rules.pool_bound(n), table, rng)

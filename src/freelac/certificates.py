@@ -18,8 +18,8 @@ from typing import Any
 from .builder import PROFILES, BuildResult, FactorSubset, LacunaryFamily, check_even_s
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
 
-FORMAT_VERSION = 10
-READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+FORMAT_VERSION = 11
+READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 KINDS = ("family", "pn", "zs", "leinert", "qi", "spectrum", "report")
 
 TOOL_NAME = "freelac"
@@ -128,7 +128,7 @@ def read_certificate(path: str) -> CertificateFile:
 
 
 def family_to_payload(family: LacunaryFamily) -> dict:
-    """The payload of a built family, search record included; formats 2 to 10 share it."""
+    """The payload of a built family, search record included; formats 2 to 11 share it."""
     factors = []
     for result in family.results:
         factors.append(

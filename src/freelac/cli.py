@@ -23,6 +23,7 @@ from .builder import (
     PROFILES,
     build_family,
     half_table_size,
+    strict_table_size,
     verify_pn_bruteforce,
 )
 from .certificates import (
@@ -133,12 +134,17 @@ def _load_family(path: str):
 
 def _search_label(result, family) -> str:
     """Why a factor of ``family`` met its target or not: the half-table count
-    when it rules the target out, else the factor's search record."""
+    when it rules the target out for every set with the property, else the
+    strict count when it rules it out for the builder's rule, else the
+    factor's search record."""
     if result.feasible:
         return "ok"
     count = half_table_size(result.target_size, family.s)
     if count > result.p:
         return f"count: C={count} > p={result.p}"
+    count = strict_table_size(result.target_size, family.s)
+    if count > result.p:
+        return f"strict count: C={count} > p={result.p}"
     if result.search_exhausted is None:
         return "search not recorded"
     if not result.search_exhausted:

@@ -38,9 +38,11 @@ witness is the least pair tuple among the maximal products.
 The subset sums mod p of a quasi-independent selection are the set bits of a
 p-bit integer, as the builder keeps its strata.  Adding x ORs in the ledger
 rotated by x, and x collides exactly when that rotation meets the ledger, so
-no sum is listed.  The subset budget bounds only ``is_quasi_independent``'s
-witness table, the sums in bitmask order up to the first colliding index,
-which is built only after a collision, to name the first colliding pair.
+no sum is listed; an order above the builder's ``MAX_LEDGER_BITS`` is
+refused before the ledger is built.  The subset budget bounds only
+``is_quasi_independent``'s witness table, the sums in bitmask order up to
+the first colliding index, which is built only after a collision, to name
+the first colliding pair.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .builder import (
     FactorSubset,
     _vanishing_difference,
     check_even_s,
+    check_ledger_order,
     half_table_size,
 )
 from .errors import BudgetExceeded
@@ -420,6 +423,7 @@ def is_quasi_independent(
     """
     exponents = subset.exponents
     p = subset.order
+    check_ledger_order(p)
     mask = (1 << p) - 1
     sums = 1
     for i, x in enumerate(exponents):
@@ -460,6 +464,7 @@ def extract_quasi_independent(subset: FactorSubset) -> QIWitness:
     if len(subset.exponents) < 1:
         raise ValueError("extraction needs a nonempty parent set")
     p = subset.order
+    check_ledger_order(p)
     mask = (1 << p) - 1
     chosen: list[int] = []
     sums = 1

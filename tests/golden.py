@@ -43,7 +43,8 @@ GROUPS = {
     ],
     # Z_4 = 4 here, where the least witness among several maxima is chosen
     "desk4-n10": [
-        # the n=8 factor stops at 5 of 6 elements on its search budget
+        # the strict count (633 > 521) rules out the n=8 factor's target, so
+        # it walks the greedy path to a dead end at 5 of 6 elements, 5 nodes
         (["build", "--s", "4", "--n-max", "10", "--out", "family.json"], 2),
         (["verify", "zs", "family.json", "--out", "zs.json"], 0),
         (["verify", "zs", "family.json", "--strategy", "meet-in-middle",

@@ -38,14 +38,15 @@ def all_strata_search(
     builder reads that node's top level alone.  Returns (nodes,
     exhausted, chosen).
 
-    The budget is read from ``builder.DEFAULT_SEARCH_BUDGET`` at call time, so
-    a test that patches it patches this search too.
+    The budget and the walk test are read from ``builder.DEFAULT_SEARCH_BUDGET``
+    and ``builder.strict_table_size`` at call time, so a test that patches
+    either patches this search too.
     """
     p = table.order(n)
     best_chosen: tuple[int, ...] = ()
     nodes = 0
     exhausted = True
-    walk = rng is not None or builder.half_table_size(target_size, s) > p
+    walk = rng is not None or builder.strict_table_size(target_size, s) > p
 
     def dfs(strata, chosen, start):
         nonlocal best_chosen, nodes, exhausted

@@ -147,9 +147,10 @@ def test_criterion_3_tuple_count_bounds(desk2_family, desk4_family, capsys):
 
     bound4, _ = zs_paper_target(4)
     union4 = desk4_family.union_words()
-    # n=8 at s=4 is infeasible within the search budget (the order-521 search
-    # stops at 5 of 6 exponents below 2^8 without ruling out a sixth);
-    # the partial factor is kept, so the union carries 29 of the nominal 30
+    # n=8 at s=4 is infeasible for the builder (its rule admits no 6-set at
+    # order 521, though one with the property is not ruled out), so it walks
+    # to 5 of 6 exponents below 2^8; the partial factor is kept, so the union
+    # carries 29 of the nominal 30
     sizes = {r.n: len(r.subset) for r in desk4_family.results}
     assert sizes == {8: 5, 9: 6, 10: 6, 11: 6, 12: 6}
     assert len(union4) == 29

@@ -27,6 +27,8 @@ from freelac import (
     build_family,
     choose_next,
     epsilon_vector_count,
+    extract_quasi_independent,
+    is_quasi_independent,
     strata_extend,
     verify_pn_bruteforce,
 )
@@ -305,31 +307,38 @@ def test_build_n10_passes_bruteforce():
 
 
 def test_budget_bound_search_is_pinned():
-    # these trees stop at exactly 5,000 nodes, so a change in the order the
-    # search visits them shows up here first
-    result = build_factor_set(8, 4, 6, 256, TABLE)
+    # the desk s=2 n=7 tree (p = 257, target 7) stops at exactly 5,000 nodes,
+    # so a change in the order the search visits it shows up here first
+    result = build_factor_set(7, 2, 7, 128, TABLE)
     assert (result.nodes_searched, result.search_exhausted) == (5000, False)
-    assert result.chosen == (1, 3, 9, 27, 81)
-    # the desk s=2 targets 4..7 fit under the count, so these pools are
-    # searched: the same trees the paper builds searched before the count
+    assert result.chosen == (1, 3, 9, 23, 39, 67)
+    # the desk s=2 targets 4..6 fit under the property count but not under
+    # the strict count (57 > 37, 99 > 67, 153 > 131), so those factors walk
     family = build_family(2, (4, 7), "desk")
     assert [(r.n, r.nodes_searched, r.search_exhausted) for r in family.results] == [
-        (4, 212, True),
-        (5, 2807, True),
-        (6, 5000, False),
+        (4, 3, True),
+        (5, 3, True),
+        (6, 5, True),
         (7, 5000, False),
     ]
     assert [r.chosen for r in family.results] == [
         (1, 3, 9), (1, 3, 9), (1, 3, 9, 23, 39), (1, 3, 9, 23, 39, 67)
     ]
+    # target 4 at p = 67 fits under both counts; with pool [1, 8] the search
+    # visits its whole tree without a 4-set, keeping its first 3-set
+    result = build_factor_set(5, 2, 4, 8, TABLE)
+    assert (result.nodes_searched, result.search_exhausted) == (33, True)
+    assert result.chosen == (5, 7, 8)
 
 
 def test_desk4_search_records_are_pinned(desk4_family):
-    # the desk s=4 orders 521 .. 8,209: n=8 stops on its budget, every other
-    # factor takes its first candidate at each of its 6 nodes
+    # the desk s=4 orders 521 .. 8,209: the strict count rules out n=8's
+    # target (633 > 521), so it walks the greedy path to a dead end in 5
+    # nodes; every other factor takes its first candidate at each of its 6
+    assert (builder.half_table_size(6, 4), builder.strict_table_size(6, 4)) == (473, 633)
     records = [(r.n, r.chosen, r.nodes_searched, r.search_exhausted) for r in desk4_family.results]
     assert records == [
-        (8, (1, 3, 9, 27, 81), 5000, False),
+        (8, (1, 3, 9, 27, 81), 5, True),
         (9, (1, 3, 9, 27, 81, 239), 6, True),
         (10, (1, 3, 9, 27, 81, 239), 6, True),
         (11, (1, 3, 9, 27, 81, 239), 6, True),
@@ -357,12 +366,19 @@ def test_search_memory_stays_near_its_levels():
 
 
 # a budget that refuses the 47th node, the exponent that would complete the
-# set, keeps the 7-element prefix and marks the search cut short
-PINNED_SEARCHES = {(8, 2, 8, 256, 46, None): (46, False, (1, 3, 9, 23, 39, 67, 117))}
+# set, keeps the 7-element prefix and marks the search cut short; desk s=2
+# n=4's target fits under the property count (33 <= 37) but not under the
+# strict count (57 > 37), so the builder and the oracle both walk it in 3
+# nodes instead of searching 212
+PINNED_SEARCHES = {
+    (8, 2, 8, 256, 46, None): (46, False, (1, 3, 9, 23, 39, 67, 117)),
+    (4, 2, 4, 16, 300, None): (3, True, (1, 3, 9)),
+}
 
 
 @settings(deadline=None)
 @example(n=8, s=2, target=8, pool=256, budget=46, seed=None)
+@example(n=4, s=2, target=4, pool=16, budget=300, seed=None)
 @given(
     n=st.integers(1, 8),
     s=st.sampled_from([2, 4]),
@@ -407,11 +423,13 @@ def test_paper_targets_the_count_rules_out_walk_the_greedy_path(s, chosen):
 
 # sha256 of json.dumps([[n, nodes_searched, search_exhausted, list(chosen)], ...])
 # over each family's factors, as the search wrote them before the count rule:
-# the count rules out none of the unseeded targets, and a seeded build walked
-# already, so the rule must leave every record as it was
+# the property count rules out none of the unseeded targets, and a seeded
+# build walked already, so that rule left every record as it was.  The strict
+# count rules out desk s=4's n=8 target, whose record went from a search cut
+# at 5,000 nodes to a 5-node walk with the same exponents; no other changed
 SEARCH_RECORD_SHA256 = {
     (2, "desk", None): "7107993283f7051e0c8debf619442e9dc61857dd8b637af757d36921c747c756",
-    (4, "desk", None): "66ed739f77a87d515da56f5b305417c8a9649d16476a925e1f5dfb4bee7e81f9",
+    (4, "desk", None): "e340341b8fa4cdd16750b758e94ed77176a376f0c510296727f2a6464220769b",
     (2, "tiny", None): "f83e6b774634e11998687656751bf01ff7b880489f70e17ab9ef9459316e2dbd",
     (4, "tiny", None): "f83e6b774634e11998687656751bf01ff7b880489f70e17ab9ef9459316e2dbd",
     (2, "paper", 7): "5c08693c7c45fdb0b44d204818c73629763b627fb5cfed12b117f4c566204c67",
@@ -525,6 +543,81 @@ def test_half_table_is_distinct_exactly_when_nothing_vanishes(exponent_set, s):
     distinct = len(np.unique(residues)) == len(residues)
     assert distinct == (first_vanishing_oracle(exponents, p, s) is None)
     assert (builder._vanishing_difference(exponents, p, s) is None) == distinct
+
+
+@st.composite
+def strictly_admitted(draw):
+    """An odd prime p below 400, s in {2, 4}, and 1 to 9 exponents that the
+    builder's rule admits one after another, each a uniform draw among the
+    admissible residues, stopping early at a dead end."""
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_400))
+    s = draw(st.sampled_from([2, 4]))
+    size = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    strata, chosen = ForbiddenStrata.empty(p, s), []
+    while len(chosen) < size:
+        g = choose_next(strata, p - 1, rng=rng)
+        if g is None:
+            break
+        chosen.append(g)
+        strata = strata_extend(strata, g)
+    return p, s, tuple(chosen)
+
+
+@settings(deadline=None)
+@given(strictly_admitted())
+def test_strictly_admitted_sets_keep_the_strict_table_distinct(case):
+    # the half table, every u in {0, +-1}^N of weight <= s, and every u of
+    # weight s + 1 with u_N != 0 (N the last exponent admitted) give distinct
+    # sums mod p, so strict_table_size(N, s) <= p for every set the builder
+    # reaches.  Admitting by the property itself breaks this
+    p, s, chosen = case
+    vectors = cube(len(chosen), (-1, 0, 1))
+    weight = np.abs(vectors).sum(axis=1)
+    vectors = vectors[(weight <= s) | ((weight == s + 1) & (vectors[:, -1] != 0))]
+    assert len(vectors) == builder.strict_table_size(len(chosen), s) <= p
+    residues = (vectors @ np.array(chosen, dtype=np.int64)) % p
+    assert len(np.unique(residues)) == len(residues)
+
+
+def test_no_search_reaches_a_target_the_strict_count_rules_out(monkeypatch):
+    # with the walk test back on the property count alone and a budget of
+    # 20,000 nodes, every target in the gap between the two counts at the odd
+    # primes below 64 is searched over pool [1, p - 1]: all ten trees are
+    # visited whole, and none holds a target-sized set
+    strict = builder.strict_table_size
+    monkeypatch.setattr(builder, "strict_table_size", builder.half_table_size)
+    monkeypatch.setattr(builder, "DEFAULT_SEARCH_BUDGET", 20_000)
+    searched = {}
+    for p in (q for q in ODD_PRIMES_BELOW_400 if q < 64):
+        for s in (2, 4):
+            for target in range(1, p):
+                if builder.half_table_size(target, s) <= p < strict(target, s):
+                    result = build_factor_set(1, s, target, p - 1, FactorTable.explicit([p]))
+                    assert not result.feasible and result.search_exhausted
+                    searched[p, s, target] = result.nodes_searched
+    assert searched == {
+        (19, 2, 3): 126, (23, 2, 3): 198, (37, 2, 4): 1584, (41, 2, 4): 2640,
+        (43, 2, 4): 3318, (47, 2, 4): 5014, (53, 2, 4): 8528, (53, 2, 5): 8528,
+        (59, 2, 5): 13398, (61, 2, 5): 15360,
+    }
+
+
+def test_an_order_over_the_ledger_limit_is_refused_before_building(monkeypatch):
+    # p_24 = 33,554,467 fits under 2^26 bits and p_25 = 67,108,879 does not;
+    # a range that reaches n=25 is refused before its first factor is built
+    table = FactorTable.paper_default(25)
+    builder.check_ledger_order(table.order(24))
+    refusal = "p-bit ledger at p=67108879 exceeds the 67108864-bit limit"
+    with pytest.raises(BudgetExceeded, match=refusal):
+        ForbiddenStrata.empty(table.order(25), 2)
+    monkeypatch.setattr(builder, "build_factor_set", lambda *args: pytest.fail("built a factor"))
+    with pytest.raises(BudgetExceeded, match=refusal):
+        build_family(2, (8, 25))
+    subset = FactorSubset(25, table.order(25), (1, 2))
+    for ledger in (extract_quasi_independent, is_quasi_independent):
+        with pytest.raises(BudgetExceeded, match=refusal):
+            ledger(subset)
 
 
 @st.composite

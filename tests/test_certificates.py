@@ -75,13 +75,13 @@ def test_parse_rejects_bad_documents():
         parse('{"format_version": 1, "kind": "family", "payload": {}}')
 
 
-# the name predates format 3: the readable versions are now the integers 1 to 10
-@pytest.mark.parametrize("version", ["true", "1.0", "2.0", "11", "0", '"1"', "null"])
+# the name predates format 3: the readable versions are now the integers 1 to 11
+@pytest.mark.parametrize("version", ["true", "1.0", "2.0", "12", "0", '"1"', "null"])
 def test_parse_takes_only_the_integer_version_1_or_2(version):
     doc = '{"format_version": %s, "kind": "family", "payload": {}, "provenance": {}}'
-    for readable in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+    for readable in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
         assert parse(doc % readable).format_version == readable
-    message = "format_version .*; expected the integer 1, 2, 3, 4, 5, 6, 7, 8, 9 or 10$"
+    message = "format_version .*; expected the integer 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 or 11$"
     with pytest.raises(CertificateFormatError, match=message):
         parse(doc % version)
 
@@ -104,8 +104,9 @@ def test_family_payload_round_trip():
 
 
 def test_loaded_family_does_not_claim_an_exhausted_search():
-    # the n=8 factor stops on its node budget, and the family file records that
-    family = build_family(4, (8, 8), "desk")
+    # the desk s=2 n=7 factor stops on its node budget, and the family file
+    # records that
+    family = build_family(2, (7, 7), "desk")
     (built,) = family.results
     assert (built.nodes_searched, built.search_exhausted) == (5000, False)
     payload = family_to_payload(family)

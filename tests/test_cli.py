@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -110,9 +111,10 @@ def test_build_partial_exit_code(tmp_path):
 
 
 def test_build_s4_desk_records_partial_n8(tmp_path):
-    # the search of the order-521 factor stops on its node budget at 5 of 6
-    # exponents below 2^8 (a sixth is neither found nor ruled out); the build
-    # keeps the 5-element partial and reports partial success
+    # the builder's rule admits no 6-set at order 521 (strict count 633 > 521),
+    # so that factor walks to 5 of 6 exponents below 2^8 (whether a 6-set with
+    # the property exists stays open); the build keeps the 5-element partial
+    # and reports partial success
     out = tmp_path / "fam4.json"
     code = main(["build", "--s", "4", "--profile", "desk", "--out", str(out)])
     assert code == EXIT_VIOLATION
@@ -127,17 +129,24 @@ def test_build_s4_desk_records_partial_n8(tmp_path):
 @pytest.mark.parametrize(
     "build, label",
     [
-        (["--s", "4", "--profile", "desk", "--n-min", "8", "--n-max", "8"],
+        (["--s", "2", "--profile", "desk", "--n-min", "7", "--n-max", "7"],
          "INFEASIBLE (search budget: 5000 nodes)"),
-        (["--s", "2", "--profile", "desk", "--n-min", "4", "--n-max", "4"],
+        (["--s", "2", "--profile", "tiny", "--n-min", "5", "--n-max", "5"],
          "INFEASIBLE (exhausted)"),
-        (["--s", "4", "--n-min", "8", "--n-max", "8", "--seed", "3"],
+        (["--s", "2", "--n-min", "8", "--n-max", "8", "--seed", "5"],
          "INFEASIBLE (seeded walk: dead end)"),
         (["--s", "2", "--profile", "paper", "--n-min", "3", "--n-max", "3"],
          "INFEASIBLE (count: C=163 > p=17)"),
+        (["--s", "4", "--profile", "desk", "--n-min", "8", "--n-max", "8"],
+         "INFEASIBLE (strict count: C=633 > p=521)"),
     ],
 )
-def test_build_says_why_a_factor_is_infeasible(tmp_path, capsys, build, label):
+def test_build_says_why_a_factor_is_infeasible(tmp_path, capsys, monkeypatch, build, label):
+    # no profile leaves a target that both counts allow to a search that
+    # exhausts its tree, so the tiny profile asks for 4 exponents here: at n=5
+    # (p = 67, pool [1, 32]) the search visits all 2,807 nodes without a 4-set
+    tiny = dataclasses.replace(builder.PROFILES["tiny"], target_size=lambda n, s: 4)
+    monkeypatch.setitem(builder.PROFILES, "tiny", tiny)
     out = tmp_path / "fam.json"
     assert main(["build", *build, "--out", str(out)]) == EXIT_VIOLATION
     (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n=")]
@@ -359,7 +368,8 @@ def test_family_file_is_read_strictly(tmp_path, capsys, command, tamper, message
     "name, build, leinert_exit, unrecorded",
     [
         ("desk2-v1.json", ["--s", "2"], EXIT_OK, []),
-        ("desk4-n10-v1.json", ["--s", "4", "--n-max", "10"], EXIT_VIOLATION, [8]),
+        # n=8 stored no search record, but the strict count (633 > 521) labels it
+        ("desk4-n10-v1.json", ["--s", "4", "--n-max", "10"], EXIT_VIOLATION, []),
     ],
 )
 def test_format_1_family_reads_as_before(
@@ -371,30 +381,59 @@ def test_format_1_family_reads_as_before(
     v1 = DATA / name
     assert hashlib.sha256(v1.read_bytes()).hexdigest() == V1_FAMILY_SHA256[name]
     built = main(["build", *build, "--out", "v2.json"])
-    assert built == (EXIT_VIOLATION if unrecorded else EXIT_OK)
+    factors = read_json("v2.json")["payload"]["factors"]
+    assert built == (EXIT_OK if all(f["feasible"] for f in factors) else EXIT_VIOLATION)
     for kind in ("pn", "zs", "leinert", "qi"):
         expected = leinert_exit if kind == "leinert" else EXIT_OK
         assert main(["verify", kind, str(v1), "--out", f"{kind}-v1.json"]) == expected
         assert main(["verify", kind, "v2.json", "--out", f"{kind}-v2.json"]) == expected
         assert read_json(f"{kind}-v1.json")["payload"] == read_json(f"{kind}-v2.json")["payload"]
+    assert main(["report", "v2.json", "--out", "report-v2.json"]) == EXIT_OK
     capsys.readouterr()
     assert main(["report", str(v1), "--out", "report.json"]) == EXIT_OK
     rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
     assert [r["n"] for r in rows if r["status"] == "search not recorded"] == unrecorded
-    assert all(r["status"] == "ok" for r in rows if r["n"] not in unrecorded)
+    # every other row reads as the rebuilt family's: met, or ruled out by a count
+    rebuilt = read_json("report-v2.json")["payload"]["sections"]["construction"]["rows"]
+    assert [r for r in rows if r["n"] not in unrecorded] == [
+        r for r in rebuilt if r["n"] not in unrecorded
+    ]
     printed = capsys.readouterr().out.count("infeasible (search not recorded)")
     assert printed == len(unrecorded)
 
 
 def test_resaved_format_1_family_reports_search_not_recorded(tmp_path, monkeypatch, capsys):
+    # the format-1 desk s=4 family with n=9's last exponent dropped: 5 of 6 at
+    # p = 1031, a target neither count settles (473 and 633 are below 1031),
+    # so only a search record could say why it was missed
     monkeypatch.chdir(tmp_path)
     v1 = read_certificate(str(DATA / "desk4-n10-v1.json"))
+    factor = v1.payload["factors"][1]
+    assert (factor["n"], factor["exponents"][-1]) == (9, 239)
+    factor["exponents"] = factor["chosen"] = factor["exponents"][:-1]
+    factor["feasible"] = False
+    v1.payload["n_feasible"] = 10
     family = family_from_payload(v1.payload, v1.format_version)
     write_certificate("resaved.json", CertificateFile("family", family_to_payload(family), {}))
     assert read_json("resaved.json")["format_version"] == FORMAT_VERSION
     assert main(["report", "resaved.json", "--out", "report.json"]) == EXIT_OK
     rows = read_json("report.json")["payload"]["sections"]["construction"]["rows"]
-    assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [8]
+    assert [r["n"] for r in rows if r["status"] == "search not recorded"] == [9]
+    assert rows[0]["status"] == "strict count: C=633 > p=521"
+    printed = capsys.readouterr().out
+    assert "n=  9 p=    1031 |E_n|=  5/6   infeasible (search not recorded)" in printed
+
+
+def test_build_refuses_a_ledger_over_the_limit_before_building(tmp_path, capsys):
+    # order p_40 = 2,199,023,255,579 would need p-bit integers: refused with
+    # exit 3 and no family written; no flag raises the limit
+    out = tmp_path / "family.json"
+    code = main(["build", "--s", "2", "--n-min", "40", "--n-max", "40", "--out", str(out)])
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget refusal: p-bit ledger at p=2199023255579 exceeds the 67108864-bit limit\n"
+    )
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
