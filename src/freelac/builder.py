@@ -7,15 +7,23 @@ vanishes mod p.  The builder keeps the residues the combinations reach level
 by level, level w holding those of weight at most w, so each new exponent g
 is admitted exactly when neither g nor 2g lies in the top level 2s.
 
-The ledger keeps each level as one p-bit integer (bit r set when residue r
-is reached).  Admitting g rotates the lower levels by +-g and +-2g and ORs
-them in, with no loop over residues.  The search finds its next exponent by
-probing the top level for its lowest clear bit at or above the last exponent
-tried, with a few whole-integer operations and no per-residue work; only a
-seeded draw, which needs every candidate, writes the top level out as binary
-digits.  A search node one exponent short of the target is decided from the
-top level it would have (``forbidden_after``) without building its levels,
-and counts as one node, so the node count equals the full search's.
+The ledger keeps each level as one integer of unreduced sums: bit t + offset
+is set when the integer sum t = sum(eps_j * g_j) is reached, where offset =
+2s * max(chosen) bounds every |t|.  Admitting g ORs in the lower levels
+shifted by +-g and +-2g, with no rotation, no mask and no loop over residues;
+a larger exponent first moves every level up to its larger offset.  The
+levels are folded mod p only where two sums can meet mod p: when read as
+residues (``ForbiddenStrata.bits``), and when the window [-offset, offset]
+is as wide as p.  While it is narrower, each residue has at most two
+aliases in it, so the search finds its next exponent by probing the top
+level for its lowest clear sum at or above the last exponent tried and
+bit-testing the other aliases of it and of its double, with a few
+whole-integer operations and no per-residue work (``_first_admissible``).
+At desk s=2, n=16 the window is 9,449 bits against p = 131,101.  Only a
+seeded draw, which needs every candidate, writes the folded top level out as
+binary digits.  A search node one exponent short of the target is decided
+from the top level it would have (``forbidden_after``) without building its
+levels, and counts as one node, so the node count equals the full search's.
 
 The builder is stricter than the property.  Admitting g keeps the property
 when g lies outside level 2s - 1 and 2g outside level 2s - 2; the builder
@@ -33,8 +41,8 @@ whether a 6-set with the property exists in Z_521 stays open.  Admitting by
 the property itself (g outside level 2s - 1, 2g outside level 2s - 2) voids
 the strict count, and the walk test must then go back to the property count.
 
-A ledger holds p-bit integers, so orders above ``MAX_LEDGER_BITS`` are
-refused before any is built.
+A fold, a seeded draw and a wide window read p bits, so orders above
+``MAX_LEDGER_BITS`` are refused before any ledger is built.
 """
 
 from __future__ import annotations
@@ -50,9 +58,11 @@ from .primes import FactorTable, is_prime
 from .words import Word, letter_word
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
-# The largest order whose p-bit ledgers are built.  No flag changes it: it
-# admits n <= 24, where the desk s=2 build (p = 33,554,467) peaks at 490 MB
-# RSS, and each factor past it doubles the ledgers.
+# The largest order whose ledgers are built.  No flag changes it: it admits
+# n <= 24.  A deterministic desk search at large p keeps windows far narrower
+# than p (the desk s=2 n=24 build peaks at about 17 MB), but a fold, a seeded
+# draw or a window as wide as p still writes p bits, and each factor past
+# n = 24 doubles them.
 MAX_LEDGER_BITS = 1 << 26
 
 
@@ -63,7 +73,7 @@ def check_even_s(s: int) -> None:
 
 
 def check_ledger_order(p: int) -> None:
-    """Refuse, before allocating it, a p-bit ledger over ``MAX_LEDGER_BITS``."""
+    """Refuse, before building a ledger, an order over ``MAX_LEDGER_BITS``."""
     if p > MAX_LEDGER_BITS:
         raise BudgetExceeded(f"p-bit ledger at p={p} exceeds the {MAX_LEDGER_BITS}-bit limit")
 
@@ -113,91 +123,135 @@ class EpsilonVector:
 
 @dataclass(frozen=True)
 class ForbiddenStrata:
-    """The residues the chosen exponents reach, level by level.
+    """The sums the chosen exponents reach, level by level.
 
-    Level w is the set of residues sum(eps_j * g_j) mod p over vectors of
+    Level w is the set of integer sums sum(eps_j * g_j) over vectors of
     weight at most w: level 0 is {0}, each level holds the one below it, and
-    every level is closed under negation mod p.  ``bits[w]`` stores level w
-    as one p-bit integer whose bit r is set when residue r lies in it, so
-    adding an exponent rotates whole levels at once and the avoidance scan
-    reads the top one.
+    every level is closed under negation.  ``sums[w]`` stores level w as one
+    integer whose bit t + ``offset`` is set when sum t lies in it, with
+    ``offset`` = 2s * max(chosen) >= |t|, so adding an exponent shifts whole
+    levels at once and the avoidance scan reads the top one.  ``bits`` and
+    ``forbidden`` give the levels mod p: bit r set when residue r is reached.
     """
 
     p: int
     s: int
-    bits: tuple[int, ...]
+    offset: int
+    sums: tuple[int, ...]
 
     @classmethod
     def empty(cls, p: int, s: int) -> "ForbiddenStrata":
         check_even_s(s)
         check_ledger_order(p)
-        return cls(p, s, (1,) * (2 * s + 1))
+        return cls(p, s, 0, (1,) * (2 * s + 1))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """Every level folded mod p, as p-bit integers."""
+        return tuple(_fold(x, self.offset, self.p) for x in self.sums)
 
     @property
     def forbidden(self) -> int:
-        """The top level: every residue of weight at most 2s."""
-        return self.bits[-1]
+        """The top level folded mod p: every residue of weight at most 2s."""
+        return _fold(self.sums[-1], self.offset, self.p)
+
+
+def _fold(sums: int, offset: int, p: int) -> int:
+    """The residues mod p of the sums whose bit t + ``offset`` is set in
+    ``sums``, as a p-bit integer: shifted so that bit t + offset moves to a
+    position congruent to t, the integer is ORed together p bits at a time."""
+    sums <<= -offset % p
+    mask = (1 << p) - 1
+    folded = 0
+    while sums:
+        folded |= sums & mask
+        sums >>= p
+    return folded
+
+
+def _window(sums: int, offset: int, p: int) -> tuple[int, int]:
+    """A level and its offset as ``_first_admissible`` reads them: as stored
+    while the window [-offset, offset] is narrower than p, else folded, with
+    offset 0.  Either way every residue has at most two aliases in the
+    window, r and r - p."""
+    return (sums, offset) if 2 * offset < p else (_fold(sums, offset, p), 0)
 
 
 def strata_extend(f: ForbiddenStrata, g: int) -> ForbiddenStrata:
     """Levels after appending exponent g to the chosen set.
 
-    Level w gains level w-1 shifted by +-g and level w-2 shifted by +-2g.  A
-    shift is a rotation of p bits: with the level repeated as x | x << p,
-    bit i of ``(x | x << p) >> t`` is bit (i + t) mod p of x for i < p, a
-    shift by -t, and t = p - k shifts by +k.
+    Level w gains level w-1 shifted by +-g and level w-2 shifted by +-2g,
+    after every level has moved up to the offset 2s * M, M = max(chosen + g).
+    A shift down drops no sum: a sum t of level w - k (k = 1, 2) is at least
+    -(w - k) * M, so it lies at bit t + 2s * M >= k * M >= k * g.
     """
     if not 1 <= g <= f.p - 1:
         raise ValueError(f"exponent {g} outside [1, {f.p - 1}]")
-    p = f.p
-    mask = (1 << p) - 1
-    g2 = (2 * g) % p
-    repeated = [x | (x << p) for x in f.bits[:-1]]  # the top level feeds none
-    new = [f.bits[0]]
-    for w in range(1, len(f.bits)):
-        one = repeated[w - 1]
-        shifted = (one >> g) | (one >> (p - g))
+    offset = max(f.offset, 2 * f.s * g)
+    lift = offset - f.offset
+    old = [x << lift for x in f.sums]
+    g2 = 2 * g
+    new = [old[0]]
+    for w in range(1, len(old)):
+        one = old[w - 1]
+        x = old[w] | (one << g) | (one >> g)
         if w >= 2:
-            two = repeated[w - 2]
-            shifted |= (two >> g2) | (two >> (p - g2))
-        new.append(f.bits[w] | (shifted & mask))
-    return ForbiddenStrata(p, f.s, tuple(new))
+            two = old[w - 2]
+            x |= (two << g2) | (two >> g2)
+        new.append(x)
+    return ForbiddenStrata(f.p, f.s, offset, tuple(new))
 
 
-def forbidden_after(f: ForbiddenStrata) -> Callable[[int], int]:
-    """The map g -> ``strata_extend(f, g).forbidden``, for 1 <= g <= p - 1,
-    without building the levels: the top level gains level 2s - 1 rotated by
-    +-g and level 2s - 2 rotated by +-2g.  Both are repeated once, as in
-    ``strata_extend``, so one search node pays for that once over all its
-    children."""
-    p, top = f.p, f.bits[-1]
-    mask = (1 << p) - 1
-    one, two = f.bits[-2] | (f.bits[-2] << p), f.bits[-3] | (f.bits[-3] << p)
+def forbidden_after(f: ForbiddenStrata) -> Callable[[int], tuple[int, int]]:
+    """The map g -> (top, offset) of ``strata_extend(f, g)``, for
+    1 <= g <= p - 1, without building the levels: the top level gains level
+    2s - 1 shifted by +-g and level 2s - 2 shifted by +-2g, each first moved
+    up to the larger offset that a larger g brings."""
+    s, offset = f.s, f.offset
+    top, one, two = f.sums[-1], f.sums[-2], f.sums[-3]
 
-    def after(g: int) -> int:
-        g2 = (2 * g) % p
-        return top | (((one >> g) | (one >> (p - g)) | (two >> g2) | (two >> (p - g2))) & mask)
+    def after(g: int) -> tuple[int, int]:
+        lift = max(offset, 2 * s * g) - offset
+        g2 = 2 * g
+        up = one << lift
+        up2 = two << lift
+        return (
+            (top << lift) | (up << g) | (up >> g) | (up2 << g2) | (up2 >> g2),
+            offset + lift,
+        )
 
     return after
 
 
-def _first_admissible(forbidden: int, p: int, start: int, stop: int) -> Optional[int]:
-    """The least g in [start, stop) whose bits g and 2g mod p are clear in the
-    p-bit integer ``forbidden``, or None.
+def _first_admissible(
+    forbidden: int, p: int, start: int, stop: int, offset: int = 0
+) -> Optional[int]:
+    """The least g in [start, stop) such that neither g nor 2g mod p is
+    reached mod p by the sums t that ``forbidden`` holds at bit t + ``offset``,
+    or None; with offset 0 this reads a p-bit integer of residues.  The
+    window [-offset, offset] must be narrower than p (``_window``).
 
-    With y = forbidden >> start, ``(y + 1) ^ y`` sets the bits of y up to
+    Then a residue r in [1, p - 1] is reached exactly when sum r or sum
+    r - p is set, and no other alias r + kp fits in the window.  With y =
+    forbidden >> (start + offset), ``(y + 1) ^ y`` sets the bits of y up to
     and including its lowest clear one, so its bit length less one is the
-    offset from ``start`` of the first residue left clear: the low bit of the
-    free residues, found without a window mask.  A candidate whose double is
-    forbidden sends the probe on from the next exponent.  A probe costs a few
+    offset from ``start`` of the first sum left clear, found without a window
+    mask.  A candidate g with sum g - p set, or with d = 2g mod p and sum d or
+    d - p set, sends the probe on from the next exponent.  A probe costs a few
     operations on the whole integer and writes nothing out per residue.
     """
     while start < stop:
-        y = forbidden >> start
+        y = forbidden >> (start + offset)
         g = start + ((y + 1) ^ y).bit_length() - 1
         if g >= stop:
             return None
-        if not forbidden >> (2 * g % p) & 1:
+        low = g - p + offset  # the bit of sum g - p
+        twice = 2 * g % p + offset  # the bit of sum d; sum d - p's is p below
+        if not (
+            forbidden >> twice & 1
+            or (low >= 0 and forbidden >> low & 1)
+            or (twice >= p and forbidden >> (twice - p) & 1)
+        ):
             return g
         start = g + 1
     return None
@@ -241,9 +295,10 @@ def choose_next(
     """
     stop = min(pool_bound, f.p - 1) + 1
     if rng is None:
-        g = _first_admissible(f.forbidden, f.p, 1, stop)
+        top, offset = _window(f.sums[-1], f.offset, f.p)
+        g = _first_admissible(top, f.p, 1, stop, offset)
         while g in used:
-            g = _first_admissible(f.forbidden, f.p, g + 1, stop)
+            g = _first_admissible(top, f.p, g + 1, stop, offset)
         return g
     admissible = [g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used]
     return rng.choice(admissible) if admissible else None
@@ -340,18 +395,20 @@ def build_factor_set(
     exhausted = True
     walk = rng is not None or strict_table_size(target_size, s) > p
 
-    def candidates(forbidden: int, chosen: tuple[int, ...]) -> Iterator[int]:
-        """A node's exponents to try, read from its top level: every
-        admissible one above the last chosen exponent, each probed for from
-        the one after the last yielded, or with ``rng`` set one uniform draw
-        among all admissible pool exponents."""
+    def candidates(forbidden: int, offset: int, chosen: tuple[int, ...]) -> Iterator[int]:
+        """A node's exponents to try, read from its top level as ``_window``
+        gives it: every admissible one above the last chosen exponent, each
+        probed for from the one after the last yielded, or with ``rng`` set
+        one uniform draw among all admissible pool exponents."""
         if rng is None:
-            g = _first_admissible(forbidden, p, chosen[-1] + 1 if chosen else 1, pool_bound + 1)
+            g = _first_admissible(
+                forbidden, p, chosen[-1] + 1 if chosen else 1, pool_bound + 1, offset
+            )
             while g is not None:
                 yield g
-                g = _first_admissible(forbidden, p, g + 1, pool_bound + 1)
+                g = _first_admissible(forbidden, p, g + 1, pool_bound + 1, offset)
         else:
-            admissible = list(_admissible(forbidden, p, 1, pool_bound + 1))
+            admissible = list(_admissible(_fold(forbidden, offset, p), p, 1, pool_bound + 1))
             if admissible:
                 yield rng.choice(admissible)
 
@@ -374,7 +431,7 @@ def build_factor_set(
         # a child one exponent short of the target is settled by its first
         # candidate, so it reads its top level and never builds its levels
         after = forbidden_after(strata) if len(chosen) == target_size - 2 else None
-        for g in candidates(strata.forbidden, chosen):
+        for g in candidates(*_window(strata.sums[-1], strata.offset, p), chosen):
             if not step():
                 return False
             child = chosen + (g,)
@@ -384,10 +441,11 @@ def build_factor_set(
             else:
                 if len(child) > len(best_chosen):
                     best_chosen = child
+                forbidden, offset = _window(*after(g), p)
                 if rng is None:  # one probe, without a generator per last-level node
-                    last = _first_admissible(after(g), p, g + 1, pool_bound + 1)
+                    last = _first_admissible(forbidden, p, g + 1, pool_bound + 1, offset)
                 else:
-                    last = next(candidates(after(g), child), None)
+                    last = next(candidates(forbidden, offset, child), None)
                 if last is not None and step():
                     best_chosen = child + (last,)
                     return True
@@ -436,6 +494,29 @@ def epsilon_vector_count(n_elements: int, s: int) -> int:
     return total
 
 
+def _sums_distinct(exps: tuple[int, ...], s: int) -> bool:
+    """Whether the signed sums of at most s of ``exps`` are distinct integers.
+
+    The half table is kept as integers, sum t at bit t + s * max(exps), one
+    per number of terms k, filled in the order of ``_vanishing_difference``:
+    adding g shifts level k - 1 by +-g into level k, descending k.  The two
+    shifts are one-to-one, so the new sums repeat a sum exactly when they
+    meet each other or the table; the pass stops there.
+    """
+    offset = s * max(exps)
+    table = 1 << offset
+    levels = [table] + [0] * s
+    for g in exps:
+        for k in range(s, 0, -1):
+            plus, minus = levels[k - 1] << g, levels[k - 1] >> g
+            new = plus | minus
+            if plus & minus or new & table:
+                return False
+            levels[k] |= new
+            table |= new
+    return True
+
+
 def _vanishing_difference(exps: tuple[int, ...], p: int, s: int) -> Optional[EpsilonVector]:
     """The difference of the first two signed sums of at most s exponents that
     collide mod p, or None when all of them are distinct.
@@ -449,7 +530,13 @@ def _vanishing_difference(exps: tuple[int, ...], p: int, s: int) -> Optional[Eps
     for the empty sum, and the rest of the sum sits at the residue minus that
     term.  The first sum whose residue is already in the table gives u - w,
     signed so that its first nonzero entry is positive.
+
+    When 2s * max(exps) < p, two of these integer sums differ by less than p,
+    so they meet mod p exactly when they are equal: ``_sums_distinct`` then
+    answers from integer sums, and the fill runs only to name a collision.
     """
+    if exps and 2 * s * max(exps) < p and _sums_distinct(exps, s):
+        return None
     last: dict[int, Optional[tuple[int, int]]] = {0: None}
     levels: list[list[int]] = [[0]] + [[] for _ in range(s)]
 

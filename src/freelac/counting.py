@@ -36,13 +36,15 @@ meet-in-the-middle at s/2, and nothing else tells the two apart.  The
 witness is the least pair tuple among the maximal products.
 
 The subset sums mod p of a quasi-independent selection are the set bits of a
-p-bit integer, as the builder keeps its strata.  Adding x ORs in the ledger
-rotated by x, and x collides exactly when that rotation meets the ledger, so
-no sum is listed; an order above the builder's ``MAX_LEDGER_BITS`` is
-refused before the ledger is built.  The subset budget bounds only
-``is_quasi_independent``'s witness table, the sums in bitmask order up to
-the first colliding index, which is built only after a collision, to name
-the first colliding pair.
+p-bit integer.  The builder's unreduced sums of at most 2s terms stay in a
+window narrower than p once p is large, but the subset sums of a few large
+elements already pass p, so this ledger is reduced from the start.  Adding x
+ORs in the ledger rotated by x, and x collides exactly when that rotation
+meets the ledger, so no sum is listed; an order above the builder's
+``MAX_LEDGER_BITS`` is refused before the ledger is built.  The subset
+budget bounds only ``is_quasi_independent``'s witness table, the sums in
+bitmask order up to the first colliding index, which is built only after a
+collision, to name the first colliding pair.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""Decoding of the builder's p-bit ledger, the levels an enumeration by exact
-weight gives, and the search that extends the ledger at every node, for the
-tests that compare the builder with them."""
+"""Decoding of the builder's ledger once folded mod p (``ForbiddenStrata.bits``
+and ``forbidden``), the levels an enumeration by exact weight gives, and the
+search that extends the ledger at every node, for the tests that compare the
+builder with them."""
 
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ import random
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_strata_match_enumeration_exactly():
 @st.composite
 def chains(draw, max_size=4, primes=(17, 67, 131, 257, 521, 1031)):
     """An order p and up to ``max_size`` exponents mod p, biased towards the
-    values where a rotation or the doubling 2g wraps: 1, p-1 and (p+-1)/2."""
+    values where a sum or the doubling 2g wraps mod p: 1, p-1 and (p+-1)/2."""
     p = draw(st.sampled_from(primes))
     edge = st.sampled_from([1, p - 1, (p - 1) // 2, (p + 1) // 2])
     exponent = st.one_of(edge, st.integers(1, p - 1))
@@ -137,7 +138,8 @@ def test_bitset_strata_match_enumeration(chain, s):
     assert residues(strata.forbidden) == set().union(*oracle.values())
     edges = (1, p - 1, (p - 1) // 2, (p + 1) // 2)
     after = builder.forbidden_after(strata)
-    assert [after(g) for g in edges] == [strata_extend(strata, g).forbidden for g in edges]
+    folded = [builder._fold(*after(g), p) for g in edges]
+    assert folded == [strata_extend(strata, g).forbidden for g in edges]
 
 
 @settings(deadline=None)
@@ -199,6 +201,52 @@ def test_first_admissible_matches_the_digit_scan_and_a_set_scan(case):
     )
     assert builder._first_admissible(forbidden, p, start, stop) == expected
     assert next(builder._admissible(forbidden, p, start, stop), None) == expected
+
+
+@st.composite
+def probe_cases(draw):
+    """(p, s, exponents, start, stop) for the probe on the stored sums.
+
+    p runs from 11 to the desk s=2 n=16 order 131,101.  Exponents are drawn
+    small enough to keep the window [-offset, offset] narrower than p, near
+    p/2, where 2g - p is a small sum of either sign, or anywhere in
+    [1, p - 1], where the window soon passes p and the probe reads the fold.
+    """
+    p = draw(st.sampled_from((11, 17, 23, 257, 521, 8209, 131101)))
+    s = draw(st.sampled_from([2, 4]))
+    small = st.integers(1, max(1, (p - 1) // (4 * s)))
+    near_half = st.integers(max(1, p // 2 - 3), min(p - 1, p // 2 + 4))
+    exponents = draw(st.lists(small | near_half | st.integers(1, p - 1), max_size=5))
+    start = draw(st.integers(1, p - 1))
+    stop = draw(st.integers(start + 1, p))
+    return p, s, exponents, start, stop
+
+
+DESK2_N16 = (1, 3, 9, 23, 39, 67, 117, 169, 241, 351, 451, 539, 667, 815, 959, 1181)
+
+
+# 2 * offset = 16 = p - 1 keeps the stored sums and 2 * offset = 24 = p + 1
+# folds them; the desk s=2 n=16 chain keeps a 9,449-bit window at p = 131,101;
+# the doubles 2g - p of 65,549..65,552 are -3, -1, 1 and 3, sums of {1, 3} on
+# both sides of 0
+@settings(deadline=None)
+@example(case=(17, 2, [2], 1, 17))
+@example(case=(23, 2, [3], 1, 23))
+@example(case=(131101, 2, list(DESK2_N16), 1182, 65537))
+@example(case=(131101, 2, [1, 3], 65549, 65560))
+@example(case=(11, 2, [1], 9, 11))  # 9 - 11 = -2 is a sum
+@example(case=(11, 2, [1], 5, 11))  # 2 * 5 - 11 = -1 is a sum
+@given(probe_cases())
+def test_probe_on_stored_sums_matches_the_folded_probe(case):
+    p, s, exponents, start, stop = case
+    strata = strata_from(exponents, p, s)
+    expected = builder._first_admissible(strata.forbidden, p, start, stop)
+    assert next(builder._admissible(strata.forbidden, p, start, stop), None) == expected
+    forbidden, offset = builder._window(strata.sums[-1], strata.offset, p)
+    assert (forbidden, offset) == (
+        (strata.sums[-1], strata.offset) if 2 * strata.offset < p else (strata.forbidden, 0)
+    )
+    assert builder._first_admissible(forbidden, p, start, stop, offset) == expected
 
 
 def test_strata_negation_closure_and_count_bounds(desk2_family):
@@ -543,6 +591,38 @@ def test_half_table_is_distinct_exactly_when_nothing_vanishes(exponent_set, s):
     distinct = len(np.unique(residues)) == len(residues)
     assert distinct == (first_vanishing_oracle(exponents, p, s) is None)
     assert (builder._vanishing_difference(exponents, p, s) is None) == distinct
+
+
+@st.composite
+def half_table_edges(draw):
+    """(p, s, exponents): up to 7 distinct exponents in any order, their
+    largest often m with 2s * m = p - 1 or p + 1, the last width the integer
+    pass takes and the first it leaves to the fill (2s * m is even, so never
+    p).  Every p is +-1 mod 8, so both edges exist at s = 2 and s = 4."""
+    p = draw(st.sampled_from((17, 23, 41, 71, 257, 521)))
+    s = draw(st.sampled_from([2, 4]))
+    edge = next(m for m in ((p - 1) // (2 * s), (p + 1) // (2 * s)) if 2 * s * m in (p - 1, p + 1))
+    top = draw(st.just(edge) | st.integers(1, p - 1))
+    rest = draw(st.lists(st.integers(1, top), max_size=6, unique=True))
+    return p, s, tuple(draw(st.permutations(sorted(set(rest) | {top}))))
+
+
+@settings(deadline=None)
+@example(case=(17, 2, (1, 2, 4)))  # 2s * max = p - 1; 4 - 2 = 2 meets 2 as integers
+@example(case=(23, 2, (1, 3, 6)))  # 2s * max = p + 1: the fill alone
+@example(case=(17, 2, (1, 3, 4)))  # 2s * max = p - 1 and distinct
+@example(case=(17, 2, (1, 8)))  # s * max < p: 1 + 8 = 9 meets -8 only mod p
+@example(case=(41, 2, (1, 7, 3)))  # 1 + 3 = 7 - 3: the two shifts of level 1 meet
+@given(half_table_edges())
+def test_integer_half_table_agrees_with_the_fill(case):
+    # the integer pass decides only when 2s * max < p, and then exactly as the
+    # fill does; the witness is the fill's first colliding pair either way
+    p, s, exponents = case
+    with mock.patch.object(builder, "_sums_distinct", lambda exps, s: False):
+        filled = builder._vanishing_difference(exponents, p, s)
+    assert builder._vanishing_difference(exponents, p, s) == filled
+    if 2 * s * max(exponents) < p:
+        assert builder._sums_distinct(exponents, s) == (filled is None)
 
 
 @st.composite
