@@ -13,9 +13,10 @@ is set when the integer sum t = sum(eps_j * g_j) is reached, where offset =
 shifted by +-g and +-2g, with no rotation, no mask and no loop over residues;
 a larger exponent first moves every level up to its larger offset.  The
 levels are folded mod p only where two sums can meet mod p: when read as
-residues (``ForbiddenStrata.bits``), and when the window [-offset, offset]
-is as wide as p.  While it is narrower, each residue has at most two
-aliases in it, so the search finds its next exponent by probing the top
+residues (``ForbiddenStrata.bits``), and once the window [-offset, offset]
+is as wide as p: from then on they are kept folded, bit r for residue r,
+each shift a rotation mod p, so no level grows wider than p bits.  While
+the window is narrower, each residue has at most two aliases in it, so the search finds its next exponent by probing the top
 level for its lowest clear sum at or above the last exponent tried and
 bit-testing the other aliases of it and of its double, with a few
 whole-integer operations and no per-residue work (``_first_admissible``).
@@ -41,7 +42,7 @@ whether a 6-set with the property exists in Z_521 stays open.  Admitting by
 the property itself (g outside level 2s - 1, 2g outside level 2s - 2) voids
 the strict count, and the walk test must then go back to the property count.
 
-A fold, a seeded draw and a wide window read p bits, so orders above
+A fold, a seeded draw and a folded level hold p bits, so orders above
 ``MAX_LEDGER_BITS`` are refused before any ledger is built.
 """
 
@@ -60,9 +61,10 @@ from .words import Word, letter_word
 DEFAULT_TUPLE_BUDGET = 2_000_000
 # The largest order whose ledgers are built.  No flag changes it: it admits
 # n <= 24.  A deterministic desk search at large p keeps windows far narrower
-# than p (the desk s=2 n=24 build peaks at about 17 MB), but a fold, a seeded
-# draw or a window as wide as p still writes p bits, and each factor past
-# n = 24 doubles them.
+# than p (the desk s=2 n=24 build peaks at about 17 MB), but a seeded draw
+# writes the top level out as p digits and a window as wide as p keeps its
+# levels folded at p bits each (the seeded s=2 n=24 build peaks at about
+# 1.2 GB), and each factor past n = 24 doubles them.
 MAX_LEDGER_BITS = 1 << 26
 
 
@@ -130,8 +132,10 @@ class ForbiddenStrata:
     every level is closed under negation.  ``sums[w]`` stores level w as one
     integer whose bit t + ``offset`` is set when sum t lies in it, with
     ``offset`` = 2s * max(chosen) >= |t|, so adding an exponent shifts whole
-    levels at once and the avoidance scan reads the top one.  ``bits`` and
-    ``forbidden`` give the levels mod p: bit r set when residue r is reached.
+    levels at once and the avoidance scan reads the top one.  Once 2s *
+    max(chosen) reaches p/2 the levels are kept folded instead, bit r set
+    when residue r is reached, with ``offset`` = p, since r - p is r mod p.
+    ``bits`` and ``forbidden`` give the levels mod p either way.
     """
 
     p: int
@@ -170,55 +174,87 @@ def _fold(sums: int, offset: int, p: int) -> int:
 
 
 def _window(sums: int, offset: int, p: int) -> tuple[int, int]:
-    """A level and its offset as ``_first_admissible`` reads them: as stored
-    while the window [-offset, offset] is narrower than p, else folded, with
-    offset 0.  Either way every residue has at most two aliases in the
-    window, r and r - p."""
-    return (sums, offset) if 2 * offset < p else (_fold(sums, offset, p), 0)
+    """A level and its offset as ``_first_admissible`` reads them: the sums
+    while the window [-offset, offset] is narrower than p, else the residues
+    that ``strata_extend`` keeps folded at bit r, read at offset 0.  Either
+    way every residue has at most two aliases in the window, r and r - p."""
+    return sums, offset if 2 * offset < p else 0
+
+
+def _folded(levels: tuple[int, ...], offset: int, p: int) -> tuple[int, ...]:
+    """Levels as the residues mod p they reach, bit r for residue r: folded,
+    or as they are when the window is already as wide as p."""
+    return levels if 2 * offset >= p else tuple(_fold(x, offset, p) for x in levels)
 
 
 def strata_extend(f: ForbiddenStrata, g: int) -> ForbiddenStrata:
     """Levels after appending exponent g to the chosen set.
 
-    Level w gains level w-1 shifted by +-g and level w-2 shifted by +-2g,
-    after every level has moved up to the offset 2s * M, M = max(chosen + g).
-    A shift down drops no sum: a sum t of level w - k (k = 1, 2) is at least
-    -(w - k) * M, so it lies at bit t + 2s * M >= k * M >= k * g.
+    Level w gains level w-1 shifted by +-g and level w-2 shifted by +-2g.
+    While the window of the new offset 2s * M, M = max(chosen + g), is
+    narrower than p, every level first moves up to that offset, and a shift
+    down drops no sum: a sum t of level w - k (k = 1, 2) is at least
+    -(w - k) * M, so it lies at bit t + 2s * M >= k * M >= k * g.  Once the
+    window is as wide as p, the levels are folded and kept as p-bit residues
+    at offset p, a shift by -g being one by p - g and the bits above p
+    folding back, so no level outgrows p bits.
     """
     if not 1 <= g <= f.p - 1:
         raise ValueError(f"exponent {g} outside [1, {f.p - 1}]")
+    p = f.p
     offset = max(f.offset, 2 * f.s * g)
-    lift = offset - f.offset
-    old = [x << lift for x in f.sums]
-    g2 = 2 * g
-    new = [old[0]]
-    for w in range(1, len(old)):
-        one = old[w - 1]
-        x = old[w] | (one << g) | (one >> g)
-        if w >= 2:
-            two = old[w - 2]
-            x |= (two << g2) | (two >> g2)
-        new.append(x)
-    return ForbiddenStrata(f.p, f.s, offset, tuple(new))
+    new = []
+    if 2 * offset < p:
+        lift = offset - f.offset
+        old = [x << lift for x in f.sums]
+        g2 = 2 * g
+        for w, x in enumerate(old):
+            if w >= 1:
+                one = old[w - 1]
+                x |= (one << g) | (one >> g)
+            if w >= 2:
+                two = old[w - 2]
+                x |= (two << g2) | (two >> g2)
+            new.append(x)
+    else:
+        old, offset = _folded(f.sums, f.offset, p), p
+        mask, d = (1 << p) - 1, 2 * g % p
+        for w, x in enumerate(old):
+            if w >= 1:
+                one = old[w - 1]
+                x |= (one << g) | (one << (p - g))
+            if w >= 2:
+                two = old[w - 2]
+                x |= (two << d) | (two << (p - d))
+            new.append(x & mask | x >> p)
+    return ForbiddenStrata(p, f.s, offset, tuple(new))
 
 
 def forbidden_after(f: ForbiddenStrata) -> Callable[[int], tuple[int, int]]:
     """The map g -> (top, offset) of ``strata_extend(f, g)``, for
     1 <= g <= p - 1, without building the levels: the top level gains level
     2s - 1 shifted by +-g and level 2s - 2 shifted by +-2g, each first moved
-    up to the larger offset that a larger g brings."""
-    s, offset = f.s, f.offset
-    top, one, two = f.sums[-1], f.sums[-2], f.sums[-3]
+    up to the larger offset that a larger g brings, or rotated mod p once
+    that offset's window is as wide as p."""
+    s, p, offset = f.s, f.p, f.offset
+    levels = f.sums[-1], f.sums[-2], f.sums[-3]
+    folded: Optional[tuple[int, ...]] = None
+    mask = (1 << p) - 1
 
     def after(g: int) -> tuple[int, int]:
-        lift = max(offset, 2 * s * g) - offset
-        g2 = 2 * g
-        up = one << lift
-        up2 = two << lift
-        return (
-            (top << lift) | (up << g) | (up >> g) | (up2 << g2) | (up2 >> g2),
-            offset + lift,
-        )
+        nonlocal folded
+        wide = max(offset, 2 * s * g)
+        if 2 * wide < p:
+            lift = wide - offset
+            top, one, two = (x << lift for x in levels)
+            g2 = 2 * g
+            return top | (one << g) | (one >> g) | (two << g2) | (two >> g2), wide
+        if folded is None:
+            folded = _folded(levels, offset, p)
+        top, one, two = folded
+        d = 2 * g % p
+        x = top | (one << g) | (one << (p - g)) | (two << d) | (two << (p - d))
+        return x & mask | x >> p, p
 
     return after
 
@@ -300,7 +336,21 @@ def choose_next(
         while g in used:
             g = _first_admissible(top, f.p, g + 1, stop, offset)
         return g
-    admissible = [g for g in _admissible(f.forbidden, f.p, 1, stop) if g not in used]
+    return _draw(f.forbidden, f.p, stop, rng, used)
+
+
+def _draw(
+    forbidden: int,
+    p: int,
+    stop: int,
+    rng: random.Random,
+    used: frozenset[int] | set[int] = frozenset(),
+) -> Optional[int]:
+    """One uniform draw among the exponents in [1, stop) outside ``used``
+    whose bits g and 2g mod p are clear in the p-bit integer ``forbidden``,
+    or None.  The list drawn from is freed on return, so a walk does not keep
+    one per node on its stack."""
+    admissible = [g for g in _admissible(forbidden, p, 1, stop) if g not in used]
     return rng.choice(admissible) if admissible else None
 
 
@@ -408,9 +458,9 @@ def build_factor_set(
                 yield g
                 g = _first_admissible(forbidden, p, g + 1, pool_bound + 1, offset)
         else:
-            admissible = list(_admissible(_fold(forbidden, offset, p), p, 1, pool_bound + 1))
-            if admissible:
-                yield rng.choice(admissible)
+            g = _draw(_fold(forbidden, offset, p), p, pool_bound + 1, rng)
+            if g is not None:
+                yield g
 
     def step() -> bool:
         """Count one admission step; once the budget is spent, mark the

@@ -136,10 +136,12 @@ def test_bitset_strata_match_enumeration(chain, s):
     assert list(map(residues, strata.bits)) == levels_of(oracle)
     assert all(lower & ~upper == 0 for lower, upper in zip(strata.bits, strata.bits[1:]))
     assert residues(strata.forbidden) == set().union(*oracle.values())
+    # no level outgrows p bits: a narrow window keeps 2 * offset + 1 <= p, a wider one folds
+    assert all(level.bit_length() <= p for level in strata.sums)
     edges = (1, p - 1, (p - 1) // 2, (p + 1) // 2)
     after = builder.forbidden_after(strata)
-    folded = [builder._fold(*after(g), p) for g in edges]
-    assert folded == [strata_extend(strata, g).forbidden for g in edges]
+    extended = [strata_extend(strata, g) for g in edges]
+    assert [after(g) for g in edges] == [(e.sums[-1], e.offset) for e in extended]
 
 
 @settings(deadline=None)
