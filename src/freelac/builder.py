@@ -26,6 +26,10 @@ binary digits.  A search node one exponent short of the target is decided
 from the top level it would have (``forbidden_after``) without building its
 levels, and counts as one node, so the node count equals the full search's.
 
+``verify_pn_bruteforce`` decides the half table with the same two shifts on
+bitsets where they cost less than its dict fill and fit ``MAX_LEDGER_BITS``,
+and otherwise fills the table, as it does to name a collision.
+
 The builder is stricter than the property.  Admitting g keeps the property
 when g lies outside level 2s - 1 and 2g outside level 2s - 2; the builder
 asks both to lie outside level 2s.  Every set it builds has the property,
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterator, Optional
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, LimitExceeded
 from .primes import FactorTable, is_prime
 from .words import Word, letter_word
 
@@ -66,6 +70,9 @@ DEFAULT_TUPLE_BUDGET = 2_000_000
 # levels folded at p bits each (the seeded s=2 n=24 build peaks at about
 # 1.2 GB), and each factor past n = 24 doubles them.
 MAX_LEDGER_BITS = 1 << 26
+# One entry of the half-table fill costs as much as about this many 64-bit limbs
+# of a bitset shift: 30-40 at N = 4..24, s = 2 and 4, CPython 3.11, 2-core Xeon.
+_LIMBS_PER_ENTRY = 32
 
 
 def check_even_s(s: int) -> None:
@@ -77,7 +84,7 @@ def check_even_s(s: int) -> None:
 def check_ledger_order(p: int) -> None:
     """Refuse, before building a ledger, an order over ``MAX_LEDGER_BITS``."""
     if p > MAX_LEDGER_BITS:
-        raise BudgetExceeded(f"p-bit ledger at p={p} exceeds the {MAX_LEDGER_BITS}-bit limit")
+        raise LimitExceeded(f"p-bit ledger at p={p} exceeds the {MAX_LEDGER_BITS}-bit limit")
 
 
 @dataclass(frozen=True)
@@ -544,21 +551,38 @@ def epsilon_vector_count(n_elements: int, s: int) -> int:
     return total
 
 
-def _sums_distinct(exps: tuple[int, ...], s: int) -> bool:
-    """Whether the signed sums of at most s of ``exps`` are distinct integers.
+def _sums_distinct(exps: tuple[int, ...], p: int, s: int) -> Optional[bool]:
+    """Whether the signed sums of at most s of ``exps`` are distinct mod p, or
+    None where the s * N shifts of w-bit integers below cost more limbs than
+    ``_LIMBS_PER_ENTRY`` per fill entry, or w exceeds ``MAX_LEDGER_BITS``.
 
-    The half table is kept as integers, sum t at bit t + s * max(exps), one
-    per number of terms k, filled in the order of ``_vanishing_difference``:
-    adding g shifts level k - 1 by +-g into level k, descending k.  The two
-    shifts are one-to-one, so the new sums repeat a sum exactly when they
-    meet each other or the table; the pass stops there.
+    The half table is one integer per number of terms k, filled in the order of
+    ``_vanishing_difference``: adding g shifts level k - 1 by +-g into level k,
+    descending k.  While 2s * max(exps) < p, sum t sits at bit t + s * max(exps)
+    (w = 2s * max(exps) + 1): two sums differ by less than p, so they meet mod p
+    exactly when they are equal.  Once that window reaches p, residue r sits at
+    bit r and each shift is a rotation mod p (w = 2p before the fold).  Either
+    shift is one-to-one, so the new sums repeat a sum exactly when they meet
+    each other or the table; the pass stops there.
     """
     offset = s * max(exps)
-    table = 1 << offset
+    wide = 2 * offset >= p
+    width = 2 * p if wide else 2 * offset + 1
+    if width > MAX_LEDGER_BITS or (
+        s * len(exps) * -(-width // 64) > _LIMBS_PER_ENTRY * half_table_size(len(exps), s)
+    ):
+        return None
+    table = 1 if wide else 1 << offset
+    mask = (1 << p) - 1 if wide else 0
     levels = [table] + [0] * s
     for g in exps:
         for k in range(s, 0, -1):
-            plus, minus = levels[k - 1] << g, levels[k - 1] >> g
+            lower = levels[k - 1]
+            if wide:
+                plus, minus = lower << g, lower << (p - g)
+                plus, minus = plus & mask | plus >> p, minus & mask | minus >> p
+            else:
+                plus, minus = lower << g, lower >> g
             new = plus | minus
             if plus & minus or new & table:
                 return False
@@ -581,11 +605,10 @@ def _vanishing_difference(exps: tuple[int, ...], p: int, s: int) -> Optional[Eps
     term.  The first sum whose residue is already in the table gives u - w,
     signed so that its first nonzero entry is positive.
 
-    When 2s * max(exps) < p, two of these integer sums differ by less than p,
-    so they meet mod p exactly when they are equal: ``_sums_distinct`` then
-    answers from integer sums, and the fill runs only to name a collision.
+    Where bitsets are the cheaper engine and fit ``MAX_LEDGER_BITS``,
+    ``_sums_distinct`` decides, and this fill runs only to name a collision.
     """
-    if exps and 2 * s * max(exps) < p and _sums_distinct(exps, s):
+    if exps and _sums_distinct(exps, p, s):
         return None
     last: dict[int, Optional[tuple[int, int]]] = {0: None}
     levels: list[list[int]] = [[0]] + [[] for _ in range(s)]

@@ -38,17 +38,29 @@ def fmt_complex(z: complex) -> list[str]:
     return [fmt_float(z.real), fmt_float(z.imag)]
 
 
-def _reject_raw_floats(node: Any, path: str = "$") -> None:
+def _reject_raw_floats(doc: Any) -> None:
+    """Refuse a float anywhere in the dicts and lists of ``doc``.  The scan
+    builds no path; only a float it finds sends ``_name_raw_float`` to name it."""
+    containers = [doc]
+    for node in containers:  # the list grows as the walk goes
+        for value in node.values() if isinstance(node, dict) else node:
+            if isinstance(value, (dict, list)):
+                containers.append(value)
+            elif isinstance(value, float):
+                _name_raw_float(doc)
+
+
+def _name_raw_float(node: Any, path: str = "$") -> None:
     if isinstance(node, float):
         raise CertificateFormatError(
             f"raw float at {path}; floats must be 17-digit decimal strings"
         )
     if isinstance(node, dict):
         for k, v in node.items():
-            _reject_raw_floats(v, f"{path}.{k}")
+            _name_raw_float(v, f"{path}.{k}")
     elif isinstance(node, list):
         for i, v in enumerate(node):
-            _reject_raw_floats(v, f"{path}[{i}]")
+            _name_raw_float(v, f"{path}[{i}]")
 
 
 @dataclass(frozen=True)

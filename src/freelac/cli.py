@@ -46,7 +46,7 @@ from .counting import (
     z_value,
     zs_paper_target,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, LimitExceeded
 from .primes import FactorTable, smallest_admissible_prime
 from .spectral import (
     DEFAULT_SPECTRAL_BUDGET,
@@ -202,12 +202,13 @@ def pn_claim(family, budget: int) -> Claim:
     return Claim({"claims": claims, "holds": holds, "s": family.s}, lines, holds)
 
 
-def zs_claim(family, strategy: str, budget: int) -> Claim:
+def zs_claim(family, strategy: str, budget: int, pn: Optional[bool] = None) -> Claim:
     """Z_s of the family union against ((s/2)!)^2; ``strategy`` is the
-    enumeration used where the closed form does not apply."""
+    enumeration used where the closed form does not apply.  The closed form
+    takes the family's pn verdict from ``pn``, if given, instead of deciding it."""
     s = family.s
     bound_half, bound_factorial = zs_paper_target(s)
-    cert = z_value(family.union_words(), s, budget=budget, strategy=strategy)
+    cert = z_value(family.union_words(), s, budget=budget, strategy=strategy, pn=pn)
     holds = cert.value <= bound_half
     basis = cert.basis
     if basis != BASIS_CLOSED_FORM:
@@ -423,7 +424,7 @@ def cmd_norms(args) -> int:
     q_grid = [float(q) for q in args.q.split(",")]
     top = args.scale if args.scale is not None else args.n_max
     if 4 * top > DEFAULT_SPECTRAL_BUDGET:  # its order exceeds 4 * top: refuse before looking it up
-        raise BudgetExceeded(
+        raise LimitExceeded(
             f"scale {top} needs an order above {4 * top}, over the spectral budget "
             f"{DEFAULT_SPECTRAL_BUDGET}"
         )
@@ -486,10 +487,11 @@ def cmd_norms(args) -> int:
 def cmd_report(args) -> int:
     family = _load_family(args.family)
     qi = qi_claim(family)
+    pn = pn_claim(family, args.budget_tuples)
     claims = {
         "construction": construction_claim(family),
-        "pn": pn_claim(family, args.budget_tuples),
-        "zs": zs_claim(family, STRATEGY_NAIVE, args.budget_tuples),
+        "pn": pn,
+        "zs": zs_claim(family, STRATEGY_NAIVE, args.budget_tuples, pn.holds),
         # the report keeps the qi rows under "rows", its verdict in the exit code
         "qi": Claim({"rows": qi.section["factors"]}, qi.lines, qi.holds),
         "density": density_claim(family),
@@ -612,8 +614,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_IO
     except BudgetExceeded as exc:
-        # norms refuses on a fixed spectral budget; every other refusal is on this flag
-        hint = " (raise it with --budget-tuples)" if "budget_tuples" in vars(args) else ""
+        # a limit fixed in the code, such as the ledger's, has no flag to raise it
+        governed = "budget_tuples" in vars(args) and not isinstance(exc, LimitExceeded)
+        hint = " (raise it with --budget-tuples)" if governed else ""
         print(f"budget refusal: {exc}{hint}", file=sys.stderr)
         return EXIT_BUDGET
     except (CertificateFormatError, OSError) as exc:

@@ -200,9 +200,12 @@ def _check_z_arguments(elements: Sequence[Word], s: int, strategy: str) -> None:
     _check_ground_set(elements)
 
 
-def _z_closed_form(elements: Sequence[Word], s: int, budget: int) -> Optional[tuple[int, Pairs]]:
+def _z_closed_form(
+    elements: Sequence[Word], s: int, budget: int, pn: Optional[bool] = None
+) -> Optional[tuple[int, Pairs]]:
     """(Z_s, witness pairs) from each factor's order-s half table, or None
-    where the closed form does not apply.
+    where the closed form does not apply.  ``pn`` says whether every factor's
+    half table is distinct, where the caller has decided it already.
 
     It applies to at least s distinct single letters whose factors each pass
     the half table, with some factor holding s of them once s >= 3; the
@@ -228,9 +231,12 @@ def _z_closed_form(elements: Sequence[Word], s: int, budget: int) -> Optional[tu
     if sum(half_table_size(len(by_factor[f]), s) for f in factors) > budget:
         return None
     table = elements[0].table
-    for f in factors:
-        if _vanishing_difference(tuple(by_factor[f]), table.order(f), s) is not None:
-            return None
+    if pn is None:
+        for f in factors:
+            if _vanishing_difference(tuple(by_factor[f]), table.order(f), s) is not None:
+                return None
+    elif not pn:
+        return None
     if s > 2:
         first = full[0]
         xs, p = by_factor[first], table.order(first)
@@ -254,16 +260,18 @@ def z_value(
     s: int,
     budget: int = DEFAULT_TUPLE_BUDGET,
     strategy: str = STRATEGY_NAIVE,
+    pn: Optional[bool] = None,
 ) -> ZsCertificate:
     """Exact sup over x of the number of pairwise-distinct s-tuples mapping to x.
 
     The tuple product uses the start-inverse convention.  The value comes in
     closed form from the factors' half tables where that applies (see
-    ``_z_closed_form``) and otherwise from ``z_enumerate`` with ``strategy``,
-    under its own budget; both give the same value and witness.
+    ``_z_closed_form``, which reads their verdict from ``pn`` if given) and
+    otherwise from ``z_enumerate`` with ``strategy``, under its own budget;
+    both give the same value and witness.
     """
     _check_z_arguments(elements, s, strategy)
-    closed = _z_closed_form(elements, s, budget)
+    closed = _z_closed_form(elements, s, budget, pn)
     if closed is None:
         return z_enumerate(elements, s, budget, strategy)
     value, witness = closed
@@ -367,21 +375,23 @@ def leinert_violation(
         if n * (n - 1) > budget:
             raise BudgetExceeded(f"difference table has {n * (n - 1)} entries, budget is {budget}")
         # (i1, i2, i3, i4) closes exactly when (i1, i2) and (i4, i3) are distinct ordered
-        # pairs of one difference; each difference lists (i3, i4) by ascending i3
+        # pairs of one difference, so n(n - 1) distinct differences close nothing; else
+        # some tuple closes, and each difference lists (i3, i4) by ascending i3
+        if len({(xs[a] - xs[b]) % p for a, b in permutations(range(n), 2)}) == n * (n - 1):
+            return None
         by_difference: dict[int, list[tuple[int, int]]] = {}
         for b, a in permutations(range(n), 2):
             by_difference.setdefault((xs[a] - xs[b]) % p, []).append((b, a))
         found = next(
-            ((i1, i2, i3, i4) for i1, i2 in permutations(range(n), 2)
-             for i3, i4 in by_difference[(xs[i1] - xs[i2]) % p] if i3 != i2),
-            None,
+            (i1, i2, i3, i4) for i1, i2 in permutations(range(n), 2)
+            for i3, i4 in by_difference[(xs[i1] - xs[i2]) % p] if i3 != i2
         )
     elif s % 2:
         found = ((0, 1) * ((s - 1) // 2) + (2,)) * 2
     else:
         h = s // 2 - 1
         found = (0, 1) * h + (0, 2) + (1, 0) * h + (2, 0)
-    return None if found is None else LeinertWitness(s, tuple(elements[i] for i in found))
+    return LeinertWitness(s, tuple(elements[i] for i in found))
 
 
 def _subset_sums(exponents: Sequence[int], p: int) -> list[int]:

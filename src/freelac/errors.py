@@ -9,3 +9,7 @@ class BudgetExceeded(RuntimeError):
     Raised instead of silently truncating: a certificate must mean the whole
     space was searched.
     """
+
+
+class LimitExceeded(BudgetExceeded):
+    """A budget refusal on a limit fixed in the code, which no argument raises."""

@@ -11,8 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first k of these bases decides every n below psi_k,
+# the least odd strong pseudoprime to all of them (OEIS A014233, k = 1..13).
+# Orders up to p_30 take 4 bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
 
 # Orders must stay below 2^64: canonical word keys and the certificate schema
 # serialize exponents as fixed-width 64-bit integers.
@@ -23,10 +30,17 @@ EXPLICIT_PRIME_RULE = "explicit"
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic primality test: Miller-Rabin with the shortest prefix of
+    ``_MR_BASES`` proven for n.  Refuses n >= psi_13, where none is proven."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for k, psi in enumerate(_MR_PSI, 1):
+        if n < psi:
+            break
+    else:
+        raise ValueError(f"no proven Miller-Rabin base set decides {n} >= {psi}")
+    bases = _MR_BASES[:k]
+    for p in bases:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -34,7 +48,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

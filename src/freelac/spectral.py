@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .builder import FactorSubset
 from .counting import is_quasi_independent
-from .errors import BudgetExceeded
+from .errors import LimitExceeded
 from .primes import is_prime
 
 DEFAULT_TOLERANCE = 1e-9
@@ -116,7 +116,7 @@ class SpectrumReport:
 def check_spectral_budget(p: int) -> None:
     """Refuse an order above ``DEFAULT_SPECTRAL_BUDGET``."""
     if p > DEFAULT_SPECTRAL_BUDGET:
-        raise BudgetExceeded(f"order {p} exceeds the spectral budget {DEFAULT_SPECTRAL_BUDGET}")
+        raise LimitExceeded(f"order {p} exceeds the spectral budget {DEFAULT_SPECTRAL_BUDGET}")
 
 
 def transforms(fs: Sequence[CyclicFunction]) -> list[SpectrumReport]:

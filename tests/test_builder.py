@@ -30,6 +30,7 @@ from freelac import (
     epsilon_vector_count,
     extract_quasi_independent,
     is_quasi_independent,
+    smallest_admissible_prime,
     strata_extend,
     verify_pn_bruteforce,
 )
@@ -595,36 +596,90 @@ def test_half_table_is_distinct_exactly_when_nothing_vanishes(exponent_set, s):
     assert (builder._vanishing_difference(exponents, p, s) is None) == distinct
 
 
+# 2^61 - 1 and the least prime above 2^61: bitsets fit ``MAX_LEDGER_BITS`` there
+# only while the exponents stay small, and never rotate
+LARGE_PRIMES = (2**61 - 1, smallest_admissible_prime(60))
+
+
 @st.composite
 def half_table_edges(draw):
-    """(p, s, exponents): up to 7 distinct exponents in any order, their
-    largest often m with 2s * m = p - 1 or p + 1, the last width the integer
-    pass takes and the first it leaves to the fill (2s * m is even, so never
-    p).  Every p is +-1 mod 8, so both edges exist at s = 2 and s = 4."""
-    p = draw(st.sampled_from((17, 23, 41, 71, 257, 521)))
+    """(p, s, exponents): up to 8 distinct exponents in any order.  At a small p
+    the largest is often m with 2s * m = p - 1 or p + 1, the last width the
+    plain shifts take and the first the rotations take (2s * m is even, so
+    never p); every such p is +-1 mod 8, so both edges exist at s = 2 and
+    s = 4.  At a prime near 2^61 the exponents stay below 2^16 or reach 2^61.
+    Half the time one more exponent is the sum or difference of two others, so
+    that the half table collides."""
     s = draw(st.sampled_from([2, 4]))
-    edge = next(m for m in ((p - 1) // (2 * s), (p + 1) // (2 * s)) if 2 * s * m in (p - 1, p + 1))
-    top = draw(st.just(edge) | st.integers(1, p - 1))
-    rest = draw(st.lists(st.integers(1, top), max_size=6, unique=True))
-    return p, s, tuple(draw(st.permutations(sorted(set(rest) | {top}))))
+    p = draw(st.sampled_from((17, 23, 41, 71, 257, 521) + LARGE_PRIMES))
+    if p in LARGE_PRIMES:
+        top = draw(st.integers(1, 2**16) | st.integers(1, p - 1))
+    else:
+        edge = next(
+            m for m in ((p - 1) // (2 * s), (p + 1) // (2 * s)) if 2 * s * m in (p - 1, p + 1)
+        )
+        top = draw(st.just(edge) | st.integers(1, p - 1))
+    exponents = sorted(set(draw(st.lists(st.integers(1, top), max_size=6, unique=True))) | {top})
+    if len(exponents) > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(exponents), min_size=2, max_size=2, unique=True))
+        planted = draw(st.sampled_from(((a + b) % p, abs(a - b))))
+        if planted and planted not in exponents:
+            exponents.append(planted)
+    return p, s, tuple(draw(st.permutations(exponents)))
+
+
+def bitset_width(exponents, p, s):
+    """The widest integer ``_sums_distinct`` builds: 2s * max + 1 bits while it
+    shifts plainly, 2p once it rotates, a shift by up to p - 1 before the fold."""
+    return 2 * p if 2 * s * max(exponents) >= p else 2 * s * max(exponents) + 1
 
 
 @settings(deadline=None)
 @example(case=(17, 2, (1, 2, 4)))  # 2s * max = p - 1; 4 - 2 = 2 meets 2 as integers
-@example(case=(23, 2, (1, 3, 6)))  # 2s * max = p + 1: the fill alone
+@example(case=(23, 2, (1, 3, 6)))  # 2s * max = p + 1: the bitsets rotate mod p
 @example(case=(17, 2, (1, 3, 4)))  # 2s * max = p - 1 and distinct
 @example(case=(17, 2, (1, 8)))  # s * max < p: 1 + 8 = 9 meets -8 only mod p
 @example(case=(41, 2, (1, 7, 3)))  # 1 + 3 = 7 - 3: the two shifts of level 1 meet
+@example(case=(137438953481, 2, (1, 34359738367)))  # p_36: the plain window is 2^37 bits
 @given(half_table_edges())
 def test_integer_half_table_agrees_with_the_fill(case):
-    # the integer pass decides only when 2s * max < p, and then exactly as the
-    # fill does; the witness is the fill's first colliding pair either way
+    # the bitsets, shifting plainly while 2s * max < p and rotating mod p after,
+    # decide exactly as the fill does wherever they fit the ledger limit; the
+    # witness is the fill's first colliding pair whichever engine is chosen
     p, s, exponents = case
-    with mock.patch.object(builder, "_sums_distinct", lambda exps, s: False):
+    with mock.patch.object(builder, "_sums_distinct", lambda exps, p, s: None):
         filled = builder._vanishing_difference(exponents, p, s)
     assert builder._vanishing_difference(exponents, p, s) == filled
-    if 2 * s * max(exponents) < p:
-        assert builder._sums_distinct(exponents, s) == (filled is None)
+    with mock.patch.object(builder, "_LIMBS_PER_ENTRY", math.inf):  # the bitsets at any cost
+        forced = builder._sums_distinct(exponents, p, s)
+    fits = bitset_width(exponents, p, s) <= builder.MAX_LEDGER_BITS
+    assert forced == ((filled is None) if fits else None)
+
+
+def test_the_half_table_engine_is_chosen_by_cost():
+    # the desk s=2 n=16 factor: 32 shifts of 74 limbs against 513 fill entries, so
+    # the bitsets decide; 1 and 2^19 at p_36: 4 shifts of 32,769 limbs against 9
+    result = build_family(2, (16, 16)).results[0]
+    assert builder._sums_distinct(result.subset.exponents, result.p, 2) is True
+    assert builder._sums_distinct((1, 2**19), 137438953481, 2) is None
+    assert builder._vanishing_difference((1, 2**19), 137438953481, 2) is None
+
+
+@settings(deadline=None, max_examples=50)
+@example(case=(137438953481, 2, (1, 34359738367)))
+@example(case=(2**61 - 1, 2, (1, 2**58)))
+@given(half_table_edges())
+def test_the_chosen_half_table_engine_stays_within_the_ledger_limit(case):
+    # a plain window of 2s * max bits reaches 2^62 at these primes; the engine
+    # chosen allocates no more than MAX_LEDGER_BITS bits, the fill's entries included
+    p, s, exponents = case
+    tracemalloc.start()
+    try:
+        builder._vanishing_difference(exponents, p, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= builder.MAX_LEDGER_BITS // 8
 
 
 @st.composite

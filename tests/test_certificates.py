@@ -7,6 +7,7 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freelac import (
@@ -57,6 +58,15 @@ def test_raw_floats_rejected():
     cert = sample_cert(payload={"bad": 0.5})
     with pytest.raises(CertificateFormatError):
         serialize(cert)
+    # the first float in document order is named by its path, a float subclass too
+    for x in (0.25, np.float64(0.25)):
+        for later in ([], [2.0]):
+            payload = {"rows": [{"x": 1}, {"x": "0.5"}, {"x": x}], "z": later}
+            with pytest.raises(CertificateFormatError) as refused:
+                serialize(sample_cert(payload=payload))
+            assert str(refused.value) == (
+                "raw float at $.payload.rows[2].x; floats must be 17-digit decimal strings"
+            )
 
 
 def test_unknown_kind_rejected():

@@ -9,15 +9,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from freelac import builder, cli, spectral
+from freelac import builder, cli, counting, spectral
 from freelac.certificates import (
     FORMAT_VERSION,
     CertificateFile,
     family_from_payload,
     family_to_payload,
+    make_provenance,
     read_certificate,
     write_certificate,
 )
@@ -29,6 +31,7 @@ from freelac.cli import (
     kernel_order,
     main,
 )
+from freelac.primes import PAPER_PRIME_RULE, smallest_admissible_prime
 from golden import GOLDEN, GROUPS, mismatches, write_group
 
 
@@ -597,6 +600,51 @@ def test_budget_refusal_names_its_flag(tmp_path, capsys, command, flag, budget):
     assert main([*command, str(family), flag, budget]) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert err.startswith("budget refusal: ") and err.rstrip().endswith(f"(raise it with {flag})")
+
+
+def write_n36_family(path):
+    """A hand-written desk s=2 family with one factor, n = 36 (p = 137,438,953,481),
+    holding 1 and 2^35 - 1: a plain half-table window of 4 * (2^35 - 1) bits,
+    narrower than p, and a fill of 9 signed sums."""
+    orders = [smallest_admissible_prime(n) for n in range(1, 37)]
+    factor = {
+        "chosen": [1, 2**35 - 1], "exponents": [1, 2**35 - 1], "feasible": False, "n": 36,
+        "nodes_searched": None, "p": orders[-1], "pool_bound": 2**36,
+        "search_exhausted": None, "target_size": 36,
+    }
+    payload = {
+        "factors": [factor], "n_feasible": None, "orders": orders,
+        "prime_rule": PAPER_PRIME_RULE, "profile": "desk", "s": 2, "seed": None,
+    }
+    write_certificate(str(path), CertificateFile("family", payload, make_provenance("0", {})))
+
+
+def test_a_large_order_is_filled_and_its_ledger_refusal_names_no_flag(tmp_path, capsys):
+    # the bitsets would need 2^37 bits, over the ledger limit, so the fill decides;
+    # report stops at QI's p-bit ledger, a fixed limit that no flag raises
+    family = tmp_path / "n36.json"
+    write_n36_family(family)
+    assert main(["verify", "pn", str(family)]) == EXIT_OK
+    assert main(["verify", "zs", str(family)]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "pn n=36: ok" and printed[1].startswith("zs: Z_2 = 1 over 2 elements")
+    assert main(["report", str(family)]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget refusal: p-bit ledger at p=137438953481 exceeds the 67108864-bit limit\n"
+    )
+
+
+def test_report_decides_each_half_table_once(tmp_path):
+    # report hands each factor's pn verdict to its zs claim; verify zs decides its own
+    family = build_desk_family(tmp_path)
+    orders = list(read_json(family)["payload"]["orders"][7:])
+    decide = mock.Mock(wraps=builder._vanishing_difference)
+    with mock.patch.object(builder, "_vanishing_difference", decide), \
+            mock.patch.object(counting, "_vanishing_difference", decide):
+        for command in (["report"], ["verify", "zs"]):
+            decide.reset_mock()
+            assert main([*command, str(family)]) == EXIT_OK
+            assert [call.args[1] for call in decide.call_args_list] == orders
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

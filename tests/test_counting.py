@@ -402,6 +402,48 @@ def test_leinert_matches_oracle_on_single_factor_sets(s, case):
         assert list(fast.elements) == [words[i] for i in expected]
 
 
+def leinert_by_difference_table(words):
+    """The s = 2 search without the shortcut on distinct differences: the first
+    (i1, i2, i3, i4) in which (i1, i2) and (i4, i3) are distinct ordered pairs of
+    one difference, read from a table listing each difference's (i3, i4) by
+    ascending i3, or None."""
+    xs = [w.pairs[0][1] for w in words]
+    p = words[0].table.order(words[0].pairs[0][0])
+    pairs = list(permutations(range(len(xs)), 2))
+    by_difference: dict[int, list[tuple[int, int]]] = {}
+    for b, a in pairs:
+        by_difference.setdefault((xs[a] - xs[b]) % p, []).append((b, a))
+    return next(
+        ((i1, i2, i3, i4) for i1, i2 in pairs
+         for i3, i4 in by_difference[(xs[i1] - xs[i2]) % p] if i3 != i2),
+        None,
+    )
+
+
+@st.composite
+def letter_sets(draw):
+    """(p, 2 to 9 distinct exponents in Z_p): collisions are common at 17, and
+    sets with distinct differences at 1031."""
+    p = draw(st.sampled_from((17, 31, 101, 257, 1031)))
+    return p, draw(st.lists(st.integers(1, p - 1), min_size=2, max_size=9, unique=True))
+
+
+@settings(deadline=None)
+@example((31, [1, 2, 5, 11]))  # differences 1, 3, 4, 6, 9, 10 and their negatives
+@example((17, [1, 2, 3, 4]))  # 1 - 2 + 3 - 2 = 0
+@given(letter_sets())
+def test_leinert_at_s2_matches_the_difference_table(case):
+    # n(n - 1) distinct differences close no tuple, and the answer then comes
+    # before any table is built; otherwise the table's first tuple is the witness
+    p, exponents = case
+    words = [letter_word(FactorTable.explicit([p]), 1, e) for e in exponents]
+    found = leinert_by_difference_table(words)
+    witness = leinert_violation(words, 2)
+    assert (witness is None) == (found is None)
+    if found is not None:
+        assert list(witness.elements) == [words[i] for i in found]
+
+
 def test_leinert_rejects_all_but_single_letters_of_one_factor():
     two_letters = reduce_raw(TABLE, [(1, 1), (2, 3)])
     for words in (

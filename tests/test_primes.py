@@ -49,6 +49,42 @@ def test_miller_rabin_agrees_with_trial_division():
         assert is_prime(n) == trial_division_is_prime(n)
 
 
+# psi_k (OEIS A014233): the least odd composite that passes Miller-Rabin with
+# each of the first k primes as base
+PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n: int, base: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_each_pseudoprime_bound_is_composite(k):
+    # psi_k passes the first k bases, so the base prefix taken for it must be longer
+    psi = PSI[k - 1]
+    assert all(strong_probable_prime(psi, base) for base in BASES[:k])
+    assert not is_prime(psi)
+
+
+def test_no_base_set_is_claimed_from_psi_13():
+    # psi_13 passes all thirteen bases, and no proven base set reaches it
+    psi = PSI[12]
+    assert all(strong_probable_prime(psi, base) for base in BASES)
+    assert is_prime(psi - 2) == all(strong_probable_prime(psi - 2, base) for base in BASES)
+    with pytest.raises(ValueError, match="no proven Miller-Rabin base set"):
+        is_prime(psi)
+
+
 def test_index_out_of_range():
     with pytest.raises(ValueError):
         smallest_admissible_prime(0)
