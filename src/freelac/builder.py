@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .errors import BudgetExceeded, LimitExceeded
+from .errors import BudgetExceeded, LimitExceeded, checked_record
 from .primes import FactorTable, is_prime
 from .words import Word, letter_word
 
@@ -87,24 +86,22 @@ def check_ledger_order(p: int) -> None:
         raise LimitExceeded(f"p-bit ledger at p={p} exceeds the {MAX_LEDGER_BITS}-bit limit")
 
 
-@dataclass(frozen=True)
-class FactorSubset:
+class FactorSubset(checked_record("FactorSubset", "factor order exponents")):
     """A finite subset of one cyclic factor, stored as exponent residues."""
 
-    factor: int
-    order: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order % 2 == 0 or not is_prime(self.order):
-            raise ValueError(f"order {self.order} is not an odd prime")
+    def __new__(cls, factor: int, order: int, exponents: tuple[int, ...]):
+        if order % 2 == 0 or not is_prime(order):
+            raise ValueError(f"order {order} is not an odd prime")
         prev = 0
-        for e in self.exponents:
-            if not 1 <= e <= self.order - 1:
-                raise ValueError(f"exponent {e} outside [1, {self.order - 1}]")
+        for e in exponents:
+            if not 1 <= e <= order - 1:
+                raise ValueError(f"exponent {e} outside [1, {order - 1}]")
             if e <= prev:
                 raise ValueError("exponents must be sorted and distinct")
             prev = e
+        return tuple.__new__(cls, (factor, order, exponents))
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -118,20 +115,19 @@ class FactorSubset:
         return [letter_word(table, self.factor, e) for e in self.exponents]
 
 
-@dataclass(frozen=True)
-class EpsilonVector:
+class EpsilonVector(checked_record("EpsilonVector", "entries")):
     """Coefficients in {0, +-1, +-2} against a fixed exponent list."""
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for e in self.entries:
+    def __new__(cls, entries: tuple[int, ...]):
+        for e in entries:
             if e not in (-2, -1, 0, 1, 2):
                 raise ValueError(f"entry {e} outside {{0, +-1, +-2}}")
+        return tuple.__new__(cls, (entries,))
 
 
-@dataclass(frozen=True)
-class ForbiddenStrata:
+class ForbiddenStrata(NamedTuple):
     """The sums the chosen exponents reach, level by level.
 
     Level w is the set of integer sums sum(eps_j * g_j) over vectors of
@@ -361,8 +357,12 @@ def _draw(
     return rng.choice(admissible) if admissible else None
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(
+    checked_record(
+        "BuildResult",
+        "subset chosen pool_bound target_size nodes_searched search_exhausted",
+    )
+):
     """One built factor set, with how it was chosen and how far the search went.
 
     ``subset`` holds the kept exponents sorted; ``chosen`` holds the same
@@ -377,19 +377,24 @@ class BuildResult:
     from a format-1 file, which stored neither, has both as None.
     """
 
-    subset: FactorSubset
-    chosen: tuple[int, ...]
-    pool_bound: int
-    target_size: int
-    nodes_searched: Optional[int] = None
-    search_exhausted: Optional[bool] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if tuple(sorted(self.chosen)) != self.subset.exponents:
-            raise ValueError(f"chosen exponents {list(self.chosen)} are not the subset's exponents")
-        for g in self.chosen:
-            if not 1 <= g <= self.pool_bound:
-                raise ValueError(f"chosen exponent {g} outside pool [1, {self.pool_bound}]")
+    def __new__(
+        cls,
+        subset: FactorSubset,
+        chosen: tuple[int, ...],
+        pool_bound: int,
+        target_size: int,
+        nodes_searched: Optional[int] = None,
+        search_exhausted: Optional[bool] = None,
+    ):
+        if tuple(sorted(chosen)) != subset.exponents:
+            raise ValueError(f"chosen exponents {list(chosen)} are not the subset's exponents")
+        for g in chosen:
+            if not 1 <= g <= pool_bound:
+                raise ValueError(f"chosen exponent {g} outside pool [1, {pool_bound}]")
+        fields = (subset, chosen, pool_bound, target_size, nodes_searched, search_exhausted)
+        return tuple.__new__(cls, fields)
 
     @property
     def n(self) -> int:
@@ -664,8 +669,7 @@ def verify_pn_bruteforce(
     return witness is None, witness
 
 
-@dataclass(frozen=True)
-class BuildProfile:
+class BuildProfile(NamedTuple):
     """Size and pool rules parameterizing a family build."""
 
     name: str
@@ -695,8 +699,7 @@ PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class LacunaryFamily:
+class LacunaryFamily(NamedTuple):
     """The per-factor sets built for one parameter s, one build record each."""
 
     s: int

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Any
 
 from .builder import PROFILES, BuildResult, FactorSubset, LacunaryFamily, check_even_s
+from .errors import checked_record
 from .primes import EXPLICIT_PRIME_RULE, PAPER_PRIME_RULE, FactorTable
 
 FORMAT_VERSION = 11
@@ -63,18 +63,17 @@ def _name_raw_float(node: Any, path: str = "$") -> None:
             _name_raw_float(v, f"{path}[{i}]")
 
 
-@dataclass(frozen=True)
-class CertificateFile:
+class CertificateFile(checked_record("CertificateFile", "kind payload provenance format_version")):
     """One versioned certificate: kind, payload, and provenance."""
 
-    kind: str
-    payload: dict
-    provenance: dict
-    format_version: int = FORMAT_VERSION
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise CertificateFormatError(f"unknown certificate kind {self.kind!r}")
+    def __new__(
+        cls, kind: str, payload: dict, provenance: dict, format_version: int = FORMAT_VERSION
+    ):
+        if kind not in KINDS:
+            raise CertificateFormatError(f"unknown certificate kind {kind!r}")
+        return tuple.__new__(cls, (kind, payload, provenance, format_version))
 
 
 def make_provenance(version: str, parameters: dict) -> dict:

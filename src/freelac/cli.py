@@ -9,12 +9,11 @@ recomputes from the stored exponents; cached construction data is ignored.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .builder import (
@@ -101,8 +100,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@dataclasses.dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One claim: its certificate section, the lines it prints and its verdict."""
 
     section: dict

@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, compress, permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .builder import (
     DEFAULT_TUPLE_BUDGET,
@@ -63,7 +62,7 @@ from .builder import (
     check_ledger_order,
     half_table_size,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, checked_record
 # perfbench/tracing.py counts calls of multiply, alternating_product and canonical_key
 # through this module, so the three names stay importable from it
 from .words import (
@@ -94,8 +93,7 @@ def zs_paper_target(s: int) -> tuple[int, int]:
     return half * half, math.factorial(s)
 
 
-@dataclass(frozen=True)
-class ZsCertificate:
+class ZsCertificate(NamedTuple):
     """Exact tuple-count supremum and its witness.
 
     ``value`` is the largest number of pairwise-distinct s-tuples sharing one
@@ -324,21 +322,20 @@ def z_enumerate(
     )
 
 
-@dataclass(frozen=True)
-class LeinertWitness:
+class LeinertWitness(checked_record("LeinertWitness", "s elements")):
     """An adjacent-distinct 2s-tuple whose alternating product is the identity."""
 
-    s: int
-    elements: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.elements) != 2 * self.s:
-            raise ValueError(f"witness needs {2 * self.s} entries, got {len(self.elements)}")
-        for i in range(len(self.elements) - 1):
-            if self.elements[i] == self.elements[i + 1]:
+    def __new__(cls, s: int, elements: tuple[Word, ...]):
+        if len(elements) != 2 * s:
+            raise ValueError(f"witness needs {2 * s} entries, got {len(elements)}")
+        for i in range(len(elements) - 1):
+            if elements[i] == elements[i + 1]:
                 raise ValueError(f"adjacent entries {i} and {i + 1} coincide")
-        if not is_identity(alternating_product(self.elements, START_PLAIN)):
+        if not is_identity(alternating_product(elements, START_PLAIN)):
             raise ValueError("alternating product of the witness is not the identity")
+        return tuple.__new__(cls, (s, elements))
 
 
 def leinert_violation(
@@ -454,8 +451,7 @@ def is_quasi_independent(
     return False, (_mask_subset(exponents, later), _mask_subset(exponents, seen[value]))
 
 
-@dataclass(frozen=True)
-class QIWitness:
+class QIWitness(NamedTuple):
     """A greedily extracted quasi-independent subset and whether it is maximal."""
 
     subset: tuple[int, ...]

@@ -1,6 +1,17 @@
-"""Shared exception types."""
+"""Shared exception types, and the base of the records that check their fields."""
 
 from __future__ import annotations
+
+from collections import namedtuple
+
+
+def checked_record(typename: str, field_names: str) -> type:
+    """A namedtuple base for a record whose ``__new__`` checks its fields.  The
+    namedtuple's own ``_make``, which ``_replace`` calls, skips ``__new__``;
+    this one calls the record, so every way of building one checks it."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 class BudgetExceeded(RuntimeError):

@@ -9,7 +9,7 @@ built).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import checked_record
 
 # Miller-Rabin with the first k of these bases decides every n below psi_k,
 # the least odd strong pseudoprime to all of them (OEIS A014233, k = 1..13).
@@ -76,30 +76,29 @@ def smallest_admissible_prime(n: int) -> int:
     return candidate
 
 
-@dataclass(frozen=True)
-class FactorTable:
+class FactorTable(checked_record("FactorTable", "orders rule")):
     """Orders of the cyclic factors, indexed 1..len(orders).
 
     The generator of factor n is fixed as the residue 1, so exponents are
     plain residues in [1, p_n - 1].
     """
 
-    orders: tuple[int, ...]
-    rule: str = PAPER_PRIME_RULE
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, orders: tuple[int, ...], rule: str = PAPER_PRIME_RULE):
         seen: set[int] = set()
-        for i, p in enumerate(self.orders, start=1):
+        for i, p in enumerate(orders, start=1):
             if p % 2 == 0 or not is_prime(p):
                 raise ValueError(f"factor {i}: order {p} is not an odd prime")
             if p in seen:
                 raise ValueError(f"factor {i}: duplicate order {p}")
             seen.add(p)
-            if self.rule == PAPER_PRIME_RULE and p <= (1 << (i + 1)):
+            if rule == PAPER_PRIME_RULE and p <= (1 << (i + 1)):
                 raise ValueError(
                     f"factor {i}: order {p} does not exceed 2^{i + 1} "
                     f"as the default rule requires"
                 )
+        return tuple.__new__(cls, (orders, rule))
 
     def __len__(self) -> int:
         return len(self.orders)

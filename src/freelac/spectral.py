@@ -22,16 +22,15 @@ and ``holder_check``, so importing the module, or the CLI, loads none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import truediv
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .builder import FactorSubset
 from .counting import is_quasi_independent
-from .errors import LimitExceeded
+from .errors import LimitExceeded, checked_record
 from .primes import is_prime
 
 DEFAULT_TOLERANCE = 1e-9
@@ -41,23 +40,22 @@ DEFAULT_SPECTRAL_BUDGET = 1 << 20
 SIDON_QI_CONSTANT = 6.0 * math.sqrt(6.0)
 
 
-@dataclass(frozen=True)
-class CyclicFunction:
+class CyclicFunction(checked_record("CyclicFunction", "p values")):
     """Sparse complex-valued function on Z_p, keyed by exponent residue."""
 
-    p: int
-    values: tuple[tuple[int, complex], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"order {self.p} is not prime")
+    def __new__(cls, p: int, values: tuple[tuple[int, complex], ...]):
+        if not is_prime(p):
+            raise ValueError(f"order {p} is not prime")
         prev = -1
-        for j, _ in self.values:
-            if not 0 <= j < self.p:
-                raise ValueError(f"residue {j} outside [0, {self.p - 1}]")
+        for j, _ in values:
+            if not 0 <= j < p:
+                raise ValueError(f"residue {j} outside [0, {p - 1}]")
             if j <= prev:
                 raise ValueError("support residues must be sorted and distinct")
             prev = j
+        return tuple.__new__(cls, (p, values))
 
     @classmethod
     def from_values(cls, p: int, mapping: Mapping[int, complex]) -> "CyclicFunction":
@@ -71,17 +69,20 @@ class CyclicFunction:
         return cls.from_values(p, {j: 1.0 for j in residues})
 
 
-@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Full spectrum of a cyclic function with its normalized norms.
 
     ``magnitudes`` holds |f_hat(k)| as ``math.hypot`` of each coefficient.
-    The algebra and operator norms are computed on first read.
+    The algebra and operator norms are computed on first read.  Its fields
+    are read-only, and reports compare by identity: a numpy spectrum cannot
+    be compared by value.
     """
 
-    p: int
-    spectrum: "np.ndarray"
-    magnitudes: tuple[float, ...]
+    def __init__(self, p: int, spectrum: "np.ndarray", magnitudes: tuple[float, ...]):
+        vars(self).update(p=p, spectrum=spectrum, magnitudes=magnitudes)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a SpectrumReport is read-only; cannot set {name!r}")
 
     @cached_property
     def norm_a(self) -> float:
@@ -199,8 +200,7 @@ def dual_index(q: float) -> float:
     return q / (q - 1.0)
 
 
-@dataclass(frozen=True)
-class KernelNormCheck:
+class KernelNormCheck(NamedTuple):
     """Interpolation and peak bounds for a triangular kernel instance."""
 
     q: float
@@ -237,8 +237,7 @@ def kernel_norm_check(n: int, report: SpectrumReport, q: float) -> KernelNormChe
     )
 
 
-@dataclass(frozen=True)
-class HolderCheck:
+class HolderCheck(NamedTuple):
     """Pairing of two cyclic functions against the product of dual norms."""
 
     q: float
@@ -291,8 +290,7 @@ def density_lower_bound(subset: FactorSubset, window: int, q: float) -> float:
     return math.sqrt(m_count / (2.0 * (4 * window + 1) ** (2.0 / q)))
 
 
-@dataclass(frozen=True)
-class WeakSidonWitness:
+class WeakSidonWitness(NamedTuple):
     """Integer witness against a hypothetical weak-Sidon constant C.
 
     At scale n the hypothetical bound forces n^2 <= 40 C^2 n; the witness is
@@ -319,8 +317,7 @@ def weak_sidon_witness(c: Union[int, float, str, Fraction]) -> WeakSidonWitness:
     return WeakSidonWitness(c=c_exact, n=n, lhs=lhs, rhs=rhs, holds=Fraction(lhs) > rhs)
 
 
-@dataclass(frozen=True)
-class SidonQICheck:
+class SidonQICheck(NamedTuple):
     """|F| against the quasi-independent Sidon bound 6 sqrt(6) ||1_F||_VN."""
 
     size: int

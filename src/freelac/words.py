@@ -15,9 +15,9 @@ its pairs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import checked_record
 from .primes import FactorTable
 
 START_PLAIN = "start-plain"
@@ -29,22 +29,21 @@ _KEY_FMT = struct.Struct(">QQ")
 Pairs = tuple[tuple[int, int], ...]  # letters a_factor^exp as (factor, exp) pairs
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(checked_record("Word", "table pairs")):
     """A reduced word: its (factor, exp) pairs over the factors of ``table``."""
 
-    table: FactorTable
-    pairs: Pairs
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, table: FactorTable, pairs: Pairs):
         prev = None
-        for factor, exp in self.pairs:
-            p = self.table.order(factor)
+        for factor, exp in pairs:
+            p = table.order(factor)
             if not 1 <= exp <= p - 1:
                 raise ValueError(f"exponent {exp} outside [1, {p - 1}] in factor {factor}")
             if prev is not None and prev == factor:
                 raise ValueError(f"word not reduced: adjacent letters in factor {factor}")
             prev = factor
+        return tuple.__new__(cls, (table, pairs))
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +123,7 @@ def test_loaded_family_does_not_claim_an_exhausted_search():
     assert loaded == built and not loaded.feasible
     # format 1 stored no search record, so the same factor read as format 1 has none
     (unrecorded,) = family_from_payload(payload, format_version=1).results
-    assert unrecorded == replace(built, nodes_searched=None, search_exhausted=None)
+    assert unrecorded == built._replace(nodes_searched=None, search_exhausted=None)
 
 
 @pytest.mark.parametrize("name", ["desk2-v1.json", "desk4-n10-v1.json"])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -148,7 +147,7 @@ def test_build_says_why_a_factor_is_infeasible(tmp_path, capsys, monkeypatch, bu
     # no profile leaves a target that both counts allow to a search that
     # exhausts its tree, so the tiny profile asks for 4 exponents here: at n=5
     # (p = 67, pool [1, 32]) the search visits all 2,807 nodes without a 4-set
-    tiny = dataclasses.replace(builder.PROFILES["tiny"], target_size=lambda n, s: 4)
+    tiny = builder.PROFILES["tiny"]._replace(target_size=lambda n, s: 4)
     monkeypatch.setitem(builder.PROFILES, "tiny", tiny)
     out = tmp_path / "fam.json"
     assert main(["build", *build, "--out", str(out)]) == EXIT_VIOLATION
@@ -197,9 +196,12 @@ def run_fresh_python(code):
 
 
 def test_cli_import_loads_no_numpy():
-    # numpy is imported where an FFT is taken, not by the command line
+    # numpy is imported where an FFT is taken, not by the command line; the
+    # records are named tuples, so neither dataclasses nor its inspect is loaded
     run_fresh_python(
-        "import sys, freelac.cli; sys.exit('numpy loaded' if 'numpy' in sys.modules else 0)"
+        "import sys, freelac.cli\n"
+        "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
+        "sys.exit(f'{loaded} loaded' if loaded else 0)\n"
     )
 
 
